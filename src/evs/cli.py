@@ -1,7 +1,14 @@
 """Command-line interface.
 
 Subcommands: gen, run, sweep, frontier, report, train.  Exit codes:
-0 success, 2 usage, 3 config, 4 I/O, 5 numeric.
+
+* 0 success;
+* 2 usage (``UsageError``);
+* 3 config: ``ConfigError``, ``ParameterError``, ``ShapeError``,
+  ``CapabilityError`` and ``InjectionError`` (a setting asks for something
+  the data or the model cannot give);
+* 4 I/O (``OSError``);
+* 5 numeric: ``NumericError`` and ``TrainingError`` (training diverged).
 """
 
 from __future__ import annotations
@@ -11,7 +18,16 @@ import sys
 
 from . import bench
 from .config import apply_set_overrides, resolve_config
-from .errors import ConfigError, NumericError, ParameterError, UsageError
+from .errors import (
+    CapabilityError,
+    ConfigError,
+    InjectionError,
+    NumericError,
+    ParameterError,
+    ShapeError,
+    TrainingError,
+    UsageError,
+)
 from .io import read_json
 
 
@@ -113,13 +129,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ParameterError) as exc:
+    except (ConfigError, ParameterError, ShapeError, CapabilityError, InjectionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except NumericError as exc:
+    except (NumericError, TrainingError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 5
     print(path)

@@ -532,68 +532,90 @@ class TrainRecipe:
 
 
 def _batched_forward(model: ToyAttentionDenoiser, z, tfeat, cond_idx, want_grads=False):
-    """Vectorized forward over a batch (B, F, D); returns output and tape."""
+    """Vectorized forward over a batch (B, F, D); returns output and tape.
+
+    Token-wise projections run as one ``(B*F, E) @ (E, G)`` matmul and the
+    per-video attention products as batched ``@``.  The tape holds what
+    ``_batched_backward`` reads: every block input ``h`` and each block's
+    ``q``, ``k``, ``v``, attention weights ``a`` and attention output ``attn``.
+    """
     p = model.params
     scale = 1.0 / np.sqrt(model.embed)
-    h = z @ p["w_in"] + (tfeat @ p["w_time"])[:, None, :] + p["cond_emb"][cond_idx][:, None, :] + p["b_in"]
-    tape = {"h": [h], "f": [], "q": [], "k": [], "v": [], "a": [], "attn": []}
+    batch, frames, _ = z.shape
+    tokens = batch * frames
+    h = (z.reshape(tokens, -1) @ p["w_in"]).reshape(batch, frames, -1)
+    h += (tfeat @ p["w_time"] + p["cond_emb"][cond_idx] + p["b_in"])[:, None, :]
+    h = h.reshape(tokens, -1)
+    tape = {"h": [h], "q": [], "k": [], "v": [], "a": [], "attn": []}
     for layer in range(model.blocks):
         f = h @ p[f"w_f{layer}"] + p[f"b_f{layer}"]
-        q = h @ p[f"w_q{layer}"]
-        k = h @ p[f"w_k{layer}"]
-        v = h @ p[f"w_v{layer}"]
-        a = _softmax_rows(np.einsum("bfe,bge->bfg", q, k) * scale)
-        attn = np.einsum("bfg,bge->bfe", a, v)
+        q = (h @ p[f"w_q{layer}"]).reshape(batch, frames, -1)
+        k = (h @ p[f"w_k{layer}"]).reshape(batch, frames, -1)
+        v = (h @ p[f"w_v{layer}"]).reshape(batch, frames, -1)
+        a = _softmax_rows((q @ k.transpose(0, 2, 1)) * scale)
+        attn = (a @ v).reshape(tokens, -1)
         h = f + attn @ p[f"w_o{layer}"] + p[f"b_o{layer}"]
         if want_grads:
-            for name, val in (("f", f), ("q", q), ("k", k), ("v", v), ("a", a), ("attn", attn)):
+            for name, val in (("q", q), ("k", k), ("v", v), ("a", a), ("attn", attn)):
                 tape[name].append(val)
             tape["h"].append(h)
     out = h @ p["w_out"] + p["b_out"]
-    return out, tape
+    return out.reshape(batch, frames, -1), tape
 
 
 def _batched_backward(model, z, tfeat, cond_idx, tape, dout):
-    """Gradients of a scalar loss wrt every parameter, given d(loss)/d(output)."""
+    """Gradients of a scalar loss wrt every parameter, given d(loss)/d(output).
+
+    Token-wise arrays are ``(B*F, E)``; a weight gradient is ``inputᵀ @ d(output)``
+    over all tokens at once.
+    """
     p = model.params
     scale = 1.0 / np.sqrt(model.embed)
-    grads = {name: np.zeros_like(val) for name, val in p.items()}
-    h_last = tape["h"][-1]
-    grads["w_out"] = np.einsum("bfe,bfd->ed", h_last, dout)
-    grads["b_out"] = dout.sum((0, 1))
+    batch, frames, _ = z.shape
+    tokens = batch * frames
+    grads = {}
+    dout = dout.reshape(tokens, -1)
+    grads["w_out"] = tape["h"][-1].T @ dout
+    grads["b_out"] = dout.sum(0)
     dh = dout @ p["w_out"].T
     for layer in range(model.blocks - 1, -1, -1):
         h_in = tape["h"][layer]
-        f, q, k, v = (tape[n][layer] for n in ("f", "q", "k", "v"))
-        a, attn = tape["a"][layer], tape["attn"][layer]
-        grads[f"w_o{layer}"] = np.einsum("bfe,bfg->eg", attn, dh)
-        grads[f"b_o{layer}"] = dh.sum((0, 1))
-        dattn = dh @ p[f"w_o{layer}"].T
-        df = dh  # residual path
-        da = np.einsum("bfe,bge->bfg", dattn, v)
-        dv = np.einsum("bgf,bge->bfe", a.transpose(0, 2, 1), dattn)
-        ds = a * (da - (da * a).sum(-1, keepdims=True))
-        dq = np.einsum("bfg,bge->bfe", ds, k) * scale
-        dk = np.einsum("bgf,bge->bfe", ds.transpose(0, 2, 1), q) * scale
-        grads[f"w_f{layer}"] = np.einsum("bfe,bfg->eg", h_in, df)
-        grads[f"b_f{layer}"] = df.sum((0, 1))
-        grads[f"w_q{layer}"] = np.einsum("bfe,bfg->eg", h_in, dq)
-        grads[f"w_k{layer}"] = np.einsum("bfe,bfg->eg", h_in, dk)
-        grads[f"w_v{layer}"] = np.einsum("bfe,bfg->eg", h_in, dv)
+        q, k, v, a = (tape[n][layer] for n in ("q", "k", "v", "a"))
+        grads[f"w_o{layer}"] = tape["attn"][layer].T @ dh
+        grads[f"b_o{layer}"] = dh.sum(0)
+        dattn = (dh @ p[f"w_o{layer}"].T).reshape(batch, frames, -1)
+        # The residual path f passes dh through unchanged: df = dh.
+        da = dattn @ v.transpose(0, 2, 1)
+        dv = (a.transpose(0, 2, 1) @ dattn).reshape(tokens, -1)
+        ds = a * (da - (da * a).sum(-1, keepdims=True)) * scale
+        dq = (ds @ k).reshape(tokens, -1)
+        dk = (ds.transpose(0, 2, 1) @ q).reshape(tokens, -1)
+        grads[f"w_f{layer}"] = h_in.T @ dh
+        grads[f"b_f{layer}"] = dh.sum(0)
+        grads[f"w_q{layer}"] = h_in.T @ dq
+        grads[f"w_k{layer}"] = h_in.T @ dk
+        grads[f"w_v{layer}"] = h_in.T @ dv
         dh = (
-            df @ p[f"w_f{layer}"].T
+            dh @ p[f"w_f{layer}"].T
             + dq @ p[f"w_q{layer}"].T
             + dk @ p[f"w_k{layer}"].T
             + dv @ p[f"w_v{layer}"].T
         )
-    grads["w_in"] = np.einsum("bfd,bfe->de", z, dh)
-    grads["w_time"] = np.einsum("bt,bfe->te", tfeat, dh)
-    grads["b_in"] = dh.sum((0, 1))
-    np.add.at(grads["cond_emb"], cond_idx, dh.sum(1))
+    grads["w_in"] = z.reshape(tokens, -1).T @ dh
+    dh_video = dh.reshape(batch, frames, -1).sum(1)
+    grads["w_time"] = tfeat.T @ dh_video
+    grads["b_in"] = dh_video.sum(0)
+    grads["cond_emb"] = np.zeros_like(p["cond_emb"])
+    np.add.at(grads["cond_emb"], cond_idx, dh_video)
     return grads
 
 
-def _draw_training_batch(world: TemporalWorld, sched, rng, batch_size):
+def _time_feature_table(total_steps: int) -> np.ndarray:
+    """Row t is ``_time_features(t, total_steps)`` for t = 0..total_steps."""
+    return np.stack([_time_features(t, total_steps) for t in range(total_steps + 1)])
+
+
+def _draw_training_batch(world: TemporalWorld, sched, rng, batch_size, tfeat_table):
     modes = rng.integers(0, world.modes, size=batch_size)
     eta = rng.standard_normal((batch_size, world.frames, world.dim))
     chol = world.correlation_chol
@@ -602,8 +624,7 @@ def _draw_training_batch(world: TemporalWorld, sched, rng, batch_size):
     eps = rng.standard_normal(z0.shape)
     ab = sched.alpha_bar[t][:, None, None]
     z_t = np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
-    tfeat = np.stack([_time_features(ti, sched.total_steps) for ti in t])
-    return z_t, tfeat, modes + 1, eps
+    return z_t, tfeat_table[t], modes + 1, eps
 
 
 def train_toy_denoiser(
@@ -622,7 +643,8 @@ def train_toy_denoiser(
     )
     data_rng = np.random.default_rng(np.random.SeedSequence([recipe.seed, 1]))
     held_rng = np.random.default_rng(np.random.SeedSequence([recipe.seed, 2]))
-    held = _draw_training_batch(world, sched, held_rng, 256)
+    tfeat_table = _time_feature_table(sched.total_steps)
+    held = _draw_training_batch(world, sched, held_rng, 256, tfeat_table)
 
     def held_out_loss():
         z_t, tfeat, cond_idx, eps = held
@@ -639,7 +661,7 @@ def train_toy_denoiser(
     beta1, beta2, eps_adam = 0.9, 0.999, 1e-8
     for step in range(1, recipe.steps + 1):
         z_t, tfeat, cond_idx, eps = _draw_training_batch(
-            world, sched, data_rng, recipe.batch_size
+            world, sched, data_rng, recipe.batch_size, tfeat_table
         )
         out, tape = _batched_forward(model, z_t, tfeat, cond_idx, want_grads=True)
         resid = out - eps

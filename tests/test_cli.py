@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evs
 from evs import io as evsio
 from evs.cli import main
 from evs.config import DEFAULT_CONFIG
@@ -242,3 +246,15 @@ class TestReportAndTrain:
         assert net.blocks == 4
         manifest = evsio.read_json(tmp_path / "train_manifest.json")
         assert manifest["train_report"]["final_loss"] < manifest["train_report"]["initial_loss"]
+
+    def test_diverged_training_is_numeric_error(self, tmp_path):
+        paths = [str(Path(evs.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "evs.cli", "train", "--out", str(tmp_path),
+             "--set", "train.lr=1e6", "--set", "train.steps=40"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 5
+        assert "numeric error" in proc.stderr
+        assert "Traceback" not in proc.stderr

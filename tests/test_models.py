@@ -12,6 +12,9 @@ from evs.models import (
     TemporalWorld,
     ToyAttentionDenoiser,
     TrainRecipe,
+    _batched_backward,
+    _batched_forward,
+    _time_features,
     ar1_correlation,
     attention_forward,
     blur_means,
@@ -329,3 +332,65 @@ class TestTraining:
         recipe = TrainRecipe(steps=40, lr=1e12, batch_size=8, seed=0)
         with pytest.raises(TrainingError):
             train_toy_denoiser(lab.temporal_world, lab.sched_v, recipe)
+
+
+class TestBatchedTrainingPath:
+    @staticmethod
+    def _batch(net, ts, conds, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((len(ts), 16, net.dim))
+        tfeat = np.stack([_time_features(t, net.total_steps) for t in ts])
+        cond_idx = np.array([net._cond_index(c) for c in conds])
+        return z, tfeat, cond_idx
+
+    def test_batched_forward_matches_single_video_forward(self):
+        net = ToyAttentionDenoiser(seed=6)
+        ts = [1, 3, 5, 8]
+        conds = [None, Condition(mode_id=0), Condition(mode_id=2), Condition(mode_id=3)]
+        z, tfeat, cond_idx = self._batch(net, ts, conds, seed=7)
+        batched, _ = _batched_forward(net, z, tfeat, cond_idx)
+        for i, (t, c) in enumerate(zip(ts, conds)):
+            np.testing.assert_allclose(batched[i], net.forward(z[i], t, c), rtol=0, atol=1e-12)
+
+    def test_backward_matches_central_differences(self):
+        net = ToyAttentionDenoiser(seed=8)
+        z, tfeat, cond_idx = self._batch(
+            net, [2, 4, 7], [Condition(mode_id=1), None, Condition(mode_id=3)], seed=9
+        )
+        rng = np.random.default_rng(10)
+        weights = rng.standard_normal(z.shape)  # loss = sum(weights * output)
+
+        def loss():
+            out, _ = _batched_forward(net, z, tfeat, cond_idx)
+            return float(np.sum(weights * out))
+
+        _, tape = _batched_forward(net, z, tfeat, cond_idx, want_grads=True)
+        grads = _batched_backward(net, z, tfeat, cond_idx, tape, weights)
+        step = 1e-5
+        for name in net.param_names():
+            param, grad = net.params[name], grads[name]
+            assert grad.shape == param.shape, name
+            picks = rng.choice(param.size, size=min(5, param.size), replace=False)
+            picks = np.union1d(picks, [np.argmax(np.abs(grad))])
+            numeric = []
+            for flat in picks:
+                idx = np.unravel_index(flat, param.shape)
+                saved = param[idx]
+                param[idx] = saved + step
+                up = loss()
+                param[idx] = saved - step
+                down = loss()
+                param[idx] = saved
+                numeric.append((up - down) / (2 * step))
+            analytic = grad.ravel()[picks]
+            rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
+            assert rel <= 1e-5, f"{name}: relative error {rel:.2e}"
+
+    def test_time_feature_table_rows_match_time_features(self):
+        from evs.models import _time_feature_table
+
+        total = 8
+        table = _time_feature_table(total)
+        assert table.shape == (total + 1, 16)
+        for t in range(total + 1):
+            assert np.array_equal(table[t], _time_features(t, total))
