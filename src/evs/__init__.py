@@ -32,7 +32,6 @@ from .models import (
     TemporalWorld,
     ToyAttentionDenoiser,
     TrainRecipe,
-    attention_forward,
     default_worlds,
     gmm_posterior_eps,
     make_degraded_video,

@@ -2,12 +2,12 @@
 hyperparameter sweeps, the refinement-mode frontier, and report aggregation.
 
 Every command writes a manifest that is sufficient to re-execute it
-bit-identically in single-threaded mode (wall-clock values excluded).
+bit-identically (wall-clock values excluded).
 """
 
 from __future__ import annotations
 
-import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +67,14 @@ def _out_dir(path) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _dataset_record(dataset_dir) -> dict:
+    """Where a command's input dataset lives and the hash of its manifest."""
+    return {
+        "path": str(Path(dataset_dir).resolve()),
+        "manifest_sha256": evsio.file_sha256(Path(dataset_dir) / DATASET_MANIFEST),
+    }
 
 
 def _manifest_base(cfg: dict, kind: str) -> dict:
@@ -156,37 +164,27 @@ def load_or_init_net(cfg: dict) -> ToyAttentionDenoiser:
     )
 
 
-def _execute(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, index, video, cond):
+def _execute(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, index, video, cond,
+             trajectory=None):
+    """Run one pipeline on one item; ``trajectory`` collects t2i/t2v step latents."""
     rng = _pipeline_noise_rng(cfg, index)
     if pipeline == "t2i":
-        return run_t2i_only(video, pcfg.t_i, lab.models, cond, rng)
+        return run_t2i_only(video, pcfg.t_i, lab.models, cond, rng, trajectory=trajectory)
     if pipeline == "t2v":
-        return run_t2v_only(video, pcfg.t_v, lab.models, cond, rng)
+        return run_t2v_only(video, pcfg.t_v, lab.models, cond, rng, trajectory=trajectory)
     if pipeline == "iv":
         return compose_iv(video, pcfg.t_i, pcfg.t_v, lab.models, cond, rng)
     if pipeline == "vi":
         return compose_vi(video, pcfg.t_v, pcfg.t_i, lab.models, cond, rng)
     if pipeline == "evs":
-        item_cfg = PipelineConfig(
-            t_i=pcfg.t_i, t_v=pcfg.t_v, t_t2v=pcfg.t_t2v, n_v=pcfg.n_v,
-            block_mode=pcfg.block_mode, injection=pcfg.injection,
-            seed=_evs_item_seed(cfg, index),
-        )
-        return run_evs(video, item_cfg, lab.models, cond)
+        return run_evs(video, replace(pcfg, seed=_evs_item_seed(cfg, index)), lab.models, cond)
     if pipeline == "iterated":
         rounds = cfg["pipeline"].get("rounds", 2)
         return run_iterated_baseline(video, rounds, pcfg.t_i, pcfg.t_v, lab.models, cond, rng)
     raise UsageError(f"unknown pipeline {pipeline!r} (choose from {', '.join(PIPELINES)})")
 
 
-def cmd_run(
-    pipeline: str,
-    cfg: dict,
-    dataset_dir,
-    out_dir,
-    single_thread: bool = True,
-    trajectories: bool = False,
-) -> Path:
+def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir, trajectories: bool = False) -> Path:
     """Execute one pipeline over the dataset; write CSV, outputs, manifest."""
     if pipeline not in PIPELINES:
         raise UsageError(f"unknown pipeline {pipeline!r} (choose from {', '.join(PIPELINES)})")
@@ -203,11 +201,10 @@ def cmd_run(
     row_meta = []
     for index, video in videos:
         cond = item_condition(cfg, index, None if style is None else np.asarray(style))
+        traj = [] if trajectories else None
+        result = _execute(pipeline, lab, cfg, pcfg, index, video, cond, trajectory=traj)
         if trajectories:
-            result, traj = _run_with_trajectory(pipeline, lab, cfg, pcfg, index, video, cond)
             evsio.write_trajectory(out / f"item_{index:04d}.evstrj", traj)
-        else:
-            result = _execute(pipeline, lab, cfg, pcfg, index, video, cond)
         report = score_video(
             result.output,
             video,
@@ -247,15 +244,11 @@ def cmd_run(
     manifest.update(
         {
             "pipeline": pipeline,
-            "dataset": {
-                "path": str(Path(dataset_dir).resolve()),
-                "manifest_sha256": evsio.file_sha256(Path(dataset_dir) / DATASET_MANIFEST),
-            },
+            "dataset": _dataset_record(dataset_dir),
             "schedules": {
                 "spatial_alpha_bar": [float(x) for x in lab.sched_i.alpha_bar],
                 "temporal_alpha_bar": [float(x) for x in lab.sched_v.alpha_bar],
             },
-            "single_thread": single_thread,
             "csv": "runs.csv",
             "rows": rows,
             "items": row_meta,
@@ -266,40 +259,12 @@ def cmd_run(
     return path
 
 
-def _run_with_trajectory(pipeline, lab, cfg, pcfg, index, video, cond):
-    rng = _pipeline_noise_rng(cfg, index)
-    traj: list[np.ndarray] = []
-    t0 = time.perf_counter()
-    if pipeline == "t2i":
-        model, sched, t_noise = lab.models.spatial, lab.sched_i, pcfg.t_i
-    else:
-        model, sched, t_noise = lab.models.temporal, lab.sched_v, pcfg.t_v
-    evals0 = model.num_evals
-    refined = sdedit_refine(video, t_noise, 0, model, cond, sched, rng, trajectory=traj)
-    from .compose import PipelineResult
-
-    result = PipelineResult(
-        output=refined.predicted_clean,
-        nfe_t2i=model.num_evals - evals0 if pipeline == "t2i" else 0,
-        nfe_t2v=model.num_evals - evals0 if pipeline == "t2v" else 0,
-        wall_time=time.perf_counter() - t0,
-        stage_log=((pipeline, (t_noise, 0)),),
-    )
-    return result, traj
-
-
 def rerun_from_manifest(manifest_path, out_dir) -> Path:
     """Re-execute a recorded run with its embedded config and dataset."""
     manifest = evsio.check_manifest_version(evsio.read_json(manifest_path), manifest_path)
     if manifest.get("kind") != "run":
         raise ConfigError(f"{manifest_path} is not a run manifest")
-    return cmd_run(
-        manifest["pipeline"],
-        manifest["config"],
-        manifest["dataset"]["path"],
-        out_dir,
-        single_thread=manifest.get("single_thread", True),
-    )
+    return cmd_run(manifest["pipeline"], manifest["config"], manifest["dataset"]["path"], out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +277,7 @@ def _sweep_pipeline_config(cfg: dict, axis: str, value) -> PipelineConfig:
         inj = dict(cfg["pipeline"]["injection"] or {})
         inj["gamma"] = float(value)
         return pipeline_config(cfg, injection=inj)
-    key = {"t_T2V": "t_T2V", "t_V": "t_V", "n_V": "n_V"}[axis]
-    return pipeline_config(cfg, **{key: int(value)})
+    return pipeline_config(cfg, **{axis: int(value)})
 
 
 def cmd_sweep(axis: str, grid, cfg: dict, dataset_dir, out_dir) -> Path:
@@ -356,10 +320,7 @@ def cmd_sweep(axis: str, grid, cfg: dict, dataset_dir, out_dir) -> Path:
         {
             "axis": axis,
             "grid": list(grid),
-            "dataset": {
-                "path": str(Path(dataset_dir).resolve()),
-                "manifest_sha256": evsio.file_sha256(Path(dataset_dir) / DATASET_MANIFEST),
-            },
+            "dataset": _dataset_record(dataset_dir),
             "points": point_stats,
             "csv": "sweep.csv",
         }
@@ -367,18 +328,12 @@ def cmd_sweep(axis: str, grid, cfg: dict, dataset_dir, out_dir) -> Path:
     manifest_path = out / "sweep_manifest.json"
     evsio.write_json(manifest_path, manifest)
     mhash = evsio.file_sha256(manifest_path)
-
-    import csv as _csv
-
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        cols = [axis] + [f"{m}_{s}" for m in ("ms", "sc", "iq", "psnr", "overall") for s in ("mean", "stderr")]
-        writer.writerow(cols)
-        for stats in point_stats:
-            writer.writerow(
-                [stats["value"]]
-                + [format(stats[c], ".12g") for c in cols[1:]]
-            )
+    # Grid values are written as given (str), so 0.0 stays 0.0.
+    evsio.write_metric_csv(
+        out / "sweep.csv",
+        [{**stats, axis: str(stats["value"])} for stats in point_stats],
+        [axis] + [f"{m}_{s}" for m in ("ms", "sc", "iq", "psnr", "overall") for s in ("mean", "stderr")],
+    )
     xs = [float(s["value"]) for s in point_stats]
     for m in ("ms", "sc", "iq", "psnr", "overall"):
         evsio.svg_line_plot(
@@ -489,10 +444,7 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
     manifest = _manifest_base(cfg, "frontier")
     manifest.update(
         {
-            "dataset": {
-                "path": str(Path(dataset_dir).resolve()),
-                "manifest_sha256": evsio.file_sha256(Path(dataset_dir) / DATASET_MANIFEST),
-            },
+            "dataset": _dataset_record(dataset_dir),
             "net_file": str(net_file),
             "rows": rows,
             "dominance": dominance,
@@ -502,15 +454,7 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
     manifest_path = out / "frontier_manifest.json"
     evsio.write_json(manifest_path, manifest)
     mhash = evsio.file_sha256(manifest_path)
-
-    import csv as _csv
-
-    with open(out / "frontier.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["method", "param", "ms", "psnr"])
-        for row in rows:
-            writer.writerow([row["method"], row["param"],
-                             format(row["ms"], ".12g"), format(row["psnr"], ".12g")])
+    evsio.write_metric_csv(out / "frontier.csv", rows, ["method", "param", "ms", "psnr"])
     evsio.svg_scatter(
         out / "frontier.svg",
         f"refinement frontier (dominance {dominance:.2f})",
@@ -584,15 +528,10 @@ def cmd_report(manifest_paths, out_dir) -> Path:
     manifest_path = out / "report_manifest.json"
     evsio.write_json(manifest_path, manifest)
     mhash = evsio.file_sha256(manifest_path)
-
-    import csv as _csv
-
-    cols = ["pipeline", "ms", "sc", "iq", "psnr", "overall", "nfe_total", "wall_time", "speedup"]
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(cols)
-        for row in table:
-            writer.writerow([row["pipeline"]] + [format(row[c], ".12g") for c in cols[1:]])
+    evsio.write_metric_csv(
+        out / "summary.csv", table,
+        ["pipeline", "ms", "sc", "iq", "psnr", "overall", "nfe_total", "wall_time", "speedup"],
+    )
     evsio.svg_bar_chart(
         out / "summary.svg",
         "overall score by pipeline",

@@ -67,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, dataset=False)
     p.add_argument("--dataset", help="dataset directory from `evs gen`")
     p.add_argument("--from-manifest", help="re-execute a recorded run manifest")
-    p.add_argument("--single-thread", action="store_true", default=True,
-                   help="bit-reproducible sequential mode (always on)")
     p.add_argument("--trajectories", action="store_true",
                    help="dump per-step latents (t2i/t2v pipelines only)")
 
@@ -107,8 +105,7 @@ def main(argv=None) -> int:
                     raise UsageError("run needs a pipeline and --dataset (or --from-manifest)")
                 cfg = _load_config(args)
                 path = bench.cmd_run(
-                    args.pipeline, cfg, args.dataset, args.out,
-                    single_thread=args.single_thread, trajectories=args.trajectories,
+                    args.pipeline, cfg, args.dataset, args.out, trajectories=args.trajectories
                 )
         elif args.command == "sweep":
             cfg = _load_config(args)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffusion import ddim_sample, sdedit_refine
-from .errors import CapabilityError, ParameterError
+from .errors import CapabilityError, InjectionError, ParameterError
 from .models import Condition, Denoiser
 from .schedule import NoiseSchedule, forward_noise
 from .sfi import DEEP_LAYERS, InjectionConfig, denoise_with_injection, invert_with_capture
@@ -100,24 +100,39 @@ class _Run:
         )
 
 
+def _refine_stages(z, stages, models: ModelBundle, c, rng, run: _Run, trajectory=None):
+    """Full-depth refinement stages in order: each ``("t2i" | "t2v", t_noise)``
+    noises its input to ``t_noise`` on its model's schedule and denoises to clean."""
+    for name, t_noise in stages:
+        if name == "t2i":
+            model, sched = models.spatial, models.spatial_schedule
+        else:
+            model, sched = models.temporal, models.temporal_schedule
+        z = sdedit_refine(z, t_noise, 0, model, c, sched, rng, trajectory=trajectory).predicted_clean
+        run.log(name, t_noise, 0)
+    return z
+
+
+def _nonzero(*stages):
+    return [stage for stage in stages if stage[1] > 0]
+
+
 def run_t2i_only(
-    z0, t_i: int, models: ModelBundle, c: Condition | None, rng: np.random.Generator
+    z0, t_i: int, models: ModelBundle, c: Condition | None, rng: np.random.Generator,
+    trajectory=None,
 ) -> PipelineResult:
     """Frame-wise refinement: noise to ``t_i`` on the spatial schedule, denoise to 0."""
     run = _Run(models)
-    out = sdedit_refine(z0, t_i, 0, models.spatial, c, models.spatial_schedule, rng)
-    run.log("t2i", t_i, 0)
-    return run.finish(out.predicted_clean)
+    return run.finish(_refine_stages(z0, [("t2i", t_i)], models, c, rng, run, trajectory))
 
 
 def run_t2v_only(
-    z0, t_v: int, models: ModelBundle, c: Condition | None, rng: np.random.Generator
+    z0, t_v: int, models: ModelBundle, c: Condition | None, rng: np.random.Generator,
+    trajectory=None,
 ) -> PipelineResult:
     """Sequence-wise refinement on the temporal schedule."""
     run = _Run(models)
-    out = sdedit_refine(z0, t_v, 0, models.temporal, c, models.temporal_schedule, rng)
-    run.log("t2v", t_v, 0)
-    return run.finish(out.predicted_clean)
+    return run.finish(_refine_stages(z0, [("t2v", t_v)], models, c, rng, run, trajectory))
 
 
 def compose_vi(
@@ -125,29 +140,15 @@ def compose_vi(
 ) -> PipelineResult:
     """Temporal refinement to clean, then frame-wise refinement (zero stages omitted)."""
     run = _Run(models)
-    z = z0
-    if t_v > 0:
-        z = sdedit_refine(z, t_v, 0, models.temporal, c, models.temporal_schedule, rng).predicted_clean
-        run.log("t2v", t_v, 0)
-    if t_i > 0:
-        z = sdedit_refine(z, t_i, 0, models.spatial, c, models.spatial_schedule, rng).predicted_clean
-        run.log("t2i", t_i, 0)
-    return run.finish(z)
+    return run.finish(_refine_stages(z0, _nonzero(("t2v", t_v), ("t2i", t_i)), models, c, rng, run))
 
 
 def compose_iv(
     z0, t_i: int, t_v: int, models: ModelBundle, c, rng: np.random.Generator
 ) -> PipelineResult:
-    """Frame-wise refinement to clean, then temporal refinement."""
+    """Frame-wise refinement to clean, then temporal refinement (zero stages omitted)."""
     run = _Run(models)
-    z = z0
-    if t_i > 0:
-        z = sdedit_refine(z, t_i, 0, models.spatial, c, models.spatial_schedule, rng).predicted_clean
-        run.log("t2i", t_i, 0)
-    if t_v > 0:
-        z = sdedit_refine(z, t_v, 0, models.temporal, c, models.temporal_schedule, rng).predicted_clean
-        run.log("t2v", t_v, 0)
-    return run.finish(z)
+    return run.finish(_refine_stages(z0, _nonzero(("t2i", t_i), ("t2v", t_v)), models, c, rng, run))
 
 
 def _temporal_block(bridge, cfg: PipelineConfig, models: ModelBundle, c, rng, run: _Run):
@@ -159,6 +160,11 @@ def _temporal_block(bridge, cfg: PipelineConfig, models: ModelBundle, c, rng, ru
         return out.predicted_clean
     if not getattr(models.temporal, "has_taps", False):
         raise CapabilityError("inversion+sfi block requires a temporal model with taps")
+    unknown = sorted(set(cfg.injection.layers) - set(range(models.temporal.blocks)))
+    if unknown:
+        raise InjectionError(
+            f"injection layers {unknown} outside the net's blocks 0..{models.temporal.blocks - 1}"
+        )
     z_tv, cache, _ = invert_with_capture(bridge, cfg.t_v, models.temporal, c, sched_v)
     run.log("t2v:invert", 0, cfg.t_v)
     out = denoise_with_injection(
@@ -211,16 +217,10 @@ def run_iterated_baseline(
     """
     if rounds < 1:
         raise ParameterError(f"rounds must be >= 1, got {rounds}")
-    run = _Run(models)
-    z = z0
-    for r in range(rounds):
-        if r % 2 == 0:
-            res = compose_iv(z, t_i, t_v, models, c, rng)
-        else:
-            res = compose_vi(z, t_v, t_i, models, c, rng)
-        run.stages.extend(res.stage_log)
-        z = res.output
+    iv = _nonzero(("t2i", t_i), ("t2v", t_v))
+    vi = _nonzero(("t2v", t_v), ("t2i", t_i))
+    stages = [stage for r in range(rounds) for stage in (vi if r % 2 else iv)]
     if rounds % 2 == 1:
-        z = sdedit_refine(z, t_i, 0, models.spatial, c, models.spatial_schedule, rng).predicted_clean
-        run.log("t2i", t_i, 0)
-    return run.finish(z)
+        stages.append(("t2i", t_i))
+    run = _Run(models)
+    return run.finish(_refine_stages(z0, stages, models, c, rng, run))

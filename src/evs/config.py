@@ -68,6 +68,9 @@ def _deep_merge(base: dict, override: dict) -> dict:
             raise ConfigError(f"unknown config key {key!r}")
         if isinstance(base[key], dict) and isinstance(value, dict):
             out[key] = _deep_merge(base[key], value)
+        elif isinstance(value, dict) or (isinstance(base[key], dict) and value is not None):
+            want = "be an object or null" if isinstance(base[key], dict) else "not be an object"
+            raise ConfigError(f"config key {key!r} must {want}, got {value!r}")
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -98,6 +101,8 @@ def apply_set_overrides(cfg_overrides: dict, assignments: list[str]) -> dict:
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"--set {key}: {part!r} is already set to {node!r}")
         try:
             import json as _json
 

@@ -53,13 +53,30 @@ def _check_finite(eps: np.ndarray, t: int) -> np.ndarray:
     return eps
 
 
-def _descend(z_t, t, t_prev, eps, sched):
-    # Shared algebra of one reverse update given the predicted noise.
+def _descend(z_t, t, t_next, eps, sched):
+    # One DDIM update from level t to t_next given the predicted noise; the
+    # same algebra walks down (sampling) and up (inversion).
     ab_t = sched.alpha_bar[t]
-    ab_p = sched.alpha_bar[t_prev]
+    ab_n = sched.alpha_bar[t_next]
     pred_clean = (z_t - np.sqrt(1.0 - ab_t) * eps) / np.sqrt(ab_t)
-    z_prev = np.sqrt(ab_p) * pred_clean + np.sqrt(1.0 - ab_p) * eps
-    return z_prev, pred_clean
+    z_next = np.sqrt(ab_n) * pred_clean + np.sqrt(1.0 - ab_n) * eps
+    return z_next, pred_clean
+
+
+def _walk(z, steps, eps_at, sched: NoiseSchedule, trajectory=None):
+    """Apply the DDIM update over ``steps``, a sequence of ``(t, t_next)`` pairs.
+
+    ``eps_at(z, t)`` is the noise prediction at level ``t``.  Returns the
+    final latent and the clean-latent prediction of the last step;
+    ``trajectory``, if given, receives the latent after every step.
+    """
+    pred_clean = None
+    for t, t_next in steps:
+        eps = _check_finite(eps_at(z, t), t)
+        z, pred_clean = _descend(z, t, t_next, eps, sched)
+        if trajectory is not None:
+            trajectory.append(z)
+    return z, pred_clean
 
 
 def ddim_step(z_t, t, t_prev, model, c, sched: NoiseSchedule):
@@ -68,8 +85,7 @@ def ddim_step(z_t, t, t_prev, model, c, sched: NoiseSchedule):
     t_prev = sched.check_timestep(t_prev)
     if not t_prev < t:
         raise ParameterError(f"need t_prev < t, got t_prev={t_prev}, t={t}")
-    eps = _check_finite(model.evaluate(z_t, t, c), t)
-    return _descend(z_t, t, t_prev, eps, sched)
+    return _walk(z_t, [(t, t_prev)], lambda z, s: model.evaluate(z, s, c), sched)
 
 
 def ddim_sample(
@@ -84,12 +100,10 @@ def ddim_sample(
     t_to = sched.check_timestep(t_to)
     if not t_to < t_from:
         raise ParameterError(f"need t_to < t_from, got t_to={t_to}, t_from={t_from}")
-    z = z_from
-    pred_clean = None
-    for t in range(t_from, t_to, -1):
-        z, pred_clean = ddim_step(z, t, t - 1, model, c, sched)
-        if trajectory is not None:
-            trajectory.append(z)
+    z, pred_clean = _walk(
+        z_from, [(t, t - 1) for t in range(t_from, t_to, -1)],
+        lambda z, t: model.evaluate(z, t, c), sched, trajectory,
+    )
     return RefineOutput(partial_latent=z, predicted_clean=pred_clean, nfe=t_from - t_to)
 
 
@@ -104,17 +118,13 @@ def ddim_invert(z0, t_target, model, c, sched: NoiseSchedule, capture=None):
     t_target = sched.check_timestep(t_target, minimum=1)
     if capture is not None and not getattr(model, "has_taps", False):
         raise CapabilityError("feature capture requested but model has no taps")
-    z = z0
-    for t in range(t_target):
-        if capture is not None:
-            eps = model.forward(z, t, c, capture=capture, capture_key=t + 1)
-        else:
-            eps = model.evaluate(z, t, c)
-        _check_finite(eps, t)
-        ab_t = sched.alpha_bar[t]
-        ab_next = sched.alpha_bar[t + 1]
-        pred_clean = (z - np.sqrt(1.0 - ab_t) * eps) / np.sqrt(ab_t)
-        z = np.sqrt(ab_next) * pred_clean + np.sqrt(1.0 - ab_next) * eps
+
+    def eps_at(z, t):
+        if capture is None:
+            return model.evaluate(z, t, c)
+        return model.forward(z, t, c, capture=capture, capture_key=t + 1)
+
+    z, _ = _walk(z0, [(t, t + 1) for t in range(t_target)], eps_at, sched)
     return z, t_target
 
 

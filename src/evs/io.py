@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .models import SpatialWorld, TemporalWorld, ToyAttentionDenoiser
+from .sfi import KINDS, FeatureCache
 
 MAGIC_LATENT = b"EVSLAT"
 MAGIC_TRAJECTORY = b"EVSTRJ"
@@ -71,8 +72,7 @@ def _read_header(fh, expect_magic: bytes):
     return a, b, count
 
 
-def write_latents(path, videos) -> None:
-    """Write one or more (frames, dim) videos to an EVSLAT file."""
+def _write_frames(path, magic: bytes, videos) -> None:
     if isinstance(videos, np.ndarray) and videos.ndim == 2:
         videos = [videos]
     videos = [np.ascontiguousarray(v, dtype=np.float64) for v in videos]
@@ -82,35 +82,36 @@ def write_latents(path, videos) -> None:
     if any(v.shape != (f, d) for v in videos):
         raise ShapeError("all videos in one file must share a shape")
     with open(path, "wb") as fh:
-        _write_header(fh, MAGIC_LATENT, f, d, len(videos))
+        _write_header(fh, magic, f, d, len(videos))
         for v in videos:
             fh.write(v.astype("<f8").tobytes())
 
 
-def read_latents(path) -> list[np.ndarray]:
+def _read_frames(path, magic: bytes) -> list[np.ndarray]:
     with open(path, "rb") as fh:
-        f, d, count = _read_header(fh, MAGIC_LATENT)
+        f, d, count = _read_header(fh, magic)
         data = np.frombuffer(fh.read(), dtype="<f8")
     if data.size != count * f * d:
         raise ConfigError(f"latent payload has {data.size} values, expected {count * f * d}")
     return [data[i * f * d : (i + 1) * f * d].reshape(f, d).copy() for i in range(count)]
 
 
+def write_latents(path, videos) -> None:
+    """Write one or more (frames, dim) videos to an EVSLAT file."""
+    _write_frames(path, MAGIC_LATENT, videos)
+
+
+def read_latents(path) -> list[np.ndarray]:
+    return _read_frames(path, MAGIC_LATENT)
+
+
 def write_trajectory(path, latents) -> None:
     """Dump per-step latents (debug aid) to an EVSTRJ file."""
-    latents = [np.ascontiguousarray(z, dtype=np.float64) for z in latents]
-    f, d = latents[0].shape
-    with open(path, "wb") as fh:
-        _write_header(fh, MAGIC_TRAJECTORY, f, d, len(latents))
-        for z in latents:
-            fh.write(z.astype("<f8").tobytes())
+    _write_frames(path, MAGIC_TRAJECTORY, latents)
 
 
 def read_trajectory(path) -> list[np.ndarray]:
-    with open(path, "rb") as fh:
-        f, d, count = _read_header(fh, MAGIC_TRAJECTORY)
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    return [data[i * f * d : (i + 1) * f * d].reshape(f, d).copy() for i in range(count)]
+    return _read_frames(path, MAGIC_TRAJECTORY)
 
 
 def write_world(path, world) -> None:
@@ -174,7 +175,6 @@ def read_net(path) -> ToyAttentionDenoiser:
     return model
 
 
-_CACHE_KINDS = ("f", "Q", "K", "V")
 _CACHE_RECORD = struct.Struct("<IIIII")  # t, layer, kind, rows, cols
 
 
@@ -185,13 +185,11 @@ def write_feature_cache(path, cache) -> None:
         _write_header(fh, MAGIC_CACHE, 0, 0, len(keys))
         for t, layer, kind in keys:
             arr = np.ascontiguousarray(cache.get(t, layer, kind), dtype=np.float64)
-            fh.write(_CACHE_RECORD.pack(t, layer, _CACHE_KINDS.index(kind), *arr.shape))
+            fh.write(_CACHE_RECORD.pack(t, layer, KINDS.index(kind), *arr.shape))
             fh.write(arr.astype("<f8").tobytes())
 
 
 def read_feature_cache(path):
-    from .sfi import FeatureCache
-
     cache = FeatureCache()
     with open(path, "rb") as fh:
         _, _, count = _read_header(fh, MAGIC_CACHE)
@@ -200,10 +198,12 @@ def read_feature_cache(path):
             if len(raw) != _CACHE_RECORD.size:
                 raise ConfigError("truncated cache record")
             t, layer, kind_idx, rows, cols = _CACHE_RECORD.unpack(raw)
+            if kind_idx >= len(KINDS):
+                raise ConfigError(f"cache record has unknown kind index {kind_idx}")
             payload = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
             if payload.size != rows * cols:
                 raise ConfigError("truncated cache payload")
-            cache.put(t, layer, _CACHE_KINDS[kind_idx], payload.reshape(rows, cols))
+            cache.put(t, layer, KINDS[kind_idx], payload.reshape(rows, cols))
     return cache
 
 
@@ -236,13 +236,14 @@ def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_metric_csv(path, rows) -> None:
-    """Rows are dicts keyed by CSV_COLUMNS; column order is fixed."""
+def write_metric_csv(path, rows, columns=CSV_COLUMNS) -> None:
+    """Rows are dicts keyed by ``columns``, written in that order; floats get
+    12 significant digits and every other value is written as is."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_format_cell(row[col]) for col in CSV_COLUMNS])
+            writer.writerow([_format_cell(row[col]) for col in columns])
 
 
 def _format_cell(value):

@@ -317,7 +317,6 @@ class Denoiser:
     bumps the counter under a lock so concurrent callers stay linearizable.
     """
 
-    frame_independent = False
     has_taps = False
 
     def __init__(self):
@@ -350,7 +349,6 @@ class AnalyticDenoiser(Denoiser):
         super().__init__()
         self.world = world
         self.sched = sched
-        self.frame_independent = isinstance(world, SpatialWorld)
 
     def _eps(self, z_t, t, c):
         return gmm_posterior_eps(z_t, t, self.world, c, self.sched)
@@ -358,8 +356,6 @@ class AnalyticDenoiser(Denoiser):
 
 class ZeroDenoiser(Denoiser):
     """Predicts zero noise everywhere; inversion under it is pure rescaling."""
-
-    frame_independent = True
 
     def _eps(self, z_t, t, c):
         return np.zeros_like(np.asarray(z_t, dtype=np.float64))
@@ -513,11 +509,6 @@ class ToyAttentionDenoiser(Denoiser):
         return self.forward(z_t, t, c)
 
 
-def attention_forward(model: ToyAttentionDenoiser, z_t, t, c, injection=None):
-    """Forward pass of the attention denoiser, optionally with injection."""
-    return model.forward(z_t, t, c, injection=injection)
-
-
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
@@ -659,23 +650,26 @@ def train_toy_denoiser(
     m = {k: np.zeros_like(v) for k, v in model.params.items()}
     v2 = {k: np.zeros_like(v) for k, v in model.params.items()}
     beta1, beta2, eps_adam = 0.9, 0.999, 1e-8
-    for step in range(1, recipe.steps + 1):
-        z_t, tfeat, cond_idx, eps = _draw_training_batch(
-            world, sched, data_rng, recipe.batch_size, tfeat_table
-        )
-        out, tape = _batched_forward(model, z_t, tfeat, cond_idx, want_grads=True)
-        resid = out - eps
-        loss = float(np.mean(resid**2))
-        if not np.isfinite(loss):
-            raise TrainingError(f"training loss became non-finite at step {step}")
-        dout = 2.0 * resid / resid.size
-        grads = _batched_backward(model, z_t, tfeat, cond_idx, tape, dout)
-        for name, g in grads.items():
-            m[name] = beta1 * m[name] + (1 - beta1) * g
-            v2[name] = beta2 * v2[name] + (1 - beta2) * g**2
-            mhat = m[name] / (1 - beta1**step)
-            vhat = v2[name] / (1 - beta2**step)
-            model.params[name] -= recipe.lr * mhat / (np.sqrt(vhat) + eps_adam)
+    # A diverging run overflows before its loss turns non-finite; the loss
+    # check below reports it, so numpy's warnings would only bury that line.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, recipe.steps + 1):
+            z_t, tfeat, cond_idx, eps = _draw_training_batch(
+                world, sched, data_rng, recipe.batch_size, tfeat_table
+            )
+            out, tape = _batched_forward(model, z_t, tfeat, cond_idx, want_grads=True)
+            resid = out - eps
+            loss = float(np.mean(resid**2))
+            if not np.isfinite(loss):
+                raise TrainingError(f"training loss became non-finite at step {step}")
+            dout = 2.0 * resid / resid.size
+            grads = _batched_backward(model, z_t, tfeat, cond_idx, tape, dout)
+            for name, g in grads.items():
+                m[name] = beta1 * m[name] + (1 - beta1) * g
+                v2[name] = beta2 * v2[name] + (1 - beta2) * g**2
+                mhat = m[name] / (1 - beta1**step)
+                vhat = v2[name] / (1 - beta2**step)
+                model.params[name] -= recipe.lr * mhat / (np.sqrt(vhat) + eps_adam)
 
     final = held_out_loss()
     if not final < initial:

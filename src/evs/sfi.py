@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import RefineOutput, _check_finite, _descend, ddim_invert
+from .diffusion import RefineOutput, _walk, ddim_invert
 from .errors import InjectionError, ParameterError, ShapeError
 
 # Block-index convention for the 4-block toy net.
@@ -125,9 +125,8 @@ def denoise_with_injection(
     t_v = sched.check_timestep(t_v, minimum=1)
     if not 1 <= n_v <= t_v:
         raise ParameterError(f"need 1 <= n_v <= t_v, got n_v={n_v}, t_v={t_v}")
-    z = z_tv
-    pred_clean = None
-    for t in range(t_v, t_v - n_v, -1):
-        eps = _check_finite(model.forward(z, t, c, injection=(cache, cfg)), t)
-        z, pred_clean = _descend(z, t, t - 1, eps, sched)
+    z, pred_clean = _walk(
+        z_tv, [(t, t - 1) for t in range(t_v, t_v - n_v, -1)],
+        lambda z, t: model.forward(z, t, c, injection=(cache, cfg)), sched,
+    )
     return RefineOutput(partial_latent=z, predicted_clean=pred_clean, nfe=n_v)

@@ -348,7 +348,7 @@ def test_criterion_9_manifest_determinism(tmp_path):
     )
 
     run_a = tmp_path / "run_a"
-    manifest = cmd_run("evs", cfg, ds_a, run_a, single_thread=True)
+    manifest = cmd_run("evs", cfg, ds_a, run_a)
     run_b = tmp_path / "run_b"
     rerun_from_manifest(manifest, run_b)
     latents_identical = all(

@@ -87,6 +87,16 @@ class TestRun:
         assert evsio.csv_without_wall_time(first / "runs.csv") == evsio.csv_without_wall_time(again / "runs.csv")
         assert _dir_bytes(first, ".evslat") == _dir_bytes(again, ".evslat")
 
+    def test_rerun_accepts_manifest_with_single_thread_field(self, small_dataset, tmp_path):
+        first = tmp_path / "first"
+        again = tmp_path / "again"
+        assert run_cli("run", "t2i", "--dataset", small_dataset, "--out", first) == 0
+        manifest = evsio.read_json(first / "run_manifest.json")
+        manifest["single_thread"] = True
+        evsio.write_json(first / "run_manifest.json", manifest)
+        assert run_cli("run", "--from-manifest", first / "run_manifest.json", "--out", again) == 0
+        assert _dir_bytes(first, ".evslat") == _dir_bytes(again, ".evslat")
+
     def test_trajectory_dump(self, small_dataset, tmp_path):
         assert run_cli(
             "run", "t2v", "--dataset", small_dataset, "--out", tmp_path, "--trajectories"
@@ -116,6 +126,19 @@ class TestRun:
         code = run_cli(
             "run", "t2i", "--dataset", small_dataset, "--out", tmp_path,
             "--set", "pipelines.t_I=10",
+        )
+        assert code == 3
+
+    def test_config_type_mismatch_is_config_error(self, small_dataset, tmp_path):
+        for assignments in (["seed.x=1"], ["pipeline=5"], ["seed=1", "seed.x=1"]):
+            sets = [arg for a in assignments for arg in ("--set", a)]
+            code = run_cli("run", "t2i", "--dataset", small_dataset, "--out", tmp_path, *sets)
+            assert code == 3, assignments
+
+    def test_injection_layer_outside_net_is_config_error(self, small_dataset, tmp_path):
+        code = run_cli(
+            "run", "evs", "--dataset", small_dataset, "--out", tmp_path,
+            "--set", "pipeline.injection.layers=[7]",
         )
         assert code == 3
 
@@ -258,3 +281,4 @@ class TestReportAndTrain:
         assert proc.returncode == 5
         assert "numeric error" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr

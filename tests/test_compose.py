@@ -253,6 +253,18 @@ class TestIteratedBaseline:
         result = run_iterated_baseline(z0, 2, 20, 4, bundle, c, rng_for(21))
         assert result.nfe_t2i + result.nfe_t2v == 2 * (20 + 4) == 48
 
+    def test_three_rounds_chain_the_two_compositions(self, lab, bundle):
+        z0, c = degraded(lab, 8)
+        result = run_iterated_baseline(z0, 3, 20, 4, bundle, c, rng_for(24))
+        rng = rng_for(24)
+        z = compose_iv(z0, 20, 4, bundle, c, rng).output
+        z = compose_vi(z, 4, 20, bundle, c, rng).output
+        z = compose_iv(z, 20, 4, bundle, c, rng).output
+        z = run_t2i_only(z, 20, bundle, c, rng).output
+        assert np.array_equal(result.output, z)
+        assert [name for name, _ in result.stage_log] == ["t2i", "t2v", "t2v", "t2i", "t2i", "t2v", "t2i"]
+        assert result.nfe_t2i + result.nfe_t2v == 92
+
     def test_rounds_zero_rejected(self, lab, bundle):
         z0, c = degraded(lab, 8)
         with pytest.raises(ParameterError):

@@ -80,6 +80,26 @@ class TestBinaryFormats:
         assert loaded.checksum() == cache.checksum()
         assert path.read_bytes()[:6] == b"EVSSFI"
 
+    def test_truncated_trajectory_rejected(self, tmp_path):
+        path = tmp_path / "walk.evstrj"
+        evsio.write_trajectory(path, [np.zeros((3, 5)) for _ in range(4)])
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ConfigError):
+            evsio.read_trajectory(path)
+
+    def test_feature_cache_kind_out_of_range_rejected(self, tmp_path):
+        from evs.sfi import FeatureCache
+
+        cache = FeatureCache()
+        cache.put(1, 0, "f", np.zeros((2, 3)))
+        path = tmp_path / "cache.evssfi"
+        evsio.write_feature_cache(path, cache)
+        raw = bytearray(path.read_bytes())
+        raw[24 + 8 : 24 + 12] = (9).to_bytes(4, "little")  # kind field of the first record
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConfigError):
+            evsio.read_feature_cache(path)
+
     def test_write_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(2)
         video = rng.standard_normal((4, 4))

@@ -16,7 +16,6 @@ from evs.models import (
     _batched_forward,
     _time_features,
     ar1_correlation,
-    attention_forward,
     blur_means,
     gmm_posterior_eps,
     make_degraded_video,
@@ -276,7 +275,7 @@ class TestToyAttentionDenoiser:
         net = ToyAttentionDenoiser(seed=2)
         z = np.random.default_rng(1).standard_normal((16, 64))
         plain = net.evaluate(z, 4, None)
-        injected = attention_forward(net, z, 4, None, injection=(FeatureCache(), InjectionConfig()))
+        injected = net.forward(z, 4, None, injection=(FeatureCache(), InjectionConfig()))
         assert np.array_equal(plain, injected)
 
     def test_single_frame_gamma_irrelevant(self, lab):
