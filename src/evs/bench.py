@@ -29,6 +29,7 @@ from .config import (
     item_condition,
     item_seed,
     pipeline_config,
+    resolve_config,
     style_vector,
     train_recipe,
 )
@@ -260,11 +261,15 @@ def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir, trajectories: bool =
 
 
 def rerun_from_manifest(manifest_path, out_dir) -> Path:
-    """Re-execute a recorded run with its embedded config and dataset."""
+    """Re-execute a recorded run: its embedded config, checked again, on its unchanged dataset."""
     manifest = evsio.check_manifest_version(evsio.read_json(manifest_path), manifest_path)
     if manifest.get("kind") != "run":
         raise ConfigError(f"{manifest_path} is not a run manifest")
-    return cmd_run(manifest["pipeline"], manifest["config"], manifest["dataset"]["path"], out_dir)
+    dataset = manifest["dataset"]
+    if evsio.file_sha256(Path(dataset["path"]) / DATASET_MANIFEST) != dataset["manifest_sha256"]:
+        raise ConfigError(f"dataset {dataset['path']} changed since {manifest_path} was written")
+    cfg = resolve_config(manifest["config"], seed_env=False)
+    return cmd_run(manifest["pipeline"], cfg, dataset["path"], out_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ the ``EVS_SEED`` environment variable takes precedence over the config seed.
 from __future__ import annotations
 
 import copy
+import json
 import os
 from dataclasses import dataclass
 
@@ -61,17 +62,46 @@ DEFAULT_CONFIG = {
 }
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
+_JSON_NAMES = {
+    dict: "an object", list: "a list", str: "a string", bool: "true or false",
+    int: "an integer", float: "a number",
+}
+
+
+def _check_type(path: str, default, value):
+    """Reject a value whose JSON type differs from the default's.
+
+    An integer may stand for a float, a bool never for a number; ``net.weights``
+    takes a file path or null, and only ``pipeline.injection`` of the sections
+    takes null (no injection).  List items are checked against the default's
+    first item.
+    """
+    if value is None:
+        ok = default is None or path == "pipeline.injection"
+    elif default is None:
+        ok = isinstance(value, str)
+    elif isinstance(default, float) and not isinstance(value, bool):
+        ok = isinstance(value, (int, float))
+    else:
+        ok = type(value) is type(default)
+    if not ok:
+        want = "a path or null" if default is None else _JSON_NAMES[type(default)]
+        raise ConfigError(f"config key {path!r} must be {want}, got {value!r}")
+    if isinstance(value, list) and default:
+        for item in value:
+            _check_type(path, default[0], item)
+
+
+def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
+        path = prefix + key
         if key not in base:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {path!r}")
         if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _deep_merge(base[key], value)
-        elif isinstance(value, dict) or (isinstance(base[key], dict) and value is not None):
-            want = "be an object or null" if isinstance(base[key], dict) else "not be an object"
-            raise ConfigError(f"config key {key!r} must {want}, got {value!r}")
+            out[key] = _deep_merge(base[key], value, path + ".")
         else:
+            _check_type(path, base[key], value)
             out[key] = copy.deepcopy(value)
     return out
 
@@ -104,9 +134,7 @@ def apply_set_overrides(cfg_overrides: dict, assignments: list[str]) -> dict:
             if not isinstance(node, dict):
                 raise ConfigError(f"--set {key}: {part!r} is already set to {node!r}")
         try:
-            import json as _json
-
-            node[parts[-1]] = _json.loads(raw)
+            node[parts[-1]] = json.loads(raw)
         except ValueError:
             node[parts[-1]] = raw
     return out

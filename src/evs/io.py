@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ParameterError, ShapeError
 from .models import SpatialWorld, TemporalWorld, ToyAttentionDenoiser
 from .sfi import KINDS, FeatureCache
 
@@ -135,13 +135,21 @@ def read_world(path):
         data = np.frombuffer(fh.read(), dtype="<f8")
     if data.size != count:
         raise ConfigError("world payload size mismatch")
-    kind, modes = int(data[0]), int(data[1])
+    if data.size < 4 or data[0] not in (0.0, 1.0):
+        raise ConfigError(f"{path}: corrupt world header")
+    modes = float(data[1])
+    if not modes.is_integer() or modes < 1 or 4 + modes * (1 + dim) != data.size:
+        raise ConfigError(f"{path}: payload does not hold {data[1]} modes of dim {dim}")
+    modes = int(modes)
     sigma, rho = float(data[2]), float(data[3])
     weights = data[4 : 4 + modes].copy()
     means = data[4 + modes :].reshape(modes, dim).copy()
-    if kind == 0:
-        return SpatialWorld(means=means, weights=weights, sigma=sigma, frames=frames)
-    return TemporalWorld(means=means, weights=weights, sigma=sigma, rho=rho, frames=frames)
+    try:
+        if data[0] == 0.0:
+            return SpatialWorld(means=means, weights=weights, sigma=sigma, frames=frames)
+        return TemporalWorld(means=means, weights=weights, sigma=sigma, rho=rho, frames=frames)
+    except ParameterError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def write_net(path, model: ToyAttentionDenoiser) -> None:

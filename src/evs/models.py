@@ -14,7 +14,10 @@ Both posterior denoisers are exact (conjugate-Gaussian algebra, log-space
 responsibilities), so the rest of the package can be validated against
 closed forms.  A third denoiser, ``ToyAttentionDenoiser``, is a small
 self-attention network over frame tokens with feature taps, used by the
-inversion-feature-injection machinery.
+inversion-feature-injection machinery.  Its layers are written once, in
+``_net_body`` over a stack of videos ``(B, F, D)``: a denoiser evaluation runs
+it on a one-video stack with capture or injection, and training runs it on a
+batch with a gradient tape for ``_batched_backward``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError, TrainingError
 from .schedule import NoiseSchedule
+from .sfi import KINDS, blended_attention, softmax_rows
 
 DEFAULT_FRAMES = 16
 DEFAULT_DIM = 64
@@ -228,12 +232,6 @@ def make_degraded_video(
 # ---------------------------------------------------------------------------
 
 
-def _log_softmax_weights(loglik: np.ndarray, axis: int) -> np.ndarray:
-    shifted = loglik - loglik.max(axis=axis, keepdims=True)
-    w = np.exp(shifted)
-    return w / w.sum(axis=axis, keepdims=True)
-
-
 def gmm_posterior_eps(
     z_t: np.ndarray, t: int, world, c: Condition | None, sched: NoiseSchedule
 ) -> np.ndarray:
@@ -267,7 +265,7 @@ def _spatial_posterior_eps(z_t, ab, world: SpatialWorld, restrict):
     else:
         diff = z_t[:, None, :] - scaled_means[None, :, :]  # (F, K, D)
         loglik = np.log(world.weights)[None, :] - (diff**2).sum(-1) / (2.0 * marg_var)
-        resp = _log_softmax_weights(loglik, axis=1)  # (F, K)
+        resp = softmax_rows(loglik)  # (F, K)
         post_mean_scaled = resp @ scaled_means  # (F, D)
     return np.sqrt(1.0 - ab) * (z_t - post_mean_scaled) / marg_var
 
@@ -288,7 +286,7 @@ def _temporal_posterior_eps(z_t, ab, world: TemporalWorld, restrict):
     else:
         quad = ((tilde**2).sum(-1) / var[None, :]).sum(-1)  # (K,)
         loglik = np.log(world.weights) - 0.5 * quad
-        resp = _log_softmax_weights(loglik, axis=0)
+        resp = softmax_rows(loglik)
     whitened = tilde / var[None, :, None]
     eps_modes = np.einsum("if,kfd->kid", u, whitened)  # back out of the eigenbasis
     return np.sqrt(1.0 - ab) * np.einsum("k,kfd->fd", resp, eps_modes)
@@ -366,6 +364,7 @@ class ZeroDenoiser(Denoiser):
 # ---------------------------------------------------------------------------
 
 _TIME_FREQS = np.arange(1, 9, dtype=np.float64)  # 8 sin + 8 cos features
+_BLOCK_PARAMS = ("w_f", "b_f", "w_q", "w_k", "w_v", "w_o", "b_o")
 
 
 def _time_features(t: int, total_steps: int) -> np.ndarray:
@@ -373,10 +372,60 @@ def _time_features(t: int, total_steps: int) -> np.ndarray:
     return np.concatenate([np.sin(_TIME_FREQS * u), np.cos(_TIME_FREQS * u)])
 
 
-def _softmax_rows(s: np.ndarray) -> np.ndarray:
-    shifted = s - s.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _net_body(model, z, tfeat, cond_idx, want_grads=False, t=None, injection=None,
+              capture=None):
+    """The attention net over a stack of videos ``(B, F, D)``; returns output and tape.
+
+    Token-wise projections run as one ``(B*F, E) @ (E, G)`` matmul and the
+    per-video attention products as batched ``@``.  With ``want_grads`` the
+    tape holds what ``_batched_backward`` reads: every block input ``h`` and
+    each block's ``q``, ``k``, ``v``, attention weights ``a`` and attention
+    output ``attn``; otherwise it is None.  ``capture`` is a
+    ``(FeatureCache, key)`` pair and ``injection`` a ``(FeatureCache,
+    InjectionConfig)`` pair read at timestep ``t``; both take a one-video
+    stack, whose ``(B*F, E)`` token arrays are the ``(F, E)`` cache entries.
+    """
+    p = model.params
+    scale = 1.0 / np.sqrt(model.embed)
+    batch, frames, _ = z.shape
+    tokens = batch * frames
+    # This order keeps a one-video stack bit-identical to plain (F, D)
+    # products, so recorded feature caches and outputs reproduce exactly.
+    h = (
+        (z.reshape(tokens, -1) @ p["w_in"]).reshape(batch, frames, -1)
+        + (tfeat @ p["w_time"])[:, None, :]
+        + p["cond_emb"][cond_idx][:, None, :]
+        + p["b_in"]
+    ).reshape(tokens, -1)
+    tape = {"h": [h], "q": [], "k": [], "v": [], "a": [], "attn": []} if want_grads else None
+    cache, cfg = injection if injection is not None else (None, None)
+    for layer in range(model.blocks):
+        f = h @ p[f"w_f{layer}"] + p[f"b_f{layer}"]
+        q = h @ p[f"w_q{layer}"]
+        k = h @ p[f"w_k{layer}"]
+        v = h @ p[f"w_v{layer}"]
+        if capture is not None:
+            store, key = capture
+            for kind, value in zip(KINDS, (f, q, k, v)):
+                store.put(key, layer, kind, value)
+        injected = cfg is not None and layer in cfg.layers
+        if injected and cfg.inject_f:
+            f = cache.get(t, layer, "f")
+        if injected and cfg.inject_kv:
+            attn = blended_attention(
+                q, cache.get(t, layer, "Q"), cache.get(t, layer, "K"), cache.get(t, layer, "V"),
+                cfg.gamma,
+            )
+        else:
+            q, k, v = (x.reshape(batch, frames, -1) for x in (q, k, v))
+            a = softmax_rows((q @ k.transpose(0, 2, 1)) * scale)
+            attn = (a @ v).reshape(tokens, -1)
+        h = f + attn @ p[f"w_o{layer}"] + p[f"b_o{layer}"]
+        if want_grads:
+            for name, val in (("q", q), ("k", k), ("v", v), ("a", a), ("attn", attn), ("h", h)):
+                tape[name].append(val)
+    out = h @ p["w_out"] + p["b_out"]
+    return out.reshape(batch, frames, -1), tape
 
 
 class ToyAttentionDenoiser(Denoiser):
@@ -424,27 +473,15 @@ class ToyAttentionDenoiser(Denoiser):
             "w_out": w((embed, dim)),
             "b_out": np.zeros(dim),
         }
-        for layer in range(blocks):
-            p[f"w_f{layer}"] = w((embed, embed))
-            p[f"b_f{layer}"] = np.zeros(embed)
-            p[f"w_q{layer}"] = w((embed, embed))
-            p[f"w_k{layer}"] = w((embed, embed))
-            p[f"w_v{layer}"] = w((embed, embed))
-            p[f"w_o{layer}"] = w((embed, embed))
-            p[f"b_o{layer}"] = np.zeros(embed)
+        for name in self.param_names()[4:-2]:  # the block parameters, drawn in this order
+            p[name] = np.zeros(embed) if name.startswith("b_") else w((embed, embed))
         self.params = p
 
     # -- parameter plumbing (serialization keeps this order) --
 
     def param_names(self) -> list[str]:
-        names = ["w_in", "w_time", "cond_emb", "b_in"]
-        for layer in range(self.blocks):
-            names += [
-                f"w_f{layer}", f"b_f{layer}", f"w_q{layer}", f"w_k{layer}",
-                f"w_v{layer}", f"w_o{layer}", f"b_o{layer}",
-            ]
-        names += ["w_out", "b_out"]
-        return names
+        blocks = [f"{kind}{layer}" for layer in range(self.blocks) for kind in _BLOCK_PARAMS]
+        return ["w_in", "w_time", "cond_emb", "b_in", *blocks, "w_out", "b_out"]
 
     def _cond_index(self, c: Condition | None) -> int:
         if c is None or c.mode_id is None:
@@ -464,45 +501,13 @@ class ToyAttentionDenoiser(Denoiser):
         z_t = np.asarray(z_t, dtype=np.float64)
         if z_t.ndim != 2 or z_t.shape[1] != self.dim:
             raise ShapeError(f"latent must be (frames, {self.dim}), got {z_t.shape}")
-        from .sfi import blended_attention  # local import to avoid a cycle
-
-        cache = cfg = None
-        if injection is not None:
-            cache, cfg = injection
-        key = t if capture_key is None else capture_key
-        p = self.params
-        h = (
-            z_t @ p["w_in"]
-            + _time_features(t, self.total_steps) @ p["w_time"]
-            + p["cond_emb"][self._cond_index(c)]
-            + p["b_in"]
+        if capture is not None:
+            capture = (capture, t if capture_key is None else capture_key)
+        out, _ = _net_body(
+            self, z_t[None], _time_features(t, self.total_steps)[None], [self._cond_index(c)],
+            t=t, injection=injection, capture=capture,
         )
-        scale = 1.0 / np.sqrt(self.embed)
-        for layer in range(self.blocks):
-            f = h @ p[f"w_f{layer}"] + p[f"b_f{layer}"]
-            q = h @ p[f"w_q{layer}"]
-            k = h @ p[f"w_k{layer}"]
-            v = h @ p[f"w_v{layer}"]
-            if capture is not None:
-                capture.put(key, layer, "f", f)
-                capture.put(key, layer, "Q", q)
-                capture.put(key, layer, "K", k)
-                capture.put(key, layer, "V", v)
-            injected = cfg is not None and layer in cfg.layers
-            if injected and cfg.inject_f:
-                f = cache.get(t, layer, "f")
-            if injected and cfg.inject_kv:
-                attn = blended_attention(
-                    q,
-                    cache.get(t, layer, "Q"),
-                    cache.get(t, layer, "K"),
-                    cache.get(t, layer, "V"),
-                    cfg.gamma,
-                )
-            else:
-                attn = _softmax_rows((q @ k.T) * scale) @ v
-            h = f + attn @ p[f"w_o{layer}"] + p[f"b_o{layer}"]
-        return h @ p["w_out"] + p["b_out"]
+        return out[0]
 
     def evaluate(self, z_t, t, c):
         # forward() counts the evaluation itself
@@ -523,35 +528,8 @@ class TrainRecipe:
 
 
 def _batched_forward(model: ToyAttentionDenoiser, z, tfeat, cond_idx, want_grads=False):
-    """Vectorized forward over a batch (B, F, D); returns output and tape.
-
-    Token-wise projections run as one ``(B*F, E) @ (E, G)`` matmul and the
-    per-video attention products as batched ``@``.  The tape holds what
-    ``_batched_backward`` reads: every block input ``h`` and each block's
-    ``q``, ``k``, ``v``, attention weights ``a`` and attention output ``attn``.
-    """
-    p = model.params
-    scale = 1.0 / np.sqrt(model.embed)
-    batch, frames, _ = z.shape
-    tokens = batch * frames
-    h = (z.reshape(tokens, -1) @ p["w_in"]).reshape(batch, frames, -1)
-    h += (tfeat @ p["w_time"] + p["cond_emb"][cond_idx] + p["b_in"])[:, None, :]
-    h = h.reshape(tokens, -1)
-    tape = {"h": [h], "q": [], "k": [], "v": [], "a": [], "attn": []}
-    for layer in range(model.blocks):
-        f = h @ p[f"w_f{layer}"] + p[f"b_f{layer}"]
-        q = (h @ p[f"w_q{layer}"]).reshape(batch, frames, -1)
-        k = (h @ p[f"w_k{layer}"]).reshape(batch, frames, -1)
-        v = (h @ p[f"w_v{layer}"]).reshape(batch, frames, -1)
-        a = _softmax_rows((q @ k.transpose(0, 2, 1)) * scale)
-        attn = (a @ v).reshape(tokens, -1)
-        h = f + attn @ p[f"w_o{layer}"] + p[f"b_o{layer}"]
-        if want_grads:
-            for name, val in (("q", q), ("k", k), ("v", v), ("a", a), ("attn", attn)):
-                tape[name].append(val)
-            tape["h"].append(h)
-    out = h @ p["w_out"] + p["b_out"]
-    return out.reshape(batch, frames, -1), tape
+    """The training entry into ``_net_body``: a batch ``(B, F, D)``, no taps."""
+    return _net_body(model, z, tfeat, cond_idx, want_grads)
 
 
 def _batched_backward(model, z, tfeat, cond_idx, tape, dout):

@@ -87,6 +87,12 @@ class InjectionConfig:
             raise ParameterError(f"gamma must be in [0, 1], got {self.gamma}")
 
 
+def softmax_rows(s: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by the row maximum."""
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def blended_attention(q, q_inv, k_inv, v_inv, gamma: float) -> np.ndarray:
     """Attention with recorded keys/values and a gamma-blended query.
 
@@ -100,11 +106,7 @@ def blended_attention(q, q_inv, k_inv, v_inv, gamma: float) -> np.ndarray:
     if not 0.0 <= gamma <= 1.0:
         raise ParameterError(f"gamma must be in [0, 1], got {gamma}")
     blended = gamma * q_inv + (1.0 - gamma) * q
-    scores = blended @ k_inv.T / np.sqrt(q.shape[-1])
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    return weights @ v_inv
+    return softmax_rows(blended @ k_inv.T / np.sqrt(q.shape[-1])) @ v_inv
 
 
 def invert_with_capture(z0, t_target, model, c, sched):

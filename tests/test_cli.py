@@ -97,6 +97,23 @@ class TestRun:
         assert run_cli("run", "--from-manifest", first / "run_manifest.json", "--out", again) == 0
         assert _dir_bytes(first, ".evslat") == _dir_bytes(again, ".evslat")
 
+    def test_rerun_after_dataset_change_is_config_error(self, tmp_path):
+        dataset, first, again = tmp_path / "ds", tmp_path / "first", tmp_path / "again"
+        assert run_cli("gen", "--out", dataset, "--set", "dataset.count=1") == 0
+        assert run_cli("run", "t2i", "--dataset", dataset, "--out", first) == 0
+        assert run_cli("gen", "--out", dataset, "--set", "dataset.count=1", "--seed", "5") == 0
+        assert run_cli("run", "--from-manifest", first / "run_manifest.json", "--out", again) == 3
+        assert not again.exists()
+
+    def test_rerun_rechecks_manifest_config(self, small_dataset, tmp_path):
+        first = tmp_path / "first"
+        assert run_cli("run", "t2i", "--dataset", small_dataset, "--out", first) == 0
+        manifest = evsio.read_json(first / "run_manifest.json")
+        manifest["config"]["seed"] = "a"
+        evsio.write_json(first / "run_manifest.json", manifest)
+        again = tmp_path / "again"
+        assert run_cli("run", "--from-manifest", first / "run_manifest.json", "--out", again) == 3
+
     def test_trajectory_dump(self, small_dataset, tmp_path):
         assert run_cli(
             "run", "t2v", "--dataset", small_dataset, "--out", tmp_path, "--trajectories"
@@ -130,7 +147,10 @@ class TestRun:
         assert code == 3
 
     def test_config_type_mismatch_is_config_error(self, small_dataset, tmp_path):
-        for assignments in (["seed.x=1"], ["pipeline=5"], ["seed=1", "seed.x=1"]):
+        for assignments in (
+            ["seed.x=1"], ["pipeline=5"], ["seed=1", "seed.x=1"], ['seed="a"'], ["seed=true"],
+            ["world=null"], ["pipeline.injection.layers=2"], ["pipeline.t_I=20.5"],
+        ):
             sets = [arg for a in assignments for arg in ("--set", a)]
             code = run_cli("run", "t2i", "--dataset", small_dataset, "--out", tmp_path, *sets)
             assert code == 3, assignments

@@ -87,6 +87,21 @@ class TestBinaryFormats:
         with pytest.raises(ConfigError):
             evsio.read_trajectory(path)
 
+    def test_corrupt_world_rejected(self, tmp_path):
+        path = tmp_path / "w.evswld"
+        evsio.write_world(path, default_worlds()[1])
+        raw = path.read_bytes()
+
+        def patched(index, value):  # payload value ``index`` set to ``value``
+            offset = 24 + 8 * index
+            return raw[:offset] + np.float64(value).tobytes() + raw[offset + 8 :]
+
+        short = raw[:16] + (3).to_bytes(4, "little") + raw[20 : 24 + 3 * 8]  # count field: 3
+        for corrupt in (patched(1, 9), patched(1, 3.5), patched(0, 2), short):
+            path.write_bytes(corrupt)
+            with pytest.raises(ConfigError):
+                evsio.read_world(path)
+
     def test_feature_cache_kind_out_of_range_rejected(self, tmp_path):
         from evs.sfi import FeatureCache
 

@@ -351,6 +351,28 @@ class TestBatchedTrainingPath:
         for i, (t, c) in enumerate(zip(ts, conds)):
             np.testing.assert_allclose(batched[i], net.forward(z[i], t, c), rtol=0, atol=1e-12)
 
+    def test_one_video_stack_matches_forward_bit_for_bit(self):
+        from evs.sfi import ALL_LAYERS, FeatureCache, InjectionConfig
+
+        net = ToyAttentionDenoiser(seed=11)
+        rng = np.random.default_rng(12)
+        # Injecting the f each block has just recorded changes no bit of the output.
+        cfg = InjectionConfig(layers=ALL_LAYERS, inject_f=True, inject_kv=False)
+        for frames, t, c in ((16, 3, Condition(mode_id=1)), (1, 5, None)):
+            z = rng.standard_normal((frames, net.dim))
+            tfeat = _time_features(t, net.total_steps)[None]
+            stacked, tape = _batched_forward(
+                net, z[None], tfeat, np.array([net._cond_index(c)]), want_grads=True
+            )
+            cache = FeatureCache()
+            captured = net.forward(z, t, c, capture=cache)
+            injected = net.forward(z, t, c, injection=(cache, cfg))
+            for out in (net.forward(z, t, c), captured, injected):
+                assert np.array_equal(out, stacked[0])
+            for layer in range(net.blocks):
+                for kind in "QKV":
+                    assert np.array_equal(cache.get(t, layer, kind), tape[kind.lower()][layer][0])
+
     def test_backward_matches_central_differences(self):
         net = ToyAttentionDenoiser(seed=8)
         z, tfeat, cond_idx = self._batch(
