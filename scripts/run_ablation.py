@@ -10,9 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
+from evs.bench import PIPELINES
 from evs.cli import main as evs_main
-
-PIPELINES = ("t2i", "t2v", "iv", "vi", "evs", "iterated")
 
 
 def run(argv):

@@ -53,6 +53,7 @@ from .sfi import (
 
 PIPELINES = ("t2i", "t2v", "iv", "vi", "evs", "iterated")
 SWEEP_AXES = ("t_T2V", "t_V", "n_V", "gamma")
+METRICS = ("ms", "sc", "iq", "psnr", "overall")
 
 DATASET_MANIFEST = "dataset_manifest.json"
 RUN_MANIFEST = "run_manifest.json"
@@ -111,8 +112,6 @@ def cmd_gen(cfg: dict, out_dir) -> Path:
         name = f"item_{i:04d}.evslat"
         evsio.write_latents(out / name, [video])
         items.append({"file": name, "index": i, "mode_id": cond.mode_id, "styled": styled})
-    evsio.write_world(out / "world_spatial.evswld", lab.spatial_world)
-    evsio.write_world(out / "world_temporal.evswld", lab.temporal_world)
     manifest = _manifest_base(cfg, "dataset")
     manifest["items"] = items
     manifest["style"] = None if style is None else [float(x) for x in style]
@@ -180,9 +179,30 @@ def _execute(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, index, vi
     if pipeline == "evs":
         return run_evs(video, replace(pcfg, seed=_evs_item_seed(cfg, index)), lab.models, cond)
     if pipeline == "iterated":
-        rounds = cfg["pipeline"].get("rounds", 2)
-        return run_iterated_baseline(video, rounds, pcfg.t_i, pcfg.t_v, lab.models, cond, rng)
+        return run_iterated_baseline(
+            video, cfg["pipeline"]["rounds"], pcfg.t_i, pcfg.t_v, lab.models, cond, rng
+        )
     raise UsageError(f"unknown pipeline {pipeline!r} (choose from {', '.join(PIPELINES)})")
+
+
+def _scored_items(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, videos,
+                  trajectory_dir=None):
+    """Run ``pipeline`` on each item and score it, one item at a time.
+
+    Yields ``(index, result, report)``.  With ``trajectory_dir`` each item's
+    t2i/t2v step latents are written there as ``item_<index>.evstrj``.
+    """
+    for index, video in videos:
+        cond = item_condition(cfg, index)
+        traj = None if trajectory_dir is None else []
+        result = _execute(pipeline, lab, cfg, pcfg, index, video, cond, trajectory=traj)
+        if traj is not None:
+            evsio.write_trajectory(trajectory_dir / f"item_{index:04d}.evstrj", traj)
+        report = score_video(
+            result.output, video, lab.spatial_world, cond, lab.metric_config,
+            nfe_total=result.nfe_t2i + result.nfe_t2v, wall_time=result.wall_time,
+        )
+        yield index, result, report
 
 
 def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir, trajectories: bool = False) -> Path:
@@ -195,37 +215,19 @@ def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir, trajectories: bool =
     pcfg = pipeline_config(cfg)
     lab = build_lab(cfg, temporal_override=_temporal_model_for(cfg, pcfg, pipeline))
     pcfg.validate(lab.sched_i, lab.sched_v)
-    ds_manifest, videos = load_dataset(dataset_dir)
-    style = ds_manifest.get("style")
+    _, videos = load_dataset(dataset_dir)
 
     rows = []
     row_meta = []
-    for index, video in videos:
-        cond = item_condition(cfg, index, None if style is None else np.asarray(style))
-        traj = [] if trajectories else None
-        result = _execute(pipeline, lab, cfg, pcfg, index, video, cond, trajectory=traj)
-        if trajectories:
-            evsio.write_trajectory(out / f"item_{index:04d}.evstrj", traj)
-        report = score_video(
-            result.output,
-            video,
-            lab.spatial_world,
-            cond,
-            lab.metric_config,
-            nfe_total=result.nfe_t2i + result.nfe_t2v,
-            wall_time=result.wall_time,
-        )
+    items = _scored_items(pipeline, lab, cfg, pcfg, videos, out if trajectories else None)
+    for index, result, report in items:
         out_file = f"item_{index:04d}.out.evslat"
         evsio.write_latents(out / out_file, [result.output])
         rows.append(
             {
                 "pipeline": pipeline,
                 "seed": index,
-                "ms": report.ms,
-                "sc": report.sc,
-                "iq": report.iq,
-                "psnr": report.psnr,
-                "overall": report.overall,
+                **{m: getattr(report, m) for m in METRICS},
                 "nfe_t2i": result.nfe_t2i,
                 "nfe_t2v": result.nfe_t2v,
                 "wall_time": report.wall_time,
@@ -279,9 +281,10 @@ def rerun_from_manifest(manifest_path, out_dir) -> Path:
 
 def _sweep_pipeline_config(cfg: dict, axis: str, value) -> PipelineConfig:
     if axis == "gamma":
-        inj = dict(cfg["pipeline"]["injection"] or {})
-        inj["gamma"] = float(value)
-        return pipeline_config(cfg, injection=inj)
+        inj = cfg["pipeline"]["injection"]
+        if inj is None:
+            raise ConfigError("sweep axis gamma needs pipeline.injection, which is null")
+        return pipeline_config(cfg, injection={**inj, "gamma": float(value)})
     return pipeline_config(cfg, **{axis: int(value)})
 
 
@@ -303,19 +306,10 @@ def cmd_sweep(axis: str, grid, cfg: dict, dataset_dir, out_dir) -> Path:
             pcfg.validate(lab.sched_i, lab.sched_v)
         except ParameterError as exc:
             raise ParameterError(f"grid point {axis}={value}: {exc}") from exc
-        per_metric = {m: [] for m in ("ms", "sc", "iq", "psnr", "overall")}
-        for index, video in videos:
-            cond = item_condition(cfg, index)
-            result = _execute("evs", lab, cfg, pcfg, index, video, cond)
-            report = score_video(
-                result.output, video, lab.spatial_world, cond, lab.metric_config,
-                nfe_total=result.nfe_t2i + result.nfe_t2v, wall_time=result.wall_time,
-            )
-            for m in per_metric:
-                per_metric[m].append(getattr(report, m))
+        reports = [report for _, _, report in _scored_items("evs", lab, cfg, pcfg, videos)]
         stats = {"value": value}
-        for m, vals in per_metric.items():
-            arr = np.asarray(vals)
+        for m in METRICS:
+            arr = np.asarray([getattr(report, m) for report in reports])
             stats[f"{m}_mean"] = float(arr.mean())
             stats[f"{m}_stderr"] = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
         point_stats.append(stats)
@@ -337,10 +331,10 @@ def cmd_sweep(axis: str, grid, cfg: dict, dataset_dir, out_dir) -> Path:
     evsio.write_metric_csv(
         out / "sweep.csv",
         [{**stats, axis: str(stats["value"])} for stats in point_stats],
-        [axis] + [f"{m}_{s}" for m in ("ms", "sc", "iq", "psnr", "overall") for s in ("mean", "stderr")],
+        [axis] + [f"{m}_{s}" for m in METRICS for s in ("mean", "stderr")],
     )
     xs = [float(s["value"]) for s in point_stats]
-    for m in ("ms", "sc", "iq", "psnr", "overall"):
+    for m in METRICS:
         evsio.svg_line_plot(
             out / f"sweep_{m}.svg",
             f"{m} vs {axis}",
@@ -391,7 +385,6 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
     ds_manifest, videos = load_dataset(dataset_dir)
     if ds_manifest.get("style") is None:
         raise ConfigError("frontier requires a styled dataset (gen --styled)")
-    style = np.asarray(ds_manifest["style"])
     lab = build_lab(cfg)
     mcfg = lab.metric_config
 
@@ -492,10 +485,9 @@ def cmd_report(manifest_paths, out_dir) -> Path:
     for manifest in runs:
         name = manifest["pipeline"]
         rows = manifest["rows"]
-        entry = summary.setdefault(name, {m: [] for m in ("ms", "sc", "iq", "psnr", "overall", "wall_time")})
-        entry.setdefault("nfe_total", [])
+        entry = summary.setdefault(name, {m: [] for m in (*METRICS, "wall_time", "nfe_total")})
         for row in rows:
-            for m in ("ms", "sc", "iq", "psnr", "overall", "wall_time"):
+            for m in (*METRICS, "wall_time"):
                 entry[m].append(float(row[m]))
             entry["nfe_total"].append(int(row["nfe_t2i"]) + int(row["nfe_t2v"]))
 
@@ -513,7 +505,7 @@ def cmd_report(manifest_paths, out_dir) -> Path:
         table.append(
             {
                 "pipeline": name,
-                **{m: float(np.mean(entry[m])) for m in ("ms", "sc", "iq", "psnr", "overall")},
+                **{m: float(np.mean(entry[m])) for m in METRICS},
                 "nfe_total": nfe,
                 "wall_time": float(np.mean(entry["wall_time"])),
                 "speedup": baseline_nfe / nfe if nfe else float("nan"),
@@ -535,7 +527,7 @@ def cmd_report(manifest_paths, out_dir) -> Path:
     mhash = evsio.file_sha256(manifest_path)
     evsio.write_metric_csv(
         out / "summary.csv", table,
-        ["pipeline", "ms", "sc", "iq", "psnr", "overall", "nfe_total", "wall_time", "speedup"],
+        ["pipeline", *METRICS, "nfe_total", "wall_time", "speedup"],
     )
     evsio.svg_bar_chart(
         out / "summary.svg",

@@ -65,8 +65,6 @@ class PipelineConfig:
             )
         if self.block_mode not in (BLOCK_SDEDIT, BLOCK_INVERSION_SFI):
             raise ParameterError(f"unknown block_mode {self.block_mode!r}")
-        if self.block_mode == BLOCK_INVERSION_SFI and self.injection is None:
-            raise ParameterError("block_mode inversion+sfi requires an injection config")
 
 
 @dataclass(frozen=True)
@@ -158,6 +156,8 @@ def _temporal_block(bridge, cfg: PipelineConfig, models: ModelBundle, c, rng, ru
         out = sdedit_refine(bridge, cfg.t_v, cfg.t_v - cfg.n_v, models.temporal, c, sched_v, rng)
         run.log("t2v:sdedit", cfg.t_v, cfg.t_v - cfg.n_v)
         return out.predicted_clean
+    if cfg.injection is None:
+        raise ParameterError("block_mode inversion+sfi requires an injection config")
     if not getattr(models.temporal, "has_taps", False):
         raise CapabilityError("inversion+sfi block requires a temporal model with taps")
     unknown = sorted(set(cfg.injection.layers) - set(range(models.temporal.blocks)))

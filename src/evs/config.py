@@ -210,14 +210,14 @@ def build_lab(cfg: dict, temporal_override=None) -> Lab:
 def pipeline_config(cfg: dict, **overrides) -> PipelineConfig:
     p = dict(cfg["pipeline"])
     p.update(overrides)
-    inj = p.get("injection")
+    inj = p["injection"]
     injection = None
     if inj is not None:
         injection = InjectionConfig(
             layers=frozenset(inj["layers"]),
             gamma=inj["gamma"],
-            inject_f=inj.get("inject_f", False),
-            inject_kv=inj.get("inject_kv", True),
+            inject_f=inj["inject_f"],
+            inject_kv=inj["inject_kv"],
         )
     return PipelineConfig(
         t_i=p["t_I"],
@@ -226,7 +226,7 @@ def pipeline_config(cfg: dict, **overrides) -> PipelineConfig:
         n_v=p["n_V"],
         block_mode=p["block_mode"],
         injection=injection,
-        seed=p.get("seed", cfg["seed"]),
+        seed=cfg["seed"],
     )
 
 

@@ -12,14 +12,9 @@ followed by little-endian float64 payload.  Field meaning per magic:
 * ``EVSLAT`` — video latents: a=frames, b=dim, count=videos; payload is
   count*frames*dim values.
 * ``EVSTRJ`` — trajectory dump: a=frames, b=dim, count=steps.
-* ``EVSWLD`` — world definition: a=frames, b=dim, count=payload length;
-  payload is [kind, modes, sigma, rho] ++ weights ++ means (kind 0 spatial,
-  1 temporal).
 * ``EVSNET`` — attention-denoiser weights: a=dim, b=embed, count=payload
   length; payload is [blocks, total_steps, n_modes, seed] ++ parameters in
   the model's declared order.
-* ``EVSSFI`` — feature-cache debug export: count=entries; each entry is a
-  packed (t, layer, kind, rows, cols) uint32 record followed by its array.
 
 SVG plots are written by hand (fixed float formatting, no library metadata)
 so outputs are byte-reproducible; each embeds the manifest hash.
@@ -36,15 +31,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, ShapeError
-from .models import SpatialWorld, TemporalWorld, ToyAttentionDenoiser
-from .sfi import KINDS, FeatureCache
+from .errors import ConfigError, ShapeError
+from .models import ToyAttentionDenoiser
 
 MAGIC_LATENT = b"EVSLAT"
 MAGIC_TRAJECTORY = b"EVSTRJ"
-MAGIC_WORLD = b"EVSWLD"
 MAGIC_NET = b"EVSNET"
-MAGIC_CACHE = b"EVSSFI"
 
 _HEADER = struct.Struct("<6s2xIII4x")
 assert _HEADER.size == 24
@@ -62,14 +54,19 @@ def _write_header(fh, magic: bytes, a: int, b: int, count: int):
     fh.write(_HEADER.pack(magic, a, b, count))
 
 
-def _read_header(fh, expect_magic: bytes):
-    raw = fh.read(_HEADER.size)
+def _read_file(path, expect_magic: bytes):
+    """The header fields ``(a, b, count)`` and the float64 payload of one file."""
+    with open(path, "rb") as fh:
+        raw = fh.read(_HEADER.size)
+        payload = fh.read()
     if len(raw) != _HEADER.size:
         raise ConfigError("truncated binary header")
     magic, a, b, count = _HEADER.unpack(raw)
     if magic != expect_magic:
         raise ConfigError(f"bad magic {magic!r}, expected {expect_magic!r}")
-    return a, b, count
+    if len(payload) % 8:
+        raise ConfigError(f"{path}: payload of {len(payload)} bytes is not whole float64 values")
+    return a, b, count, np.frombuffer(payload, dtype="<f8")
 
 
 def _write_frames(path, magic: bytes, videos) -> None:
@@ -88,9 +85,7 @@ def _write_frames(path, magic: bytes, videos) -> None:
 
 
 def _read_frames(path, magic: bytes) -> list[np.ndarray]:
-    with open(path, "rb") as fh:
-        f, d, count = _read_header(fh, magic)
-        data = np.frombuffer(fh.read(), dtype="<f8")
+    f, d, count, data = _read_file(path, magic)
     if data.size != count * f * d:
         raise ConfigError(f"latent payload has {data.size} values, expected {count * f * d}")
     return [data[i * f * d : (i + 1) * f * d].reshape(f, d).copy() for i in range(count)]
@@ -114,44 +109,6 @@ def read_trajectory(path) -> list[np.ndarray]:
     return _read_frames(path, MAGIC_TRAJECTORY)
 
 
-def write_world(path, world) -> None:
-    kind = 1.0 if isinstance(world, TemporalWorld) else 0.0
-    rho = world.rho if isinstance(world, TemporalWorld) else 0.0
-    payload = np.concatenate(
-        [
-            [kind, float(world.modes), world.sigma, rho],
-            world.weights,
-            world.means.ravel(),
-        ]
-    )
-    with open(path, "wb") as fh:
-        _write_header(fh, MAGIC_WORLD, world.frames, world.dim, payload.size)
-        fh.write(payload.astype("<f8").tobytes())
-
-
-def read_world(path):
-    with open(path, "rb") as fh:
-        frames, dim, count = _read_header(fh, MAGIC_WORLD)
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != count:
-        raise ConfigError("world payload size mismatch")
-    if data.size < 4 or data[0] not in (0.0, 1.0):
-        raise ConfigError(f"{path}: corrupt world header")
-    modes = float(data[1])
-    if not modes.is_integer() or modes < 1 or 4 + modes * (1 + dim) != data.size:
-        raise ConfigError(f"{path}: payload does not hold {data[1]} modes of dim {dim}")
-    modes = int(modes)
-    sigma, rho = float(data[2]), float(data[3])
-    weights = data[4 : 4 + modes].copy()
-    means = data[4 + modes :].reshape(modes, dim).copy()
-    try:
-        if data[0] == 0.0:
-            return SpatialWorld(means=means, weights=weights, sigma=sigma, frames=frames)
-        return TemporalWorld(means=means, weights=weights, sigma=sigma, rho=rho, frames=frames)
-    except ParameterError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def write_net(path, model: ToyAttentionDenoiser) -> None:
     parts = [np.array([model.blocks, model.total_steps, model.n_modes, model.seed], dtype=np.float64)]
     parts += [model.params[name].ravel() for name in model.param_names()]
@@ -162,9 +119,7 @@ def write_net(path, model: ToyAttentionDenoiser) -> None:
 
 
 def read_net(path) -> ToyAttentionDenoiser:
-    with open(path, "rb") as fh:
-        dim, embed, count = _read_header(fh, MAGIC_NET)
-        data = np.frombuffer(fh.read(), dtype="<f8")
+    dim, embed, count, data = _read_file(path, MAGIC_NET)
     if data.size != count:
         raise ConfigError("net payload size mismatch")
     blocks, total_steps, n_modes, seed = (int(x) for x in data[:4])
@@ -181,38 +136,6 @@ def read_net(path) -> ToyAttentionDenoiser:
     if offset != data.size:
         raise ConfigError("net payload has trailing values")
     return model
-
-
-_CACHE_RECORD = struct.Struct("<IIIII")  # t, layer, kind, rows, cols
-
-
-def write_feature_cache(path, cache) -> None:
-    """Debug export: one record per cache entry (key triple + payload)."""
-    keys = sorted(cache.keys())
-    with open(path, "wb") as fh:
-        _write_header(fh, MAGIC_CACHE, 0, 0, len(keys))
-        for t, layer, kind in keys:
-            arr = np.ascontiguousarray(cache.get(t, layer, kind), dtype=np.float64)
-            fh.write(_CACHE_RECORD.pack(t, layer, KINDS.index(kind), *arr.shape))
-            fh.write(arr.astype("<f8").tobytes())
-
-
-def read_feature_cache(path):
-    cache = FeatureCache()
-    with open(path, "rb") as fh:
-        _, _, count = _read_header(fh, MAGIC_CACHE)
-        for _ in range(count):
-            raw = fh.read(_CACHE_RECORD.size)
-            if len(raw) != _CACHE_RECORD.size:
-                raise ConfigError("truncated cache record")
-            t, layer, kind_idx, rows, cols = _CACHE_RECORD.unpack(raw)
-            if kind_idx >= len(KINDS):
-                raise ConfigError(f"cache record has unknown kind index {kind_idx}")
-            payload = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-            if payload.size != rows * cols:
-                raise ConfigError("truncated cache payload")
-            cache.put(t, layer, KINDS[kind_idx], payload.reshape(rows, cols))
-    return cache
 
 
 # ---------------------------------------------------------------------------

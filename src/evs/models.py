@@ -22,7 +22,6 @@ batch with a gradient tape for ``_batched_backward``.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -311,26 +310,21 @@ def spatial_log_density(v: np.ndarray, world: SpatialWorld, c: Condition | None 
 class Denoiser:
     """Noise-prediction interface with exact evaluation counting.
 
-    Subclasses implement ``_eps``; ``evaluate`` checks the output shape and
-    bumps the counter under a lock so concurrent callers stay linearizable.
+    Subclasses implement ``_eps``; ``evaluate`` counts the call and checks the
+    output shape.
     """
 
     has_taps = False
 
     def __init__(self):
         self._evals = 0
-        self._lock = threading.Lock()
 
     @property
     def num_evals(self) -> int:
         return self._evals
 
-    def _count(self):
-        with self._lock:
-            self._evals += 1
-
     def evaluate(self, z_t, t, c):
-        self._count()
+        self._evals += 1
         out = self._eps(z_t, t, c)
         if out.shape != np.shape(z_t):
             raise ShapeError(f"denoiser output {out.shape} != input {np.shape(z_t)}")
@@ -497,7 +491,7 @@ class ToyAttentionDenoiser(Denoiser):
         features are looked up at the call's timestep.  ``capture`` records
         this call's tap outputs under ``capture_key`` (defaults to ``t``).
         """
-        self._count()
+        self._evals += 1
         z_t = np.asarray(z_t, dtype=np.float64)
         if z_t.ndim != 2 or z_t.shape[1] != self.dim:
             raise ShapeError(f"latent must be (frames, {self.dim}), got {z_t.shape}")

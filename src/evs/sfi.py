@@ -7,7 +7,7 @@ query is blended with the recorded one, so the recorded spatial content is
 preserved while everything not injected is free to follow the model's prior.
 
 The cache is write-once during inversion and read-only afterwards; entries
-are stored as non-writeable arrays, so concurrent readers are safe.
+are stored as non-writeable arrays, so injection can never alter a recording.
 """
 
 from __future__ import annotations

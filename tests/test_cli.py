@@ -36,8 +36,6 @@ class TestGen:
         assert sorted(p.name for p in tmp_path.glob("*.evslat")) == ["item_0000.evslat"]
         manifest = evsio.read_json(tmp_path / "dataset_manifest.json")
         assert len(manifest["items"]) == 1
-        assert (tmp_path / "world_spatial.evswld").exists()
-        assert (tmp_path / "world_temporal.evswld").exists()
 
     def test_regeneration_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -155,6 +153,28 @@ class TestRun:
             code = run_cli("run", "t2i", "--dataset", small_dataset, "--out", tmp_path, *sets)
             assert code == 3, assignments
 
+    def test_injection_null_only_matters_to_evs(self, small_dataset, tmp_path, capsys):
+        for pipeline in ("t2i", "t2v", "iv", "vi", "iterated"):
+            assert run_cli(
+                "run", pipeline, "--dataset", small_dataset, "--out", tmp_path / pipeline,
+                "--set", "pipeline.injection=null",
+            ) == 0, pipeline
+        out = tmp_path / "evs"
+        code = run_cli(
+            "run", "evs", "--dataset", small_dataset, "--out", out,
+            "--set", "pipeline.injection=null",
+        )
+        assert code == 3
+        assert "requires an injection config" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_truncated_item_is_config_error(self, tmp_path):
+        dataset = tmp_path / "ds"
+        assert run_cli("gen", "--out", dataset, "--set", "dataset.count=1") == 0
+        item = dataset / "item_0000.evslat"
+        item.write_bytes(item.read_bytes()[:-3])
+        assert run_cli("run", "t2i", "--dataset", dataset, "--out", tmp_path / "o") == 3
+
     def test_injection_layer_outside_net_is_config_error(self, small_dataset, tmp_path):
         code = run_cli(
             "run", "evs", "--dataset", small_dataset, "--out", tmp_path,
@@ -183,6 +203,14 @@ class TestSweep:
         )
         assert code == 3
         assert "t_V=9" in capsys.readouterr().err
+
+    def test_gamma_without_injection_is_config_error(self, small_dataset, tmp_path, capsys):
+        code = run_cli(
+            "sweep", "gamma", "--grid", "0.5", "--dataset", small_dataset, "--out", tmp_path,
+            "--set", "pipeline.block_mode=sdedit", "--set", "pipeline.injection=null",
+        )
+        assert code == 3
+        assert "pipeline.injection" in capsys.readouterr().err
 
     def test_writes_plots_per_metric(self, small_dataset, tmp_path):
         assert run_cli(

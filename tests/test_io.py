@@ -3,7 +3,7 @@ import pytest
 
 from evs import io as evsio
 from evs.errors import ConfigError
-from evs.models import ToyAttentionDenoiser, default_worlds
+from evs.models import ToyAttentionDenoiser
 
 
 class TestBinaryFormats:
@@ -40,19 +40,6 @@ class TestBinaryFormats:
         assert len(loaded) == 7
         np.testing.assert_array_equal(loaded[4], steps[4])
 
-    def test_world_roundtrip(self, tmp_path):
-        spatial, temporal = default_worlds()
-        for world, name in ((spatial, "s"), (temporal, "t")):
-            path = tmp_path / f"{name}.evswld"
-            evsio.write_world(path, world)
-            loaded = evsio.read_world(path)
-            assert type(loaded) is type(world)
-            np.testing.assert_array_equal(loaded.means, world.means)
-            np.testing.assert_array_equal(loaded.weights, world.weights)
-            assert loaded.sigma == world.sigma
-            assert loaded.frames == world.frames
-        assert evsio.read_world(tmp_path / "t.evswld").rho == temporal.rho
-
     def test_net_roundtrip(self, tmp_path):
         net = ToyAttentionDenoiser(seed=5)
         net.params["w_out"][0, 0] = 123.456  # ensure non-default weights persist
@@ -64,22 +51,6 @@ class TestBinaryFormats:
         for name in net.param_names():
             np.testing.assert_array_equal(loaded.params[name], net.params[name])
 
-    def test_feature_cache_roundtrip(self, tmp_path):
-        from evs.sfi import FeatureCache
-
-        rng = np.random.default_rng(3)
-        cache = FeatureCache()
-        for t in (1, 2):
-            for layer in range(2):
-                for kind in ("f", "Q", "K", "V"):
-                    cache.put(t, layer, kind, rng.standard_normal((4, 6)))
-        path = tmp_path / "cache.evssfi"
-        evsio.write_feature_cache(path, cache)
-        loaded = evsio.read_feature_cache(path)
-        assert loaded.keys() == cache.keys()
-        assert loaded.checksum() == cache.checksum()
-        assert path.read_bytes()[:6] == b"EVSSFI"
-
     def test_truncated_trajectory_rejected(self, tmp_path):
         path = tmp_path / "walk.evstrj"
         evsio.write_trajectory(path, [np.zeros((3, 5)) for _ in range(4)])
@@ -87,33 +58,12 @@ class TestBinaryFormats:
         with pytest.raises(ConfigError):
             evsio.read_trajectory(path)
 
-    def test_corrupt_world_rejected(self, tmp_path):
-        path = tmp_path / "w.evswld"
-        evsio.write_world(path, default_worlds()[1])
-        raw = path.read_bytes()
-
-        def patched(index, value):  # payload value ``index`` set to ``value``
-            offset = 24 + 8 * index
-            return raw[:offset] + np.float64(value).tobytes() + raw[offset + 8 :]
-
-        short = raw[:16] + (3).to_bytes(4, "little") + raw[20 : 24 + 3 * 8]  # count field: 3
-        for corrupt in (patched(1, 9), patched(1, 3.5), patched(0, 2), short):
-            path.write_bytes(corrupt)
-            with pytest.raises(ConfigError):
-                evsio.read_world(path)
-
-    def test_feature_cache_kind_out_of_range_rejected(self, tmp_path):
-        from evs.sfi import FeatureCache
-
-        cache = FeatureCache()
-        cache.put(1, 0, "f", np.zeros((2, 3)))
-        path = tmp_path / "cache.evssfi"
-        evsio.write_feature_cache(path, cache)
-        raw = bytearray(path.read_bytes())
-        raw[24 + 8 : 24 + 12] = (9).to_bytes(4, "little")  # kind field of the first record
-        path.write_bytes(bytes(raw))
+    def test_truncated_net_rejected(self, tmp_path):
+        path = tmp_path / "weights.evsnet"
+        evsio.write_net(path, ToyAttentionDenoiser(blocks=1, dim=4, embed=4))
+        path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(ConfigError):
-            evsio.read_feature_cache(path)
+            evsio.read_net(path)
 
     def test_write_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 
@@ -230,21 +228,6 @@ class TestAnalyticDenoiser:
             out = model.evaluate(z, 5, None)
         assert out.shape == z.shape
         assert model.num_evals == 3
-
-    def test_counter_linearizable_under_threads(self, lab):
-        model = AnalyticDenoiser(lab.spatial_world, lab.sched_i)
-        z = np.zeros((4, 64))
-
-        def work():
-            for _ in range(50):
-                model.evaluate(z, 5, None)
-
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert model.num_evals == 200
 
 
 class TestSpatialLogDensity:
