@@ -18,6 +18,7 @@ from .compose import (
     PipelineConfig,
     compose_iv,
     compose_vi,
+    iterated_stages,
     run_evs,
     run_iterated_baseline,
     run_t2i_only,
@@ -31,13 +32,13 @@ from .config import (
     pipeline_config,
     resolve_config,
     style_vector,
-    train_recipe,
 )
 from .diffusion import sdedit_refine
 from .errors import ConfigError, ParameterError, UsageError
 from .metrics import motion_smoothness, psnr, score_video
 from .models import (
     ToyAttentionDenoiser,
+    TrainRecipe,
     make_degraded_video,
     sample_world,
     train_toy_denoiser,
@@ -198,10 +199,7 @@ def _scored_items(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, vide
         result = _execute(pipeline, lab, cfg, pcfg, index, video, cond, trajectory=traj)
         if traj is not None:
             evsio.write_trajectory(trajectory_dir / f"item_{index:04d}.evstrj", traj)
-        report = score_video(
-            result.output, video, lab.spatial_world, cond, lab.metric_config,
-            nfe_total=result.nfe_t2i + result.nfe_t2v, wall_time=result.wall_time,
-        )
+        report = score_video(result.output, video, lab.spatial_world, cond, lab.metric_config)
         yield index, result, report
 
 
@@ -230,7 +228,7 @@ def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir, trajectories: bool =
                 **{m: getattr(report, m) for m in METRICS},
                 "nfe_t2i": result.nfe_t2i,
                 "nfe_t2v": result.nfe_t2v,
-                "wall_time": report.wall_time,
+                "wall_time": result.wall_time,
             }
         )
         row_meta.append(
@@ -296,13 +294,12 @@ def cmd_sweep(axis: str, grid, cfg: dict, dataset_dir, out_dir) -> Path:
         raise ParameterError("sweep grid must be nonempty")
     out = _out_dir(out_dir)
     _, videos = load_dataset(dataset_dir)
+    # No sweep axis changes the block mode, so one lab serves every grid point.
+    lab = build_lab(cfg, temporal_override=_temporal_model_for(cfg, pipeline_config(cfg), "evs"))
     point_stats = []
     for value in grid:
         try:
             pcfg = _sweep_pipeline_config(cfg, axis, value)
-            lab = build_lab(
-                cfg, temporal_override=_temporal_model_for(cfg, pcfg, "evs")
-            )
             pcfg.validate(lab.sched_i, lab.sched_v)
         except ParameterError as exc:
             raise ParameterError(f"grid point {axis}={value}: {exc}") from exc
@@ -392,7 +389,7 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
         net = evsio.read_net(cfg["net"]["weights"])
         net_file = cfg["net"]["weights"]
     else:
-        net = train_toy_denoiser(lab.temporal_world, lab.sched_v, train_recipe(cfg))
+        net = train_toy_denoiser(lab.temporal_world, lab.sched_v, TrainRecipe(**cfg["train"]))
         net_file = "net.evsnet"
         evsio.write_net(out / net_file, net)
 
@@ -422,18 +419,24 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
         for name, layers in _FRONTIER_LAYER_SETS
         for gamma in _FRONTIER_GAMMAS
     ] + [("all", ALL_LAYERS, 1.0, True)]
-    sfi_pts = []
-    for name, layers, gamma, inject_f in sfi_grid:
-        icfg = InjectionConfig(layers=layers, gamma=gamma, inject_f=inject_f)
-        ms_vals, ps_vals = [], []
-        for index, video in videos:
-            z, cache, _ = invert_with_capture(video, t_v, net, conds[index], lab.sched_v)
+    icfgs = [
+        InjectionConfig(layers=layers, gamma=gamma, inject_f=inject_f)
+        for _, layers, gamma, inject_f in sfi_grid
+    ]
+    # Each video is inverted once; its cache serves every operating point.
+    ms_vals = [[] for _ in sfi_grid]
+    ps_vals = [[] for _ in sfi_grid]
+    for index, video in videos:
+        z, cache, _ = invert_with_capture(video, t_v, net, conds[index], lab.sched_v)
+        for k, icfg in enumerate(icfgs):
             refined = denoise_with_injection(
                 z, t_v, t_v, net, conds[index], lab.sched_v, cache, icfg
             ).predicted_clean
-            ms_vals.append(motion_smoothness(refined, mcfg.tau))
-            ps_vals.append(psnr(refined, video, mcfg.psnr_peak))
-        point = (float(np.mean(ms_vals)), float(np.mean(ps_vals)))
+            ms_vals[k].append(motion_smoothness(refined, mcfg.tau))
+            ps_vals[k].append(psnr(refined, video, mcfg.psnr_peak))
+    sfi_pts = []
+    for (name, _, gamma, inject_f), ms, ps in zip(sfi_grid, ms_vals, ps_vals):
+        point = (float(np.mean(ms)), float(np.mean(ps)))
         sfi_pts.append(point)
         label = f"{name},g={gamma}" + (",f" if inject_f else "")
         rows.append({"method": "sfi", "param": label, "ms": point[0], "psnr": point[1]})
@@ -496,7 +499,7 @@ def cmd_report(manifest_paths, out_dir) -> Path:
     if "iterated" in summary:
         baseline_nfe = float(np.mean(summary["iterated"]["nfe_total"]))
     else:
-        baseline_nfe = float(p.get("rounds", 2) * (p["t_I"] + p["t_V"]))
+        baseline_nfe = float(sum(t for _, t in iterated_stages(p["rounds"], p["t_I"], p["t_V"])))
 
     table = []
     for name in sorted(summary):
@@ -549,7 +552,7 @@ def cmd_train(cfg: dict, out_dir) -> Path:
     """Train the tapped temporal denoiser and save its weights."""
     out = _out_dir(out_dir)
     lab = build_lab(cfg)
-    net = train_toy_denoiser(lab.temporal_world, lab.sched_v, train_recipe(cfg))
+    net = train_toy_denoiser(lab.temporal_world, lab.sched_v, TrainRecipe(**cfg["train"]))
     evsio.write_net(out / "net.evsnet", net)
     manifest = _manifest_base(cfg, "train")
     manifest.update({"net_file": "net.evsnet", "train_report": net.train_report})

@@ -205,15 +205,13 @@ def run_evs(z0, cfg: PipelineConfig, models: ModelBundle, c: Condition | None) -
     return run.finish(tail.predicted_clean)
 
 
-def run_iterated_baseline(
-    z0, rounds: int, t_i: int, t_v: int, models: ModelBundle, c, rng: np.random.Generator
-) -> PipelineResult:
-    """Full-depth alternation baseline used as the inference-cost denominator.
+def iterated_stages(rounds: int, t_i: int, t_v: int) -> list[tuple[str, int]]:
+    """The iterated baseline's full-depth stages, ``(model, t_noise)`` in order.
 
     Stages alternate spatial-then-temporal and temporal-then-spatial rounds;
     an odd round count gets a trailing full spatial stage so the sequence
-    always ends frame-refined.  Evaluation count: rounds*(t_i+t_v), plus t_i
-    when rounds is odd.
+    always ends frame-refined.  A stage costs ``t_noise`` evaluations, so the
+    baseline costs rounds*(t_i+t_v), plus t_i when rounds is odd.
     """
     if rounds < 1:
         raise ParameterError(f"rounds must be >= 1, got {rounds}")
@@ -222,5 +220,12 @@ def run_iterated_baseline(
     stages = [stage for r in range(rounds) for stage in (vi if r % 2 else iv)]
     if rounds % 2 == 1:
         stages.append(("t2i", t_i))
+    return stages
+
+
+def run_iterated_baseline(
+    z0, rounds: int, t_i: int, t_v: int, models: ModelBundle, c, rng: np.random.Generator
+) -> PipelineResult:
+    """Full-depth alternation baseline used as the inference-cost denominator."""
     run = _Run(models)
-    return run.finish(_refine_stages(z0, stages, models, c, rng, run))
+    return run.finish(_refine_stages(z0, iterated_stages(rounds, t_i, t_v), models, c, rng, run))

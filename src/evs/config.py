@@ -3,6 +3,11 @@
 The resolved config dict is the single source of truth recorded in every
 manifest; CLI flags and ``--set`` overrides are applied before resolution and
 the ``EVS_SEED`` environment variable takes precedence over the config seed.
+
+A section's keys are the parameters of the object it builds: ``world`` goes
+to ``models.default_worlds``, ``metrics`` to ``MetricConfig`` and ``train`` to
+``TrainRecipe``, and the last two sections take their defaults from those
+classes, so each default is written once.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,15 +55,12 @@ DEFAULT_CONFIG = {
     },
     "dataset": {"count": 93, "flicker_sigma": 0.2, "styled": False, "style_scale": 8.0},
     "metrics": {
-        "tau": 0.05,
-        "iq_offset": -3000.0,
-        "iq_scale": 30.0,
-        "psnr_peak": 2.0,
+        **asdict(MetricConfig()),
         "ranges": {k: list(v) for k, v in DEFAULT_RANGES.items()},
         "overall_channels": list(DEFAULT_OVERALL_CHANNELS),
     },
     "net": {"weights": None, "seed": 0},
-    "train": {"steps": 3500, "lr": 3e-3, "batch_size": 32, "seed": 0},
+    "train": asdict(TrainRecipe()),
 }
 
 
@@ -144,7 +146,6 @@ def apply_set_overrides(cfg_overrides: dict, assignments: list[str]) -> dict:
 class Lab:
     """Everything a pipeline run needs, built from one resolved config."""
 
-    config: dict
     spatial_world: models.SpatialWorld
     temporal_world: models.TemporalWorld
     models: ModelBundle
@@ -165,46 +166,20 @@ def build_lab(cfg: dict, temporal_override=None) -> Lab:
     ``temporal_override`` swaps in a different temporal denoiser (the tapped
     net) while keeping everything else identical.
     """
-    w = cfg["world"]
     spatial_world, temporal_world = models.default_worlds(
-        dim=cfg["dim"],
-        modes=w["modes"],
-        frames=cfg["frames"],
-        sigma_spatial=w["sigma_spatial"],
-        sigma_temporal=w["sigma_temporal"],
-        rho=w["rho"],
-        blur_width=w["blur_width"],
-        seed=w["seed"],
+        dim=cfg["dim"], frames=cfg["frames"], **cfg["world"]
     )
-    sched_i = build_linear_beta(
-        cfg["schedule_i"]["steps"], cfg["schedule_i"]["beta_start"], cfg["schedule_i"]["beta_end"]
+    sched_i, sched_v = (
+        build_linear_beta(s["steps"], s["beta_start"], s["beta_end"])
+        for s in (cfg["schedule_i"], cfg["schedule_v"])
     )
-    sched_v = build_linear_beta(
-        cfg["schedule_v"]["steps"], cfg["schedule_v"]["beta_start"], cfg["schedule_v"]["beta_end"]
-    )
-    temporal = temporal_override or AnalyticDenoiser(temporal_world, sched_v)
     bundle = ModelBundle(
         spatial=AnalyticDenoiser(spatial_world, sched_i),
-        temporal=temporal,
+        temporal=temporal_override or AnalyticDenoiser(temporal_world, sched_v),
         spatial_schedule=sched_i,
         temporal_schedule=sched_v,
     )
-    m = cfg["metrics"]
-    metric_config = MetricConfig(
-        tau=m["tau"],
-        iq_offset=m["iq_offset"],
-        iq_scale=m["iq_scale"],
-        psnr_peak=m["psnr_peak"],
-        ranges={k: tuple(v) for k, v in m["ranges"].items()},
-        overall_channels=tuple(m["overall_channels"]),
-    )
-    return Lab(
-        config=cfg,
-        spatial_world=spatial_world,
-        temporal_world=temporal_world,
-        models=bundle,
-        metric_config=metric_config,
-    )
+    return Lab(spatial_world, temporal_world, bundle, MetricConfig(**cfg["metrics"]))
 
 
 def pipeline_config(cfg: dict, **overrides) -> PipelineConfig:
@@ -227,13 +202,6 @@ def pipeline_config(cfg: dict, **overrides) -> PipelineConfig:
         block_mode=p["block_mode"],
         injection=injection,
         seed=cfg["seed"],
-    )
-
-
-def train_recipe(cfg: dict) -> TrainRecipe:
-    t = cfg["train"]
-    return TrainRecipe(
-        steps=t["steps"], lr=t["lr"], batch_size=t["batch_size"], seed=t["seed"]
     )
 
 

@@ -14,7 +14,8 @@ followed by little-endian float64 payload.  Field meaning per magic:
 * ``EVSTRJ`` — trajectory dump: a=frames, b=dim, count=steps.
 * ``EVSNET`` — attention-denoiser weights: a=dim, b=embed, count=payload
   length; payload is [blocks, total_steps, n_modes, seed] ++ parameters in
-  the model's declared order.
+  the model's declared order.  The four leading values must be whole, the
+  first three positive, and must imply the payload length.
 
 SVG plots are written by hand (fixed float formatting, no library metadata)
 so outputs are byte-reproducible; each embeds the manifest hash.
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .models import ToyAttentionDenoiser
+from .models import ToyAttentionDenoiser, net_param_count
 
 MAGIC_LATENT = b"EVSLAT"
 MAGIC_TRAJECTORY = b"EVSTRJ"
@@ -120,9 +121,19 @@ def write_net(path, model: ToyAttentionDenoiser) -> None:
 
 def read_net(path) -> ToyAttentionDenoiser:
     dim, embed, count, data = _read_file(path, MAGIC_NET)
-    if data.size != count:
+    if data.size != count or count < 4:
         raise ConfigError("net payload size mismatch")
-    blocks, total_steps, n_modes, seed = (int(x) for x in data[:4])
+    head = data[:4]
+    if not (np.all(np.isfinite(head)) and np.all(head == np.floor(head))
+            and np.all(head[:3] >= 1) and head[3] >= 0):
+        raise ConfigError(
+            f"{path}: net header [blocks, total_steps, n_modes, seed] = {head.tolist()} "
+            "must be whole numbers, the first three positive and the seed non-negative"
+        )
+    blocks, total_steps, n_modes, seed = (int(x) for x in head)
+    expected = 4 + net_param_count(dim, embed, blocks, n_modes)
+    if data.size != expected:
+        raise ConfigError(f"{path}: net payload has {data.size} values, header implies {expected}")
     model = ToyAttentionDenoiser(
         dim=dim, embed=embed, blocks=blocks, total_steps=total_steps,
         n_modes=n_modes, seed=seed,
@@ -133,8 +144,6 @@ def read_net(path) -> ToyAttentionDenoiser:
         size = int(np.prod(shape))
         model.params[name] = data[offset : offset + size].reshape(shape).copy()
         offset += size
-    if offset != data.size:
-        raise ConfigError("net payload has trailing values")
     return model
 
 

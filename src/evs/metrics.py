@@ -45,6 +45,11 @@ class MetricConfig:
     ranges: dict = field(default_factory=lambda: dict(DEFAULT_RANGES))
     overall_channels: tuple = DEFAULT_OVERALL_CHANNELS
 
+    def __post_init__(self):
+        # The config section gives JSON lists; hold tuples like the defaults.
+        object.__setattr__(self, "ranges", {k: tuple(v) for k, v in self.ranges.items()})
+        object.__setattr__(self, "overall_channels", tuple(self.overall_channels))
+
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -53,8 +58,6 @@ class MetricReport:
     iq: float
     psnr: float
     overall: float
-    nfe_total: int
-    wall_time: float
 
 
 def motion_smoothness(v: np.ndarray, tau: float = 0.05) -> float:
@@ -136,8 +139,6 @@ def score_video(
     world: SpatialWorld,
     c: Condition | None,
     cfg: MetricConfig,
-    nfe_total: int = 0,
-    wall_time: float = 0.0,
 ) -> MetricReport:
     """Full metric report for one refined video against its input."""
     values = {
@@ -146,12 +147,4 @@ def score_video(
         "iq": imaging_quality(output, world, c, cfg.iq_offset, cfg.iq_scale),
         "psnr": psnr(output, reference, cfg.psnr_peak),
     }
-    return MetricReport(
-        ms=values["ms"],
-        sc=values["sc"],
-        iq=values["iq"],
-        psnr=values["psnr"],
-        overall=overall_score(values, cfg),
-        nfe_total=nfe_total,
-        wall_time=wall_time,
-    )
+    return MetricReport(**values, overall=overall_score(values, cfg))

@@ -1,7 +1,9 @@
 """Denoisers and the analytic toy worlds they act on.
 
 Two latent-space "worlds" stand in for the priors of a frame-wise and a
-sequence-wise generative model:
+sequence-wise generative model.  Both are an isotropic Gaussian mixture; the
+private ``_Mixture`` base holds its means, weights and width and checks them
+once for both:
 
 * ``SpatialWorld`` — every frame independently drawn from a sharp isotropic
   Gaussian mixture.  Its posterior denoiser refines frames independently and
@@ -59,30 +61,25 @@ class Condition:
     style: np.ndarray | None = None
 
 
-def _check_mixture(means, weights, sigma):
-    if means.ndim != 2:
-        raise ShapeError(f"means must be (modes, dim), got {means.shape}")
-    if weights.shape != (means.shape[0],):
-        raise ShapeError("weights must have one entry per mode")
-    if np.any(weights <= 0) or not np.isclose(weights.sum(), 1.0):
-        raise ParameterError("weights must be positive and sum to 1")
-    if sigma <= 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
-
-
 @dataclass(frozen=True, eq=False)
-class SpatialWorld:
-    """Sharp per-frame mixture; frames are statistically independent."""
+class _Mixture:
+    """The isotropic Gaussian mixture both worlds are built on."""
 
     means: np.ndarray  # (modes, dim)
     weights: np.ndarray  # (modes,)
     sigma: float
-    frames: int = DEFAULT_FRAMES
 
     def __post_init__(self):
         object.__setattr__(self, "means", np.asarray(self.means, dtype=np.float64))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
-        _check_mixture(self.means, self.weights, self.sigma)
+        if self.means.ndim != 2:
+            raise ShapeError(f"means must be (modes, dim), got {self.means.shape}")
+        if self.weights.shape != (self.modes,):
+            raise ShapeError("weights must have one entry per mode")
+        if np.any(self.weights <= 0) or not np.isclose(self.weights.sum(), 1.0):
+            raise ParameterError("weights must be positive and sum to 1")
+        if self.sigma <= 0:
+            raise ParameterError(f"sigma must be positive, got {self.sigma}")
 
     @property
     def modes(self) -> int:
@@ -94,31 +91,30 @@ class SpatialWorld:
 
 
 @dataclass(frozen=True, eq=False)
-class TemporalWorld:
-    """Blurred mixture tiled across frames with AR(1) frame correlation."""
+class SpatialWorld(_Mixture):
+    """Sharp per-frame mixture; frames are statistically independent."""
 
-    means: np.ndarray  # (modes, dim), already blurred
-    weights: np.ndarray
-    sigma: float
+    frames: int = DEFAULT_FRAMES
+
+
+# Not a SpatialWorld subclass: an isinstance check on SpatialWorld must tell
+# the two worlds apart.
+@dataclass(frozen=True, eq=False)
+class TemporalWorld(_Mixture):
+    """Blurred mixture tiled across frames with AR(1) frame correlation.
+
+    ``means`` are the already blurred mode means.
+    """
+
     rho: float
     frames: int = DEFAULT_FRAMES
 
     def __post_init__(self):
-        object.__setattr__(self, "means", np.asarray(self.means, dtype=np.float64))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
-        _check_mixture(self.means, self.weights, self.sigma)
+        super().__post_init__()
         if not 0.0 <= self.rho < 1.0:
             raise ParameterError(f"rho must be in [0, 1), got {self.rho}")
         if self.frames < 1:
             raise ParameterError("frames must be >= 1")
-
-    @property
-    def modes(self) -> int:
-        return self.means.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
 
     @cached_property
     def correlation(self) -> np.ndarray:
@@ -359,6 +355,13 @@ class ZeroDenoiser(Denoiser):
 
 _TIME_FREQS = np.arange(1, 9, dtype=np.float64)  # 8 sin + 8 cos features
 _BLOCK_PARAMS = ("w_f", "b_f", "w_q", "w_k", "w_v", "w_o", "b_o")
+
+
+def net_param_count(dim: int, embed: int, blocks: int, n_modes: int) -> int:
+    """Parameter values of a ``ToyAttentionDenoiser`` of this shape, without building it."""
+    per_block = sum(embed if kind.startswith("b_") else embed * embed for kind in _BLOCK_PARAMS)
+    # w_in, w_out (dim x embed each), w_time, cond_emb, b_in; b_out; the blocks.
+    return (2 * dim + 2 * len(_TIME_FREQS) + n_modes + 2) * embed + dim + blocks * per_block
 
 
 def _time_features(t: int, total_steps: int) -> np.ndarray:

@@ -5,7 +5,9 @@ indexed ``0..T``, with ``alpha_bar[0] == 1`` exactly so that timestep 0 is the
 identity noising level.  Two denoisers never share a schedule in this lab: the
 frame-wise (spatial) model runs a long, gentle schedule and the sequence-wise
 (temporal) model a short, aggressive one, which keeps their intermediate noisy
-latents mutually incompatible by construction.
+latents mutually incompatible by construction.  Their lengths and noise rates
+live in the run config (``schedule_i`` and ``schedule_v``), which
+``config.build_lab`` turns into the two schedules.
 
 Video latents throughout the package are plain float64 arrays of shape
 ``(frames, dim)``.
@@ -18,13 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-
-# Lab defaults: long gentle schedule for the spatial model, short aggressive
-# one for the temporal model.
-SPATIAL_STEPS = 50
-SPATIAL_BETA = (1e-4, 0.02)
-TEMPORAL_STEPS = 8
-TEMPORAL_BETA = (1e-4, 0.1)
 
 
 @dataclass(frozen=True)
@@ -75,14 +70,6 @@ def build_linear_beta(total_steps: int, beta_start: float, beta_end: float) -> N
     betas = np.linspace(beta_start, beta_end, total_steps, dtype=np.float64)
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
     return NoiseSchedule(total_steps=total_steps, alpha_bar=alpha_bar)
-
-
-def spatial_schedule() -> NoiseSchedule:
-    return build_linear_beta(SPATIAL_STEPS, *SPATIAL_BETA)
-
-
-def temporal_schedule() -> NoiseSchedule:
-    return build_linear_beta(TEMPORAL_STEPS, *TEMPORAL_BETA)
 
 
 def forward_noise(

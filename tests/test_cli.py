@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -283,6 +284,18 @@ class TestReportAndTrain:
         assert entry["nfe_total"] == 26
         assert entry["speedup"] == pytest.approx(48 / 26)
 
+    def test_fallback_baseline_follows_rounds(self, small_dataset, tmp_path):
+        # Without an iterated run the baseline is the iterated stages' cost:
+        # rounds=3 is iv + vi + iv + a trailing t2i, 3 * (20 + 4) + 20.
+        run_dir = tmp_path / "run"
+        assert run_cli(
+            "run", "evs", "--dataset", small_dataset, "--out", run_dir,
+            "--set", "pipeline.rounds=3",
+        ) == 0
+        assert run_cli("report", run_dir / "run_manifest.json", "--out", tmp_path / "rep") == 0
+        report = evsio.read_json(tmp_path / "rep" / "report_manifest.json")
+        assert report["baseline_nfe"] == 92
+
     def test_report_rejects_non_run_manifest(self, small_dataset, tmp_path):
         code = run_cli("report", small_dataset / "dataset_manifest.json", "--out", tmp_path)
         assert code == 3
@@ -330,3 +343,28 @@ class TestReportAndTrain:
         assert "numeric error" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+
+class TestTracerBindings:
+    def test_traced_evs_run_records_every_layer(self, tmp_path):
+        """The benchmark's tracer wraps evs functions by name from outside;
+        a renamed or rebound function would silently drop its spans."""
+        ds = tmp_path / "ds"
+        assert run_cli("gen", "--out", ds, "--set", "dataset.count=2") == 0
+        root = Path(__file__).resolve().parents[1]
+        commands = [["run", "evs", "--dataset", str(ds), "--out", str(tmp_path / "run")]]
+        paths = [str(Path(evs.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        proc = subprocess.run(
+            [sys.executable, str(root / "benchmark" / "child.py"), "run", json.dumps(commands),
+             str(tmp_path / "rss"), str(tmp_path / "spans.json")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = [span[0] for span in json.loads((tmp_path / "spans.json").read_text())["spans"]]
+        for name in ("compose.pipeline", "diffusion.walk", "sfi.invert", "sfi.inject",
+                     "models.net_capture", "models.net_inject", "metrics.score_video"):
+            assert name in names
+        evals = sum(name.startswith(("models.eps_", "models.net_")) for name in names)
+        rows = evsio.read_metric_csv(tmp_path / "run" / "runs.csv")
+        assert evals == sum(int(r["nfe_t2i"]) + int(r["nfe_t2v"]) for r in rows)

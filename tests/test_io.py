@@ -65,6 +65,20 @@ class TestBinaryFormats:
         with pytest.raises(ConfigError):
             evsio.read_net(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [(0, 3.0), (0, float("nan")), (0, 1.5), (1, 0.0), (2, float("inf")), (3, -1.0), (3, 0.5)],
+    )
+    def test_net_header_values_rejected(self, tmp_path, field, value):
+        # The payload starts with [blocks, total_steps, n_modes, seed].
+        path = tmp_path / "weights.evsnet"
+        evsio.write_net(path, ToyAttentionDenoiser(blocks=1, dim=4, embed=4))
+        raw = bytearray(path.read_bytes())
+        raw[24 + 8 * field : 32 + 8 * field] = np.float64(value).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConfigError):
+            evsio.read_net(path)
+
     def test_write_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(2)
         video = rng.standard_normal((4, 4))

@@ -8,9 +8,7 @@ from evs.schedule import (
     NoiseSchedule,
     build_linear_beta,
     forward_noise,
-    spatial_schedule,
     strength_to_timestep,
-    temporal_schedule,
 )
 
 
@@ -58,9 +56,9 @@ class TestBuildLinearBeta:
         assert np.all(np.diff(ab) < 0)
         assert ab[-1] > 0.0 and np.all(ab <= 1.0)
 
-    def test_defaults(self):
-        assert spatial_schedule().total_steps == 50
-        assert temporal_schedule().total_steps == 8
+    def test_defaults(self, lab):
+        assert lab.sched_i.total_steps == 50
+        assert lab.sched_v.total_steps == 8
 
 
 class TestNoiseScheduleValidation:
@@ -112,7 +110,7 @@ class TestForwardNoise:
     @given(a=st.floats(-2, 2), b=st.floats(-2, 2), t=st.integers(0, 50))
     @settings(max_examples=40, deadline=None)
     def test_linearity(self, a, b, t):
-        sched = spatial_schedule()
+        sched = build_linear_beta(50, 1e-4, 0.02)
         rng = np.random.default_rng(3)
         z1, z2 = rng.standard_normal((2, 3, 4))
         e1, e2 = rng.standard_normal((2, 3, 4))
@@ -148,6 +146,6 @@ class TestStrengthToTimestep:
     @given(st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=60, deadline=None)
     def test_monotone(self, s1, s2):
-        sched = spatial_schedule()
+        sched = build_linear_beta(50, 1e-4, 0.02)
         lo, hi = sorted([s1, s2])
         assert strength_to_timestep(lo, sched) <= strength_to_timestep(hi, sched)
