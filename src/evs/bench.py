@@ -29,7 +29,6 @@ from .config import (
     build_lab,
     item_condition,
     item_seed,
-    pipeline_config,
     resolve_config,
     style_vector,
 )
@@ -123,13 +122,14 @@ def cmd_gen(cfg: dict, out_dir) -> Path:
 
 def load_dataset(dataset_dir) -> tuple[dict, list[tuple[int, np.ndarray]]]:
     dataset_dir = Path(dataset_dir)
-    manifest = evsio.check_manifest_version(
-        evsio.read_json(dataset_dir / DATASET_MANIFEST), dataset_dir / DATASET_MANIFEST
-    )
+    manifest = evsio.read_manifest(dataset_dir / DATASET_MANIFEST, "dataset")
     videos = []
     for item in manifest["items"]:
-        (video,) = evsio.read_latents(dataset_dir / item["file"])
-        videos.append((item["index"], video))
+        path = dataset_dir / item["file"]
+        item_videos = evsio.read_latents(path)
+        if len(item_videos) != 1:
+            raise ConfigError(f"{path} holds {len(item_videos)} videos; a dataset item holds one")
+        videos.append((item["index"], item_videos[0]))
     return manifest, videos
 
 
@@ -154,15 +154,22 @@ def _temporal_model_for(cfg: dict, pcfg: PipelineConfig, pipeline: str):
 
 
 def load_or_init_net(cfg: dict) -> ToyAttentionDenoiser:
-    weights = cfg["net"]["weights"]
-    if weights:
-        return evsio.read_net(weights)
-    return ToyAttentionDenoiser(
-        dim=cfg["dim"],
-        total_steps=cfg["schedule_v"]["steps"],
-        n_modes=cfg["world"]["modes"],
-        seed=cfg["net"]["seed"],
-    )
+    """The net at ``net.weights``, refused unless it was made for this config;
+    a fresh one from ``net.seed`` when no weights are given."""
+    fixed = {  # net field: (config key, value)
+        "dim": ("dim", cfg["dim"]),
+        "total_steps": ("schedule_v.steps", cfg["schedule_v"]["steps"]),
+        "n_modes": ("world.modes", cfg["world"]["modes"]),
+    }
+    path = cfg["net"]["weights"]
+    if not path:
+        values = {field: value for field, (_, value) in fixed.items()}
+        return ToyAttentionDenoiser(**values, seed=cfg["net"]["seed"])
+    net = evsio.read_net(path)
+    for field, (key, want) in fixed.items():
+        if getattr(net, field) != want:
+            raise ConfigError(f"{path}: net {field}={getattr(net, field)} but config {key}={want}")
+    return net
 
 
 def _execute(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, index, video, cond,
@@ -170,19 +177,17 @@ def _execute(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, index, vi
     """Run one pipeline on one item; ``trajectory`` collects t2i/t2v step latents."""
     rng = _pipeline_noise_rng(cfg, index)
     if pipeline == "t2i":
-        return run_t2i_only(video, pcfg.t_i, lab.models, cond, rng, trajectory=trajectory)
+        return run_t2i_only(video, pcfg.t_I, lab.models, cond, rng, trajectory=trajectory)
     if pipeline == "t2v":
-        return run_t2v_only(video, pcfg.t_v, lab.models, cond, rng, trajectory=trajectory)
+        return run_t2v_only(video, pcfg.t_V, lab.models, cond, rng, trajectory=trajectory)
     if pipeline == "iv":
-        return compose_iv(video, pcfg.t_i, pcfg.t_v, lab.models, cond, rng)
+        return compose_iv(video, pcfg.t_I, pcfg.t_V, lab.models, cond, rng)
     if pipeline == "vi":
-        return compose_vi(video, pcfg.t_v, pcfg.t_i, lab.models, cond, rng)
+        return compose_vi(video, pcfg.t_V, pcfg.t_I, lab.models, cond, rng)
     if pipeline == "evs":
-        return run_evs(video, replace(pcfg, seed=_evs_item_seed(cfg, index)), lab.models, cond)
+        return run_evs(video, pcfg, lab.models, cond, _evs_item_seed(cfg, index))
     if pipeline == "iterated":
-        return run_iterated_baseline(
-            video, cfg["pipeline"]["rounds"], pcfg.t_i, pcfg.t_v, lab.models, cond, rng
-        )
+        return run_iterated_baseline(video, pcfg.rounds, pcfg.t_I, pcfg.t_V, lab.models, cond, rng)
     raise UsageError(f"unknown pipeline {pipeline!r} (choose from {', '.join(PIPELINES)})")
 
 
@@ -210,7 +215,7 @@ def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir, trajectories: bool =
     if trajectories and pipeline not in ("t2i", "t2v"):
         raise UsageError("--trajectories is only supported for the t2i and t2v pipelines")
     out = _out_dir(out_dir)
-    pcfg = pipeline_config(cfg)
+    pcfg = PipelineConfig(**cfg["pipeline"])
     lab = build_lab(cfg, temporal_override=_temporal_model_for(cfg, pcfg, pipeline))
     pcfg.validate(lab.sched_i, lab.sched_v)
     _, videos = load_dataset(dataset_dir)
@@ -262,9 +267,7 @@ def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir, trajectories: bool =
 
 def rerun_from_manifest(manifest_path, out_dir) -> Path:
     """Re-execute a recorded run: its embedded config, checked again, on its unchanged dataset."""
-    manifest = evsio.check_manifest_version(evsio.read_json(manifest_path), manifest_path)
-    if manifest.get("kind") != "run":
-        raise ConfigError(f"{manifest_path} is not a run manifest")
+    manifest = evsio.read_manifest(manifest_path, "run")
     dataset = manifest["dataset"]
     if evsio.file_sha256(Path(dataset["path"]) / DATASET_MANIFEST) != dataset["manifest_sha256"]:
         raise ConfigError(f"dataset {dataset['path']} changed since {manifest_path} was written")
@@ -277,15 +280,6 @@ def rerun_from_manifest(manifest_path, out_dir) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_pipeline_config(cfg: dict, axis: str, value) -> PipelineConfig:
-    if axis == "gamma":
-        inj = cfg["pipeline"]["injection"]
-        if inj is None:
-            raise ConfigError("sweep axis gamma needs pipeline.injection, which is null")
-        return pipeline_config(cfg, injection={**inj, "gamma": float(value)})
-    return pipeline_config(cfg, **{axis: int(value)})
-
-
 def cmd_sweep(axis: str, grid, cfg: dict, dataset_dir, out_dir) -> Path:
     """Run the encapsulated pipeline across one hyperparameter grid."""
     if axis not in SWEEP_AXES:
@@ -294,12 +288,18 @@ def cmd_sweep(axis: str, grid, cfg: dict, dataset_dir, out_dir) -> Path:
         raise ParameterError("sweep grid must be nonempty")
     out = _out_dir(out_dir)
     _, videos = load_dataset(dataset_dir)
+    base = PipelineConfig(**cfg["pipeline"])
     # No sweep axis changes the block mode, so one lab serves every grid point.
-    lab = build_lab(cfg, temporal_override=_temporal_model_for(cfg, pipeline_config(cfg), "evs"))
+    lab = build_lab(cfg, temporal_override=_temporal_model_for(cfg, base, "evs"))
     point_stats = []
     for value in grid:
         try:
-            pcfg = _sweep_pipeline_config(cfg, axis, value)
+            if axis != "gamma":
+                pcfg = replace(base, **{axis: int(value)})
+            elif base.injection is None:
+                raise ConfigError("sweep axis gamma needs pipeline.injection, which is null")
+            else:
+                pcfg = replace(base, injection=replace(base.injection, gamma=float(value)))
             pcfg.validate(lab.sched_i, lab.sched_v)
         except ParameterError as exc:
             raise ParameterError(f"grid point {axis}={value}: {exc}") from exc
@@ -386,7 +386,7 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
     mcfg = lab.metric_config
 
     if cfg["net"]["weights"]:
-        net = evsio.read_net(cfg["net"]["weights"])
+        net = load_or_init_net(cfg)
         net_file = cfg["net"]["weights"]
     else:
         net = train_toy_denoiser(lab.temporal_world, lab.sched_v, TrainRecipe(**cfg["train"]))
@@ -479,10 +479,7 @@ def cmd_report(manifest_paths, out_dir) -> Path:
     out = _out_dir(out_dir)
     runs = []
     for path in manifest_paths:
-        manifest = evsio.check_manifest_version(evsio.read_json(path), path)
-        if manifest.get("kind") != "run":
-            raise ConfigError(f"{path} is not a run manifest")
-        runs.append(manifest)
+        runs.append(evsio.read_manifest(path, "run"))
 
     summary = {}
     for manifest in runs:
@@ -495,11 +492,11 @@ def cmd_report(manifest_paths, out_dir) -> Path:
             entry["nfe_total"].append(int(row["nfe_t2i"]) + int(row["nfe_t2v"]))
 
     base_cfg = runs[0]["config"]
-    p = base_cfg["pipeline"]
     if "iterated" in summary:
         baseline_nfe = float(np.mean(summary["iterated"]["nfe_total"]))
     else:
-        baseline_nfe = float(sum(t for _, t in iterated_stages(p["rounds"], p["t_I"], p["t_V"])))
+        p = PipelineConfig(**base_cfg["pipeline"])
+        baseline_nfe = float(sum(t for _, t in iterated_stages(p.rounds, p.t_I, p.t_V)))
 
     table = []
     for name in sorted(summary):

@@ -35,36 +35,45 @@ class ModelBundle:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Hyperparameters of the encapsulated pipeline.
+    """Hyperparameters of the pipelines; the fields are the config's
+    ``pipeline`` keys, so ``PipelineConfig(**cfg["pipeline"])`` builds it.
 
-    ``t_i`` / ``t_v`` are the noising levels on the spatial / temporal
-    schedules, ``t_t2v`` the spatial timestep at which the temporal block is
-    inserted, and ``n_v`` how many temporal reverse steps the block runs.
+    ``t_I`` / ``t_V`` are the noising levels on the spatial / temporal
+    schedules, ``t_T2V`` the spatial timestep at which the temporal block is
+    inserted, ``n_V`` how many temporal reverse steps the block runs, and
+    ``rounds`` the iterated baseline's round count.  ``injection`` may be
+    given as the section's JSON object.
     """
 
-    t_i: int = 20
-    t_v: int = 4
-    t_t2v: int = 10
-    n_v: int = 2
+    t_I: int = 20
+    t_V: int = 4
+    t_T2V: int = 10
+    n_V: int = 2
     block_mode: str = BLOCK_INVERSION_SFI
     injection: InjectionConfig | None = field(
         default_factory=lambda: InjectionConfig(layers=DEEP_LAYERS, gamma=0.8)
     )
-    seed: int = 0
+    rounds: int = 2
+
+    def __post_init__(self):
+        if isinstance(self.injection, dict):
+            object.__setattr__(self, "injection", InjectionConfig(**self.injection))
 
     def validate(self, sched_i: NoiseSchedule, sched_v: NoiseSchedule):
-        if not 1 <= self.t_t2v <= self.t_i <= sched_i.total_steps:
+        if not 1 <= self.t_T2V <= self.t_I <= sched_i.total_steps:
             raise ParameterError(
-                f"need 1 <= t_t2v <= t_i <= {sched_i.total_steps}, "
-                f"got t_t2v={self.t_t2v}, t_i={self.t_i}"
+                f"need 1 <= t_T2V <= t_I <= {sched_i.total_steps}, "
+                f"got t_T2V={self.t_T2V}, t_I={self.t_I}"
             )
-        if not 1 <= self.n_v <= self.t_v <= sched_v.total_steps:
+        if not 1 <= self.n_V <= self.t_V <= sched_v.total_steps:
             raise ParameterError(
-                f"need 1 <= n_v <= t_v <= {sched_v.total_steps}, "
-                f"got n_v={self.n_v}, t_v={self.t_v}"
+                f"need 1 <= n_V <= t_V <= {sched_v.total_steps}, "
+                f"got n_V={self.n_V}, t_V={self.t_V}"
             )
         if self.block_mode not in (BLOCK_SDEDIT, BLOCK_INVERSION_SFI):
             raise ParameterError(f"unknown block_mode {self.block_mode!r}")
+        if self.rounds < 1:
+            raise ParameterError(f"need rounds >= 1, got rounds={self.rounds}")
 
 
 @dataclass(frozen=True)
@@ -153,8 +162,8 @@ def _temporal_block(bridge, cfg: PipelineConfig, models: ModelBundle, c, rng, ru
     """One encapsulated temporal stage acting on a clean bridge latent."""
     sched_v = models.temporal_schedule
     if cfg.block_mode == BLOCK_SDEDIT:
-        out = sdedit_refine(bridge, cfg.t_v, cfg.t_v - cfg.n_v, models.temporal, c, sched_v, rng)
-        run.log("t2v:sdedit", cfg.t_v, cfg.t_v - cfg.n_v)
+        out = sdedit_refine(bridge, cfg.t_V, cfg.t_V - cfg.n_V, models.temporal, c, sched_v, rng)
+        run.log("t2v:sdedit", cfg.t_V, cfg.t_V - cfg.n_V)
         return out.predicted_clean
     if cfg.injection is None:
         raise ParameterError("block_mode inversion+sfi requires an injection config")
@@ -165,43 +174,45 @@ def _temporal_block(bridge, cfg: PipelineConfig, models: ModelBundle, c, rng, ru
         raise InjectionError(
             f"injection layers {unknown} outside the net's blocks 0..{models.temporal.blocks - 1}"
         )
-    z_tv, cache, _ = invert_with_capture(bridge, cfg.t_v, models.temporal, c, sched_v)
-    run.log("t2v:invert", 0, cfg.t_v)
+    z_tv, cache, _ = invert_with_capture(bridge, cfg.t_V, models.temporal, c, sched_v)
+    run.log("t2v:invert", 0, cfg.t_V)
     out = denoise_with_injection(
-        z_tv, cfg.t_v, cfg.n_v, models.temporal, c, sched_v, cache, cfg.injection
+        z_tv, cfg.t_V, cfg.n_V, models.temporal, c, sched_v, cache, cfg.injection
     )
-    run.log("t2v:inject", cfg.t_v, cfg.t_v - cfg.n_v)
+    run.log("t2v:inject", cfg.t_V, cfg.t_V - cfg.n_V)
     return out.predicted_clean
 
 
-def run_evs(z0, cfg: PipelineConfig, models: ModelBundle, c: Condition | None) -> PipelineResult:
+def run_evs(
+    z0, cfg: PipelineConfig, models: ModelBundle, c: Condition | None, seed: int
+) -> PipelineResult:
     """The encapsulated pipeline: spatial refinement with one temporal block inside.
 
-    Noise to ``t_i``; reverse spatial steps down to ``t_t2v``; hand the
+    Noise to ``t_I``; reverse spatial steps down to ``t_T2V``; hand the
     predicted clean latent to the temporal block; re-noise the block output
-    to ``t_t2v`` with a fresh draw; finish the spatial reverse steps.  When
-    ``t_t2v == t_i`` the leading spatial stage is empty and the block acts on
-    the input itself.
+    to ``t_T2V`` with a fresh draw; finish the spatial reverse steps.  When
+    ``t_T2V == t_I`` the leading spatial stage is empty and the block acts on
+    the input itself.  ``seed`` keys the noise draws.
     """
     cfg.validate(models.spatial_schedule, models.temporal_schedule)
-    rng = np.random.default_rng(np.random.SeedSequence([0x45565321, cfg.seed]))
+    rng = np.random.default_rng(np.random.SeedSequence([0x45565321, seed]))
     sched_i = models.spatial_schedule
     run = _Run(models)
 
-    if cfg.t_t2v < cfg.t_i:
-        z = forward_noise(z0, cfg.t_i, rng.standard_normal(np.shape(z0)), sched_i)
-        head = ddim_sample(z, cfg.t_i, cfg.t_t2v, models.spatial, c, sched_i)
-        run.log("t2i", cfg.t_i, cfg.t_t2v)
+    if cfg.t_T2V < cfg.t_I:
+        z = forward_noise(z0, cfg.t_I, rng.standard_normal(np.shape(z0)), sched_i)
+        head = ddim_sample(z, cfg.t_I, cfg.t_T2V, models.spatial, c, sched_i)
+        run.log("t2i", cfg.t_I, cfg.t_T2V)
         bridge = head.predicted_clean
     else:
         bridge = z0
 
     block_clean = _temporal_block(bridge, cfg, models, c, rng, run)
 
-    z = forward_noise(block_clean, cfg.t_t2v, rng.standard_normal(np.shape(z0)), sched_i)
-    run.log("renoise", cfg.t_t2v, cfg.t_t2v)
-    tail = ddim_sample(z, cfg.t_t2v, 0, models.spatial, c, sched_i)
-    run.log("t2i", cfg.t_t2v, 0)
+    z = forward_noise(block_clean, cfg.t_T2V, rng.standard_normal(np.shape(z0)), sched_i)
+    run.log("renoise", cfg.t_T2V, cfg.t_T2V)
+    tail = ddim_sample(z, cfg.t_T2V, 0, models.spatial, c, sched_i)
+    run.log("t2i", cfg.t_T2V, 0)
     return run.finish(tail.predicted_clean)
 
 

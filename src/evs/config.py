@@ -5,9 +5,11 @@ manifest; CLI flags and ``--set`` overrides are applied before resolution and
 the ``EVS_SEED`` environment variable takes precedence over the config seed.
 
 A section's keys are the parameters of the object it builds: ``world`` goes
-to ``models.default_worlds``, ``metrics`` to ``MetricConfig`` and ``train`` to
-``TrainRecipe``, and the last two sections take their defaults from those
-classes, so each default is written once.
+to ``models.default_worlds``, ``pipeline`` to ``compose.PipelineConfig``,
+``metrics`` to ``MetricConfig`` and ``train`` to ``TrainRecipe``, and the last
+three sections take their defaults from those classes, so each default is
+written once.  ``PipelineConfig.validate`` checks every pipeline key before
+the first item runs.
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import models
-from .compose import BLOCK_INVERSION_SFI, ModelBundle, PipelineConfig
+from .compose import ModelBundle, PipelineConfig
 from .errors import ConfigError
 from .metrics import DEFAULT_OVERALL_CHANNELS, DEFAULT_RANGES, MetricConfig
 from .models import AnalyticDenoiser, Condition, TrainRecipe
 from .schedule import build_linear_beta
-from .sfi import InjectionConfig
 
 CONFIG_VERSION = 1
+_PIPELINE = PipelineConfig()
 
 DEFAULT_CONFIG = {
     "version": CONFIG_VERSION,
@@ -45,13 +47,9 @@ DEFAULT_CONFIG = {
     "schedule_i": {"steps": 50, "beta_start": 1e-4, "beta_end": 0.02},
     "schedule_v": {"steps": 8, "beta_start": 1e-4, "beta_end": 0.1},
     "pipeline": {
-        "t_I": 20,
-        "t_V": 4,
-        "t_T2V": 10,
-        "n_V": 2,
-        "block_mode": BLOCK_INVERSION_SFI,
-        "injection": {"layers": [2, 3], "gamma": 0.8, "inject_f": False, "inject_kv": True},
-        "rounds": 2,
+        **asdict(_PIPELINE),
+        # JSON has no sets: the injection layers are a sorted list.
+        "injection": {**asdict(_PIPELINE.injection), "layers": sorted(_PIPELINE.injection.layers)},
     },
     "dataset": {"count": 93, "flicker_sigma": 0.2, "styled": False, "style_scale": 8.0},
     "metrics": {
@@ -180,29 +178,6 @@ def build_lab(cfg: dict, temporal_override=None) -> Lab:
         temporal_schedule=sched_v,
     )
     return Lab(spatial_world, temporal_world, bundle, MetricConfig(**cfg["metrics"]))
-
-
-def pipeline_config(cfg: dict, **overrides) -> PipelineConfig:
-    p = dict(cfg["pipeline"])
-    p.update(overrides)
-    inj = p["injection"]
-    injection = None
-    if inj is not None:
-        injection = InjectionConfig(
-            layers=frozenset(inj["layers"]),
-            gamma=inj["gamma"],
-            inject_f=inj["inject_f"],
-            inject_kv=inj["inject_kv"],
-        )
-    return PipelineConfig(
-        t_i=p["t_I"],
-        t_v=p["t_V"],
-        t_t2v=p["t_T2V"],
-        n_v=p["n_V"],
-        block_mode=p["block_mode"],
-        injection=injection,
-        seed=cfg["seed"],
-    )
 
 
 def item_seed(base_seed: int, index: int) -> np.random.SeedSequence:

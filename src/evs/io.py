@@ -157,18 +157,26 @@ def write_json(path, payload: dict) -> None:
 
 
 def read_json(path) -> dict:
+    """The JSON object in ``path``, which must be UTF-8."""
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    return payload
 
 
-def check_manifest_version(manifest: dict, path) -> dict:
+def read_manifest(path, kind: str) -> dict:
+    """The manifest in ``path``, refused unless it has this version and ``kind``."""
+    manifest = read_json(path)
     if manifest.get("manifest_version") != MANIFEST_VERSION:
         raise ConfigError(
             f"{path}: manifest_version {manifest.get('manifest_version')!r} "
             f"not supported (want {MANIFEST_VERSION})"
         )
+    if manifest.get("kind") != kind:
+        raise ConfigError(f"{path} is not a {kind} manifest")
     return manifest
 
 

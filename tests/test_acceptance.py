@@ -222,7 +222,7 @@ def test_criterion_5_ablation_ordering(lab, degraded_videos):
             "t2v": run_t2v_only(z0, 4, bundle, c, rng_for(501, i)),
             "iv": compose_iv(z0, 20, 4, bundle, c, rng_for(502, i)),
             "vi": compose_vi(z0, 4, 20, bundle, c, rng_for(503, i)),
-            "evs": run_evs(z0, PipelineConfig(block_mode=BLOCK_SDEDIT, injection=None, seed=i), bundle, c),
+            "evs": run_evs(z0, PipelineConfig(block_mode=BLOCK_SDEDIT, injection=None), bundle, c, seed=i),
         }
         for name, result in runs.items():
             stats[name].append(_pipeline_metrics(lab, result.output, c))
@@ -247,8 +247,8 @@ def _sweep_means(lab, degraded_videos, **cfg_kwargs):
     ms_vals, iq_vals = [], []
     for i, (z0, c) in enumerate(degraded_videos):
         bundle = fresh_bundle(lab)
-        cfg = PipelineConfig(block_mode=BLOCK_SDEDIT, injection=None, seed=i, **cfg_kwargs)
-        out = run_evs(z0, cfg, bundle, c).output
+        cfg = PipelineConfig(block_mode=BLOCK_SDEDIT, injection=None, **cfg_kwargs)
+        out = run_evs(z0, cfg, bundle, c, seed=i).output
         ms_vals.append(motion_smoothness(out, lab.metric_config.tau))
         iq_vals.append(imaging_quality(out, lab.spatial_world, c,
                                        lab.metric_config.iq_offset, lab.metric_config.iq_scale))
@@ -256,21 +256,21 @@ def _sweep_means(lab, degraded_videos, **cfg_kwargs):
 
 
 def test_criterion_6a_block_timestep_iq_trend(lab, degraded_videos):
-    iqs = [_sweep_means(lab, degraded_videos, t_t2v=v)[1] for v in (5, 10, 15, 20)]
+    iqs = [_sweep_means(lab, degraded_videos, t_T2V=v)[1] for v in (5, 10, 15, 20)]
     ok = all(iqs[i] <= iqs[i + 1] for i in range(len(iqs) - 1))
     check("6a", "iq non-decreasing along t_T2V", ok,
           f"(iq means {[f'{x:.2f}' for x in iqs]} along t_T2V=5,10,15,20)")
 
 
 def test_criterion_6b_block_timestep_ms_trend(lab, degraded_videos):
-    mss = [_sweep_means(lab, degraded_videos, t_t2v=v)[0] for v in (5, 10, 15, 20)]
+    mss = [_sweep_means(lab, degraded_videos, t_T2V=v)[0] for v in (5, 10, 15, 20)]
     ok = all(mss[i] >= mss[i + 1] for i in range(len(mss) - 1))
     check("6b", "ms non-increasing along t_T2V", ok,
           f"(ms means {[f'{x:.4f}' for x in mss]} along t_T2V=5,10,15,20)")
 
 
 def test_criterion_6c_block_strength_ms_trend(lab, degraded_videos):
-    mss = [_sweep_means(lab, degraded_videos, t_v=v)[0] for v in (2, 4, 6, 8)]
+    mss = [_sweep_means(lab, degraded_videos, t_V=v)[0] for v in (2, 4, 6, 8)]
     ok = all(mss[i] <= mss[i + 1] for i in range(len(mss) - 1))
     check("6c", "ms non-decreasing along t_V", ok,
           f"(ms means {[f'{x:.4f}' for x in mss]} along t_V=2,4,6,8)")
@@ -290,7 +290,7 @@ def test_criterion_7_speedup_by_counting(lab, degraded_videos):
         spatial_schedule=lab.sched_i,
         temporal_schedule=lab.sched_v,
     )
-    enc = run_evs(z0, PipelineConfig(seed=0), sfi_bundle, c)
+    enc = run_evs(z0, PipelineConfig(), sfi_bundle, c, seed=0)
     enc_nfe = enc.nfe_t2i + enc.nfe_t2v
     ratio = base_nfe / enc_nfe
     ok = base_nfe == 48 and enc_nfe == 26 and ratio >= 1.6

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import evs
 from evs import io as evsio
 from evs.cli import main
 from evs.config import DEFAULT_CONFIG
+from evs.models import ToyAttentionDenoiser
 
 
 def run_cli(*argv):
@@ -176,6 +178,43 @@ class TestRun:
         item.write_bytes(item.read_bytes()[:-3])
         assert run_cli("run", "t2i", "--dataset", dataset, "--out", tmp_path / "o") == 3
 
+    @pytest.mark.parametrize(
+        "spoil", ["empty_manifest", "non_utf8_manifest", "list_config", "run_manifest_as_dataset",
+                  "two_videos_per_item"],
+    )
+    def test_unreadable_input_is_config_error(self, small_dataset, tmp_path, spoil):
+        dataset = tmp_path / "ds"
+        shutil.copytree(small_dataset, dataset)
+        manifest = dataset / "dataset_manifest.json"
+        extra = []
+        if spoil == "empty_manifest":
+            manifest.write_text("[]")
+        elif spoil == "non_utf8_manifest":
+            manifest.write_bytes(b"\xff" + manifest.read_bytes())
+        elif spoil == "list_config":
+            (tmp_path / "config.json").write_text("[1, 2]")
+            extra = ["--config", tmp_path / "config.json"]
+        elif spoil == "run_manifest_as_dataset":
+            assert run_cli("run", "t2i", "--dataset", dataset, "--out", tmp_path / "run") == 0
+            shutil.copy(tmp_path / "run" / "run_manifest.json", manifest)
+        else:
+            item = dataset / "item_0000.evslat"
+            evsio.write_latents(item, evsio.read_latents(item) * 2)
+        assert run_cli("run", "t2i", "--dataset", dataset, "--out", tmp_path / "o", *extra) == 3
+
+    def test_weights_for_another_config_are_config_error(self, small_dataset, tmp_path, capsys):
+        for field, value, key in (
+            ("total_steps", 12, "schedule_v.steps"), ("n_modes", 2, "world.modes"), ("dim", 8, "dim"),
+        ):
+            weights = tmp_path / f"{field}.evsnet"
+            evsio.write_net(weights, ToyAttentionDenoiser(**{field: value}))
+            code = run_cli(
+                "run", "evs", "--dataset", small_dataset, "--out", tmp_path / field,
+                "--set", f"net.weights={weights}",
+            )
+            assert code == 3, field
+            assert f"config {key}=" in capsys.readouterr().err
+
     def test_injection_layer_outside_net_is_config_error(self, small_dataset, tmp_path):
         code = run_cli(
             "run", "evs", "--dataset", small_dataset, "--out", tmp_path,
@@ -254,6 +293,13 @@ class TestFrontier:
         assert anchor["ms"] == pytest.approx(input_ms, abs=1e-6)
         assert (tmp_path / "frontier.svg").exists()
         assert (tmp_path / "net.evsnet").exists()
+
+    def test_weights_for_another_schedule_are_config_error(self, styled_dataset, tmp_path, capsys):
+        weights = tmp_path / "net.evsnet"
+        evsio.write_net(weights, ToyAttentionDenoiser(total_steps=12))
+        code = run_cli("frontier", "--dataset", styled_dataset, "--out", tmp_path / "o", "--net", weights)
+        assert code == 3
+        assert "config schedule_v.steps=8" in capsys.readouterr().err
 
     def test_requires_styled_dataset(self, small_dataset, tmp_path):
         code = run_cli(
@@ -346,13 +392,12 @@ class TestReportAndTrain:
 
 
 class TestTracerBindings:
-    def test_traced_evs_run_records_every_layer(self, tmp_path):
-        """The benchmark's tracer wraps evs functions by name from outside;
-        a renamed or rebound function would silently drop its spans."""
-        ds = tmp_path / "ds"
-        assert run_cli("gen", "--out", ds, "--set", "dataset.count=2") == 0
+    """The benchmark's tracer wraps evs functions by name from outside;
+    a renamed or rebound function would silently drop its spans."""
+
+    def _traced_spans(self, tmp_path, commands):
+        """Run ``commands`` in one ``benchmark/child.py`` process; return its spans."""
         root = Path(__file__).resolve().parents[1]
-        commands = [["run", "evs", "--dataset", str(ds), "--out", str(tmp_path / "run")]]
         paths = [str(Path(evs.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         proc = subprocess.run(
@@ -361,10 +406,42 @@ class TestTracerBindings:
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        names = [span[0] for span in json.loads((tmp_path / "spans.json").read_text())["spans"]]
+        return json.loads((tmp_path / "spans.json").read_text())["spans"]
+
+    def test_traced_evs_run_records_every_layer(self, tmp_path):
+        ds = tmp_path / "ds"
+        assert run_cli("gen", "--out", ds, "--set", "dataset.count=2") == 0
+        commands = [["run", "evs", "--dataset", str(ds), "--out", str(tmp_path / "run")]]
+        names = [span[0] for span in self._traced_spans(tmp_path, commands)]
         for name in ("compose.pipeline", "diffusion.walk", "sfi.invert", "sfi.inject",
                      "models.net_capture", "models.net_inject", "metrics.score_video"):
             assert name in names
         evals = sum(name.startswith(("models.eps_", "models.net_")) for name in names)
         rows = evsio.read_metric_csv(tmp_path / "run" / "runs.csv")
         assert evals == sum(int(r["nfe_t2i"]) + int(r["nfe_t2v"]) for r in rows)
+
+    def test_traced_ablation_records_each_item_once(self, tmp_path):
+        """The benchmark's ablation workload: six pipelines and a report in one process."""
+        ds = tmp_path / "ds"
+        assert run_cli("gen", "--out", ds, "--set", "dataset.count=2") == 0
+        pipelines = ("t2i", "t2v", "iv", "vi", "evs", "iterated")
+        commands = []
+        for pipeline in pipelines:
+            argv = ["run", pipeline, "--dataset", str(ds), "--out", str(tmp_path / pipeline)]
+            if pipeline == "evs":
+                argv += ["--set", "pipeline.block_mode=sdedit", "--set", "pipeline.injection=null"]
+            commands.append(argv)
+        manifests = [str(tmp_path / pipeline / "run_manifest.json") for pipeline in pipelines]
+        commands.append(["report", *manifests, "--out", str(tmp_path / "report")])
+        spans = self._traced_spans(tmp_path, commands)
+        names = [span[0] for span in spans]
+        assert "bench.cmd_report" in names
+        for pipeline in pipelines:
+            items = [s[4] for s in spans if s[0] == "compose.pipeline" and s[4].startswith(f"{pipeline}:")]
+            assert sorted(items) == [f"{pipeline}:0", f"{pipeline}:1"]
+            evals = sum(
+                s[0].startswith(("models.eps_", "models.net_")) and s[4].startswith(f"{pipeline}:")
+                for s in spans
+            )
+            rows = evsio.read_metric_csv(tmp_path / pipeline / "runs.csv")
+            assert evals == sum(int(r["nfe_t2i"]) + int(r["nfe_t2v"]) for r in rows), pipeline

@@ -133,43 +133,44 @@ class TestBasicCompositions:
 class TestEncapsulatedPipeline:
     def test_default_sdedit_counting(self, lab, bundle):
         z0, c = degraded(lab, 3)
-        cfg = PipelineConfig(seed=0, **SDEDIT_CFG)
-        result = run_evs(z0, cfg, bundle, c)
+        cfg = PipelineConfig(**SDEDIT_CFG)
+        result = run_evs(z0, cfg, bundle, c, seed=0)
         assert result.nfe_t2i == 20
-        assert result.nfe_t2v == cfg.n_v == 2
+        assert result.nfe_t2v == cfg.n_V == 2
         assert bundle.spatial.num_evals == result.nfe_t2i
         assert bundle.temporal.num_evals == result.nfe_t2v
 
     def test_default_sfi_counting(self, lab, sfi_bundle):
         z0, c = degraded(lab, 3)
-        cfg = PipelineConfig(seed=0)  # inversion+sfi, deep layers, gamma 0.8
-        result = run_evs(z0, cfg, sfi_bundle, c)
+        cfg = PipelineConfig()  # inversion+sfi, deep layers, gamma 0.8
+        result = run_evs(z0, cfg, sfi_bundle, c, seed=0)
         assert result.nfe_t2i == 20
-        assert result.nfe_t2v == cfg.t_v + cfg.n_v == 6
+        assert result.nfe_t2v == cfg.t_V + cfg.n_V == 6
         assert result.nfe_t2i + result.nfe_t2v == 26
 
     def test_sfi_mode_requires_taps(self, lab, bundle):
         z0, c = degraded(lab, 3)
         with pytest.raises(CapabilityError):
-            run_evs(z0, PipelineConfig(seed=0), bundle, c)
+            run_evs(z0, PipelineConfig(), bundle, c, seed=0)
 
     def test_config_invariants(self, lab, bundle):
         z0, c = degraded(lab, 4)
         for bad in (
-            dict(t_t2v=0),
-            dict(t_t2v=25),
-            dict(t_i=60),
-            dict(n_v=0),
-            dict(n_v=5),
-            dict(t_v=9),
+            dict(t_T2V=0),
+            dict(t_T2V=25),
+            dict(t_I=60),
+            dict(n_V=0),
+            dict(n_V=5),
+            dict(t_V=9),
             dict(block_mode="nope"),
+            dict(rounds=0),
         ):
             with pytest.raises(ParameterError):
-                run_evs(z0, PipelineConfig(seed=0, **{**SDEDIT_CFG, **bad}), bundle, c)
+                run_evs(z0, PipelineConfig(**{**SDEDIT_CFG, **bad}), bundle, c, seed=0)
 
     def test_single_temporal_stage(self, lab, bundle):
         z0, c = degraded(lab, 5)
-        result = run_evs(z0, PipelineConfig(seed=1, **SDEDIT_CFG), bundle, c)
+        result = run_evs(z0, PipelineConfig(**SDEDIT_CFG), bundle, c, seed=1)
         temporal_stages = [i for i, (name, _) in enumerate(result.stage_log) if name.startswith("t2v")]
         assert len(temporal_stages) == 1
         # temporal work is contiguous in the log
@@ -177,7 +178,7 @@ class TestEncapsulatedPipeline:
 
     def test_stage_log_structure(self, lab, sfi_bundle):
         z0, c = degraded(lab, 5)
-        result = run_evs(z0, PipelineConfig(seed=1), sfi_bundle, c)
+        result = run_evs(z0, PipelineConfig(), sfi_bundle, c, seed=1)
         names = [name for name, _ in result.stage_log]
         assert names == ["t2i", "t2v:invert", "t2v:inject", "renoise", "t2i"]
         assert result.stage_log[0][1] == (20, 10)
@@ -193,7 +194,7 @@ class TestEncapsulatedPipeline:
                 spatial_schedule=lab.sched_i,
                 temporal_schedule=lab.sched_v,
             )
-            outs.append(run_evs(z0, PipelineConfig(seed=77, **SDEDIT_CFG), bundle, c).output)
+            outs.append(run_evs(z0, PipelineConfig(**SDEDIT_CFG), bundle, c, seed=77).output)
         assert np.array_equal(outs[0], outs[1])
 
     def test_block_at_start_with_identity_block_matches_t2i(self, lab, sfi_bundle):
@@ -202,10 +203,10 @@ class TestEncapsulatedPipeline:
         # driven by the re-noising draw.
         z0, c = degraded(lab, 7)
         cfg = PipelineConfig(
-            t_i=20, t_t2v=20, t_v=4, n_v=4, seed=5,
+            t_I=20, t_T2V=20, t_V=4, n_V=4,
             injection=InjectionConfig(layers=ALL_LAYERS, gamma=1.0, inject_f=True, inject_kv=True),
         )
-        evs_result = run_evs(z0, cfg, sfi_bundle, c)
+        evs_result = run_evs(z0, cfg, sfi_bundle, c, seed=5)
         rng = np.random.default_rng(np.random.SeedSequence([0x45565321, 5]))
         plain = run_t2i_only(z0, 20, sfi_bundle, c, rng)
         np.testing.assert_allclose(evs_result.output, plain.output, rtol=1e-6, atol=1e-9)
@@ -223,20 +224,20 @@ class TestHyperparameterDirections:
                 spatial_schedule=lab.sched_i,
                 temporal_schedule=lab.sched_v,
             )
-            cfg = PipelineConfig(block_mode=BLOCK_SDEDIT, injection=None, seed=i, **kwargs)
-            out = run_evs(z0, cfg, bundle, c).output
+            cfg = PipelineConfig(block_mode=BLOCK_SDEDIT, injection=None, **kwargs)
+            out = run_evs(z0, cfg, bundle, c, seed=i).output
             ms_vals.append(motion_smoothness(out))
             iq_vals.append(imaging_quality(out, lab.spatial_world, c))
         return np.mean(ms_vals), np.mean(iq_vals)
 
     def test_later_insertion_trades_smoothness_for_imaging(self, lab, degraded_videos):
-        stats = [self._means(lab, degraded_videos, t_t2v=v) for v in (5, 10, 15)]
+        stats = [self._means(lab, degraded_videos, t_T2V=v) for v in (5, 10, 15)]
         ms, iq = zip(*stats)
         assert iq[0] < iq[1] < iq[2]
         assert ms[0] > ms[1] > ms[2]
 
     def test_stronger_block_trades_imaging_for_smoothness(self, lab, degraded_videos):
-        stats = [self._means(lab, degraded_videos, t_v=v) for v in (2, 4, 6, 8)]
+        stats = [self._means(lab, degraded_videos, t_V=v) for v in (2, 4, 6, 8)]
         ms, iq = zip(*stats)
         assert all(ms[i] <= ms[i + 1] for i in range(3))
         assert all(iq[i] >= iq[i + 1] for i in range(3))
@@ -273,7 +274,7 @@ class TestIteratedBaseline:
     def test_speedup_ratio_vs_default_pipeline(self, lab, bundle, sfi_bundle):
         z0, c = degraded(lab, 9)
         base = run_iterated_baseline(z0, 2, 20, 4, bundle, c, rng_for(23))
-        enc = run_evs(z0, PipelineConfig(seed=0), sfi_bundle, c)
+        enc = run_evs(z0, PipelineConfig(), sfi_bundle, c, seed=0)
         base_nfe = base.nfe_t2i + base.nfe_t2v
         enc_nfe = enc.nfe_t2i + enc.nfe_t2v
         assert base_nfe == 48 and enc_nfe == 26

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evs import io as evsio
 from evs.errors import ConfigError
@@ -91,9 +93,9 @@ class TestBinaryFormats:
 class TestManifests:
     def test_version_check(self, tmp_path):
         path = tmp_path / "m.json"
-        evsio.write_json(path, {"manifest_version": 99})
+        evsio.write_json(path, {"manifest_version": 99, "kind": "run"})
         with pytest.raises(ConfigError):
-            evsio.check_manifest_version(evsio.read_json(path), path)
+            evsio.read_manifest(path, "run")
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -106,6 +108,69 @@ class TestManifests:
         value = 0.1 + 0.2  # not representable exactly; repr must round-trip
         evsio.write_json(path, {"manifest_version": 1, "x": value})
         assert evsio.read_json(path)["x"] == value
+
+
+def _write_dataset_manifest(path):
+    evsio.write_json(path, {
+        "manifest_version": evsio.MANIFEST_VERSION, "kind": "dataset", "config": {"seed": 0},
+        "items": [{"file": "item_0000.evslat", "index": 0, "mode_id": 0, "styled": False}],
+        "style": None,
+    })
+
+
+# (reader, writer of a valid file) for every binary format and the dataset manifest.
+_READERS = {
+    "evslat": (evsio.read_latents, lambda p: evsio.write_latents(p, [np.ones((3, 4))] * 2)),
+    "evstrj": (evsio.read_trajectory, lambda p: evsio.write_trajectory(p, [np.ones((2, 3))] * 3)),
+    "evsnet": (evsio.read_net,
+               lambda p: evsio.write_net(p, ToyAttentionDenoiser(dim=4, embed=4, blocks=1))),
+    "manifest": (lambda p: evsio.read_manifest(p, "dataset"), _write_dataset_manifest),
+}
+
+# (how, position or appended bytes, bit); positions wrap around the file length.
+# Half the positions fall in the first 64 bytes, which hold every header field
+# and the net's [blocks, total_steps, n_modes, seed].
+_POSITION = st.one_of(st.integers(0, 63), st.integers(0, 4096))
+_DAMAGE = st.one_of(
+    st.tuples(st.just("truncate"), _POSITION, st.just(0)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=24), st.just(0)),
+    st.tuples(st.just("flip"), _POSITION, st.integers(0, 7)),
+)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("valid")
+    for name, (_, write) in _READERS.items():
+        write(root / name)
+    return root
+
+
+@pytest.mark.parametrize("fmt", sorted(_READERS))
+def test_damaged_file_raises_only_config_error(valid_files, fmt):
+    """Truncated, extended or bit-flipped files either read or raise ConfigError."""
+    read = _READERS[fmt][0]
+    raw = (valid_files / fmt).read_bytes()
+    path = valid_files / f"damaged_{fmt}"
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(_DAMAGE)
+    def check(damage):
+        how, where, bit = damage
+        data = bytearray(raw)
+        if how == "truncate":
+            del data[where % len(raw):]
+        elif how == "extend":
+            data += where
+        else:
+            data[where % len(raw)] ^= 1 << bit
+        path.write_bytes(bytes(data))
+        try:
+            read(path)
+        except ConfigError:
+            pass
+
+    check()
 
 
 class TestCsv:
