@@ -125,6 +125,9 @@ def load_dataset(dataset_dir) -> tuple[dict, list[tuple[int, np.ndarray]]]:
     manifest = evsio.read_manifest(dataset_dir / DATASET_MANIFEST, "dataset")
     videos = []
     for item in manifest["items"]:
+        if not (isinstance(item, dict) and isinstance(item.get("file"), str)
+                and type(item.get("index")) is int):
+            raise ConfigError(f"{dataset_dir}: a dataset item needs a 'file' and an int 'index'")
         path = dataset_dir / item["file"]
         item_videos = evsio.read_latents(path)
         if len(item_videos) != 1:

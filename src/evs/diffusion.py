@@ -43,23 +43,14 @@ def predict_clean(
 ) -> np.ndarray:
     """One-shot clean-latent estimate from a noisy latent and predicted noise."""
     t = sched.check_timestep(t, minimum=1)
-    ab = sched.alpha_bar[t]
-    return (z_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
-
-
-def _check_finite(eps: np.ndarray, t: int) -> np.ndarray:
-    if not np.all(np.isfinite(eps)):
-        raise NumericError(f"denoiser returned non-finite output at t={t}")
-    return eps
+    return (z_t - sched.sqrt_1m_ab[t] * eps_hat) / sched.sqrt_ab[t]
 
 
 def _descend(z_t, t, t_next, eps, sched):
     # One DDIM update from level t to t_next given the predicted noise; the
     # same algebra walks down (sampling) and up (inversion).
-    ab_t = sched.alpha_bar[t]
-    ab_n = sched.alpha_bar[t_next]
-    pred_clean = (z_t - np.sqrt(1.0 - ab_t) * eps) / np.sqrt(ab_t)
-    z_next = np.sqrt(ab_n) * pred_clean + np.sqrt(1.0 - ab_n) * eps
+    pred_clean = (z_t - sched.sqrt_1m_ab[t] * eps) / sched.sqrt_ab[t]
+    z_next = sched.sqrt_ab[t_next] * pred_clean + sched.sqrt_1m_ab[t_next] * eps
     return z_next, pred_clean
 
 
@@ -72,7 +63,9 @@ def _walk(z, steps, eps_at, sched: NoiseSchedule, trajectory=None):
     """
     pred_clean = None
     for t, t_next in steps:
-        eps = _check_finite(eps_at(z, t), t)
+        eps = eps_at(z, t)
+        if not np.isfinite(eps).all():
+            raise NumericError(f"denoiser returned non-finite output at t={t}")
         z, pred_clean = _descend(z, t, t_next, eps, sched)
         if trajectory is not None:
             trajectory.append(z)

@@ -49,6 +49,11 @@ CSV_COLUMNS = (
 
 MANIFEST_VERSION = 1
 TOOL_VERSION = "0.1.0"
+# The top-level keys, with their JSON types, that the readers of each kind use.
+_MANIFEST_KEYS = {
+    "dataset": {"items": list},
+    "run": {"config": dict, "pipeline": str, "dataset": dict, "rows": list},
+}
 
 
 def _write_header(fh, magic: bytes, a: int, b: int, count: int):
@@ -168,7 +173,7 @@ def read_json(path) -> dict:
 
 
 def read_manifest(path, kind: str) -> dict:
-    """The manifest in ``path``, refused unless it has this version and ``kind``."""
+    """The manifest in ``path``, refused unless its version, ``kind`` and top-level keys fit."""
     manifest = read_json(path)
     if manifest.get("manifest_version") != MANIFEST_VERSION:
         raise ConfigError(
@@ -177,6 +182,9 @@ def read_manifest(path, kind: str) -> dict:
         )
     if manifest.get("kind") != kind:
         raise ConfigError(f"{path} is not a {kind} manifest")
+    for key, json_type in _MANIFEST_KEYS[kind].items():
+        if not isinstance(manifest.get(key), json_type):
+            raise ConfigError(f"{path}: a {kind} manifest needs {key!r} as a {json_type.__name__}")
     return manifest
 
 

@@ -70,24 +70,18 @@ def motion_smoothness(v: np.ndarray, tau: float = 0.05) -> float:
     return float(np.exp(-err.mean() / tau))
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b / (na * nb))
-
-
 def subject_consistency(v: np.ndarray) -> float:
-    """Mean cosine similarity to the first frame and between neighbours."""
+    """Mean cosine similarity to the first frame and between neighbours; a
+    frame that is zero once centred has similarity 0 to every frame."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 2:
         raise ParameterError(f"need at least 2 frames, got shape {v.shape}")
     centered = v - v.mean(axis=1, keepdims=True)
-    sims = [
-        0.5 * (_cosine(centered[0], centered[f]) + _cosine(centered[f - 1], centered[f]))
-        for f in range(1, centered.shape[0])
-    ]
-    return float(np.mean(sims))
+    norms = np.linalg.norm(centered, axis=1, keepdims=True)
+    unit = np.divide(centered, norms, out=np.zeros_like(centered), where=norms > 0.0)
+    to_first = unit[1:] @ unit[0]
+    to_previous = (unit[:-1] * unit[1:]).sum(axis=1)
+    return float(np.mean(0.5 * (to_first + to_previous)))
 
 
 def imaging_quality(

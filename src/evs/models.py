@@ -238,22 +238,22 @@ def gmm_posterior_eps(
     """
     z_t = np.asarray(z_t, dtype=np.float64)
     t = sched.check_timestep(t)
-    ab = sched.alpha_bar[t]
     restrict = None if c is None else c.mode_id
     if restrict is not None and not 0 <= restrict < world.modes:
         raise ParameterError(f"mode_id {restrict} outside 0..{world.modes - 1}")
 
     if isinstance(world, SpatialWorld):
-        return _spatial_posterior_eps(z_t, ab, world, restrict)
+        return _spatial_posterior_eps(z_t, t, world, sched, restrict)
     if isinstance(world, TemporalWorld):
-        return _temporal_posterior_eps(z_t, ab, world, restrict)
+        return _temporal_posterior_eps(z_t, t, world, sched, restrict)
     raise ParameterError(f"unsupported world type {type(world).__name__}")
 
 
-def _spatial_posterior_eps(z_t, ab, world: SpatialWorld, restrict):
+def _spatial_posterior_eps(z_t, t, world: SpatialWorld, sched, restrict):
     if z_t.ndim != 2 or z_t.shape[1] != world.dim:
         raise ShapeError(f"latent must be (frames, {world.dim}), got {z_t.shape}")
-    scaled_means = np.sqrt(ab) * world.means  # (K, D)
+    ab = sched.alpha_bar[t]
+    scaled_means = sched.sqrt_ab[t] * world.means  # (K, D)
     marg_var = ab * world.sigma**2 + (1.0 - ab)
     if restrict is not None:
         post_mean_scaled = scaled_means[restrict][None, :]
@@ -262,29 +262,28 @@ def _spatial_posterior_eps(z_t, ab, world: SpatialWorld, restrict):
         loglik = np.log(world.weights)[None, :] - (diff**2).sum(-1) / (2.0 * marg_var)
         resp = softmax_rows(loglik)  # (F, K)
         post_mean_scaled = resp @ scaled_means  # (F, D)
-    return np.sqrt(1.0 - ab) * (z_t - post_mean_scaled) / marg_var
+    return sched.sqrt_1m_ab[t] * (z_t - post_mean_scaled) / marg_var
 
 
-def _temporal_posterior_eps(z_t, ab, world: TemporalWorld, restrict):
+def _temporal_posterior_eps(z_t, t, world: TemporalWorld, sched, restrict):
+    # In the eigenbasis of the frame correlation each mode's covariance is
+    # diag(var); the responsibilities weight the residuals before rotating back.
     if z_t.shape != (world.frames, world.dim):
         raise ShapeError(
             f"latent must be ({world.frames}, {world.dim}), got {z_t.shape}"
         )
+    ab = sched.alpha_bar[t]
     lam, u = world.correlation_eig
     var = ab * world.sigma**2 * lam + (1.0 - ab)  # (F,) eigen-variances
-    scaled_means = np.sqrt(ab) * world.means  # (K, D), tiled across frames
-    diffs = z_t[None, :, :] - scaled_means[:, None, :]  # (K, F, D)
-    tilde = np.einsum("fi,kfd->kid", u, diffs)  # U^T along the frame axis
+    scaled_means = sched.sqrt_ab[t] * world.means  # (K, D), tiled across frames
     if restrict is not None:
-        resp = np.zeros(world.modes)
-        resp[restrict] = 1.0
+        tilde = u.T @ (z_t - scaled_means[restrict])  # (F, D)
     else:
-        quad = ((tilde**2).sum(-1) / var[None, :]).sum(-1)  # (K,)
-        loglik = np.log(world.weights) - 0.5 * quad
-        resp = softmax_rows(loglik)
-    whitened = tilde / var[None, :, None]
-    eps_modes = np.einsum("if,kfd->kid", u, whitened)  # back out of the eigenbasis
-    return np.sqrt(1.0 - ab) * np.einsum("k,kfd->fd", resp, eps_modes)
+        tilde_k = u.T @ (z_t[None, :, :] - scaled_means[:, None, :])  # (K, F, D)
+        quad = ((tilde_k**2).sum(-1) / var[None, :]).sum(-1)  # (K,)
+        resp = softmax_rows(np.log(world.weights) - 0.5 * quad)
+        tilde = np.tensordot(resp, tilde_k, axes=1)
+    return sched.sqrt_1m_ab[t] * (u @ (tilde / var[:, None]))
 
 
 def spatial_log_density(v: np.ndarray, world: SpatialWorld, c: Condition | None = None):
@@ -588,8 +587,7 @@ def _draw_training_batch(world: TemporalWorld, sched, rng, batch_size, tfeat_tab
     z0 = world.means[modes][:, None, :] + world.sigma * np.einsum("fg,bgd->bfd", chol, eta)
     t = rng.integers(1, sched.total_steps + 1, size=batch_size)
     eps = rng.standard_normal(z0.shape)
-    ab = sched.alpha_bar[t][:, None, None]
-    z_t = np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
+    z_t = sched.sqrt_ab[t][:, None, None] * z0 + sched.sqrt_1m_ab[t][:, None, None] * eps
     return z_t, tfeat_table[t], modes + 1, eps
 
 

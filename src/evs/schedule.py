@@ -27,16 +27,15 @@ class NoiseSchedule:
     """Cumulative alpha-bar coefficients for one diffusion model.
 
     ``alpha_bar`` has length ``total_steps + 1``; entry ``t`` scales the clean
-    signal at noising level ``t``.
+    signal at noising level ``t``.  ``sqrt_ab`` and ``sqrt_1m_ab`` are the
+    read-only tables sqrt(alpha_bar) and sqrt(1 - alpha_bar), which steps index.
     """
 
     total_steps: int
     alpha_bar: np.ndarray
 
     def __post_init__(self):
-        ab = np.asarray(self.alpha_bar, dtype=np.float64)
-        ab.flags.writeable = False
-        object.__setattr__(self, "alpha_bar", ab)
+        ab = np.array(self.alpha_bar, dtype=np.float64)  # a copy: the caller's stays writable
         if self.total_steps < 1:
             raise ParameterError(f"total_steps must be >= 1, got {self.total_steps}")
         if ab.shape != (self.total_steps + 1,):
@@ -49,6 +48,10 @@ class NoiseSchedule:
             raise ParameterError("alpha_bar must be strictly decreasing")
         if ab[-1] <= 0.0 or np.any(ab > 1.0):
             raise ParameterError("alpha_bar must lie in (0, 1]")
+        tables = {"alpha_bar": ab, "sqrt_ab": np.sqrt(ab), "sqrt_1m_ab": np.sqrt(1.0 - ab)}
+        for name, table in tables.items():
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     def check_timestep(self, t: int, minimum: int = 0) -> int:
         t = int(t)
@@ -81,8 +84,7 @@ def forward_noise(
     if z0.shape != eps.shape:
         raise ShapeError(f"latent shape {z0.shape} != noise shape {eps.shape}")
     t = sched.check_timestep(t)
-    ab = sched.alpha_bar[t]
-    return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
+    return sched.sqrt_ab[t] * z0 + sched.sqrt_1m_ab[t] * eps
 
 
 def strength_to_timestep(s: float, sched: NoiseSchedule) -> int:

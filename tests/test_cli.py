@@ -180,7 +180,7 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "spoil", ["empty_manifest", "non_utf8_manifest", "list_config", "run_manifest_as_dataset",
-                  "two_videos_per_item"],
+                  "item_without_file", "two_videos_per_item"],
     )
     def test_unreadable_input_is_config_error(self, small_dataset, tmp_path, spoil):
         dataset = tmp_path / "ds"
@@ -197,6 +197,10 @@ class TestRun:
         elif spoil == "run_manifest_as_dataset":
             assert run_cli("run", "t2i", "--dataset", dataset, "--out", tmp_path / "run") == 0
             shutil.copy(tmp_path / "run" / "run_manifest.json", manifest)
+        elif spoil == "item_without_file":
+            payload = evsio.read_json(manifest)
+            del payload["items"][1]["file"]
+            evsio.write_json(manifest, payload)
         else:
             item = dataset / "item_0000.evslat"
             evsio.write_latents(item, evsio.read_latents(item) * 2)
@@ -341,6 +345,15 @@ class TestReportAndTrain:
         assert run_cli("report", run_dir / "run_manifest.json", "--out", tmp_path / "rep") == 0
         report = evsio.read_json(tmp_path / "rep" / "report_manifest.json")
         assert report["baseline_nfe"] == 92
+
+    def test_report_rejects_run_manifest_without_rows(self, small_dataset, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run_cli("run", "t2i", "--dataset", small_dataset, "--out", run_dir) == 0
+        payload = evsio.read_json(run_dir / "run_manifest.json")
+        del payload["rows"]
+        evsio.write_json(run_dir / "run_manifest.json", payload)
+        assert run_cli("report", run_dir / "run_manifest.json", "--out", tmp_path / "rep") == 3
+        assert "'rows'" in capsys.readouterr().err
 
     def test_report_rejects_non_run_manifest(self, small_dataset, tmp_path):
         code = run_cli("report", small_dataset / "dataset_manifest.json", "--out", tmp_path)

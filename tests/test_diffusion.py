@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from evs.diffusion import ddim_invert, ddim_sample, ddim_step, predict_clean, sdedit_refine
+from evs.diffusion import (
+    _descend, ddim_invert, ddim_sample, ddim_step, predict_clean, sdedit_refine,
+)
 from evs.errors import CapabilityError, NumericError, ParameterError
 from evs.metrics import psnr
 from evs.models import (
@@ -106,6 +108,20 @@ class TestDdimStep:
         model = ConstantDenoiser(0.0)
         ddim_step(np.zeros((1, 1)), 5, 4, model, None, lab.sched_i)
         assert model.num_evals == 1
+
+    def test_update_matches_scalar_formula_bit_for_bit(self, lab):
+        # The update indexes the schedule's square-root tables; the scalar
+        # square roots it replaced are the reference, walking down and up.
+        rng = np.random.default_rng(8)
+        for sched in (lab.sched_i, lab.sched_v):
+            for _ in range(200):
+                t, t_next = rng.choice(sched.total_steps + 1, size=2, replace=False)
+                z, eps = rng.standard_normal((2, 4, 6))
+                ab_t, ab_n = sched.alpha_bar[t], sched.alpha_bar[t_next]
+                pred = (z - np.sqrt(1.0 - ab_t) * eps) / np.sqrt(ab_t)
+                z_next = np.sqrt(ab_n) * pred + np.sqrt(1.0 - ab_n) * eps
+                got_next, got_pred = _descend(z, t, t_next, eps, sched)
+                assert np.array_equal(got_pred, pred) and np.array_equal(got_next, z_next)
 
 
 def refine_schedule(sched, factor):

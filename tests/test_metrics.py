@@ -71,6 +71,24 @@ class TestSubjectConsistency:
         v = np.stack([np.ones(4), np.ones(4)])  # centered frames are all zero
         assert subject_consistency(v) == 0.0
 
+    def test_matches_pairwise_cosine_definition(self):
+        def cosine(a, b):
+            na, nb = np.linalg.norm(a), np.linalg.norm(b)
+            return 0.0 if na == 0.0 or nb == 0.0 else float(a @ b / (na * nb))
+
+        def pairwise(v):
+            c = v - v.mean(axis=1, keepdims=True)
+            return float(np.mean([0.5 * (cosine(c[0], c[f]) + cosine(c[f - 1], c[f]))
+                                  for f in range(1, len(c))]))
+
+        rng = np.random.default_rng(11)
+        videos = [rng.standard_normal((frames, 64)) + rng.standard_normal(64)
+                  for frames in (2, 3, 16, 16, 16, 31)]
+        with_flat_frame = rng.standard_normal((9, 16))
+        with_flat_frame[4] = 2.5  # centred, this frame is all zero
+        for v in (*videos, with_flat_frame):
+            assert subject_consistency(v) == pytest.approx(pairwise(v), rel=1e-12, abs=0.0)
+
     def test_mean_preserving_rotation_invariance(self):
         # Rotations fixing the all-ones direction commute with per-frame
         # centering, so the score is exactly preserved.

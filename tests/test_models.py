@@ -194,6 +194,36 @@ class TestAnalyticDenoiser:
         out = gmm_posterior_eps(z_t, t, world, None, sched)
         assert np.all(np.abs(out[0] - eps_mc) <= 3 * np.maximum(se, 1e-9))
 
+    @pytest.mark.parametrize("mode_id", [None, 1])
+    @pytest.mark.parametrize("t", [1, 4, 8])
+    def test_temporal_matches_dense_gaussian_oracle(self, lab, t, mode_id):
+        # Each latent column is Gaussian across frames with covariance
+        # ab*sigma^2*C + (1-ab)*I given the mode; solve with that dense matrix
+        # instead of the eigenbasis the denoiser uses.
+        world, sched = lab.temporal_world, lab.sched_v
+        ab = sched.alpha_bar[t]
+        cov = ab * world.sigma**2 * world.correlation + (1.0 - ab) * np.eye(world.frames)
+        _, logdet = np.linalg.slogdet(cov)
+        rng = np.random.default_rng(30 + t)
+        shape = (world.frames, world.dim)
+        between_modes = np.sqrt(ab) * 0.5 * (world.means[0] + world.means[1])
+        for z_t in (rng.standard_normal(shape), between_modes + 0.3 * rng.standard_normal(shape)):
+            eps_k, loglik = [], []
+            for mean in world.means:
+                resid = z_t - np.sqrt(ab) * mean[None, :]
+                solved = np.linalg.solve(cov, resid)
+                eps_k.append(np.sqrt(1.0 - ab) * solved)
+                loglik.append(-0.5 * ((resid * solved).sum() + world.dim * logdet))
+            if mode_id is None:
+                loglik = np.log(world.weights) + np.array(loglik)
+                resp = np.exp(loglik - loglik.max())
+                resp /= resp.sum()
+            else:
+                resp = np.eye(world.modes)[mode_id]
+            want = np.tensordot(resp, np.array(eps_k), axes=1)
+            got = gmm_posterior_eps(z_t, t, world, Condition(mode_id=mode_id), sched)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
     def test_conditioning_restricts_mixture(self, lab):
         rng = np.random.default_rng(3)
         z = rng.standard_normal((16, 64))

@@ -75,6 +75,21 @@ class TestNoiseScheduleValidation:
             NoiseSchedule(total_steps=3, alpha_bar=np.array([1.0, 0.5]))
 
 
+    def test_square_root_tables_are_exact_and_read_only(self):
+        for sched in (build_linear_beta(50, 1e-4, 0.02), build_linear_beta(8, 0.05, 0.4)):
+            assert np.array_equal(sched.sqrt_ab, np.sqrt(sched.alpha_bar))
+            assert np.array_equal(sched.sqrt_1m_ab, np.sqrt(1.0 - sched.alpha_bar))
+            for table in (sched.alpha_bar, sched.sqrt_ab, sched.sqrt_1m_ab):
+                with pytest.raises(ValueError):
+                    table[1] = 0.5
+
+    def test_freezes_its_own_copy_of_alpha_bar(self):
+        alpha_bar = np.array([1.0, 0.5])
+        sched = NoiseSchedule(total_steps=1, alpha_bar=alpha_bar)
+        alpha_bar[1] = 0.25
+        assert sched.alpha_bar[1] == 0.5
+
+
 class TestForwardNoise:
     def test_t_zero_is_identity(self, lab):
         rng = np.random.default_rng(0)
