@@ -178,6 +178,8 @@ def load_or_init_net(cfg: dict) -> ToyAttentionDenoiser:
 def _execute(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, index, video, cond,
              trajectory=None):
     """Run one pipeline on one item; ``trajectory`` collects t2i/t2v step latents."""
+    if pipeline == "evs":  # seeds its own generator
+        return run_evs(video, pcfg, lab.models, cond, _evs_item_seed(cfg, index))
     rng = _pipeline_noise_rng(cfg, index)
     if pipeline == "t2i":
         return run_t2i_only(video, pcfg.t_I, lab.models, cond, rng, trajectory=trajectory)
@@ -187,8 +189,6 @@ def _execute(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, index, vi
         return compose_iv(video, pcfg.t_I, pcfg.t_V, lab.models, cond, rng)
     if pipeline == "vi":
         return compose_vi(video, pcfg.t_V, pcfg.t_I, lab.models, cond, rng)
-    if pipeline == "evs":
-        return run_evs(video, pcfg, lab.models, cond, _evs_item_seed(cfg, index))
     if pipeline == "iterated":
         return run_iterated_baseline(video, pcfg.rounds, pcfg.t_I, pcfg.t_V, lab.models, cond, rng)
     raise UsageError(f"unknown pipeline {pipeline!r} (choose from {', '.join(PIPELINES)})")

@@ -17,7 +17,13 @@ from .diffusion import ddim_sample, sdedit_refine
 from .errors import CapabilityError, InjectionError, ParameterError
 from .models import Condition, Denoiser
 from .schedule import NoiseSchedule, forward_noise
-from .sfi import DEEP_LAYERS, InjectionConfig, denoise_with_injection, invert_with_capture
+from .sfi import (
+    DEEP_LAYERS,
+    InjectionConfig,
+    denoise_with_injection,
+    injection_keys,
+    invert_with_capture,
+)
 
 BLOCK_SDEDIT = "sdedit"
 BLOCK_INVERSION_SFI = "inversion+sfi"
@@ -174,7 +180,9 @@ def _temporal_block(bridge, cfg: PipelineConfig, models: ModelBundle, c, rng, ru
         raise InjectionError(
             f"injection layers {unknown} outside the net's blocks 0..{models.temporal.blocks - 1}"
         )
-    z_tv, cache, _ = invert_with_capture(bridge, cfg.t_V, models.temporal, c, sched_v)
+    # The cache stores only the features the one injection walk below reads.
+    keep = injection_keys(cfg.t_V, cfg.n_V, cfg.injection)
+    z_tv, cache, _ = invert_with_capture(bridge, cfg.t_V, models.temporal, c, sched_v, keep=keep)
     run.log("t2v:invert", 0, cfg.t_V)
     out = denoise_with_injection(
         z_tv, cfg.t_V, cfg.n_V, models.temporal, c, sched_v, cache, cfg.injection

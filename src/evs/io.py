@@ -54,6 +54,16 @@ _MANIFEST_KEYS = {
     "dataset": {"items": list},
     "run": {"config": dict, "pipeline": str, "dataset": dict, "rows": list},
 }
+# The keys one level down that the readers of a run manifest use: the
+# ``dataset`` record's, and each row's metrics and evaluation counts.
+_NUMBER = (int, float)
+_TYPE_NAMES = {str: "a str", int: "an int", _NUMBER: "a number"}
+_RUN_DATASET_KEYS = {"path": str, "manifest_sha256": str}
+_RUN_ROW_KEYS = {
+    **dict.fromkeys(("ms", "sc", "iq", "psnr", "overall", "wall_time"), _NUMBER),
+    "nfe_t2i": int,
+    "nfe_t2v": int,
+}
 
 
 def _write_header(fh, magic: bytes, a: int, b: int, count: int):
@@ -185,7 +195,18 @@ def read_manifest(path, kind: str) -> dict:
     for key, json_type in _MANIFEST_KEYS[kind].items():
         if not isinstance(manifest.get(key), json_type):
             raise ConfigError(f"{path}: a {kind} manifest needs {key!r} as a {json_type.__name__}")
+    if kind == "run":
+        _check_keys(path, "its dataset record", manifest["dataset"], _RUN_DATASET_KEYS)
+        for n, row in enumerate(manifest["rows"]):
+            _check_keys(path, f"row {n}", row, _RUN_ROW_KEYS)
     return manifest
+
+
+def _check_keys(path, what: str, record, types: dict):
+    for key, json_type in types.items():
+        value = record.get(key) if isinstance(record, dict) else None
+        if isinstance(value, bool) or not isinstance(value, json_type):
+            raise ConfigError(f"{path}: {what} needs {key!r} as {_TYPE_NAMES[json_type]}")
 
 
 def file_sha256(path) -> str:

@@ -49,6 +49,11 @@ class MetricConfig:
         # The config section gives JSON lists; hold tuples like the defaults.
         object.__setattr__(self, "ranges", {k: tuple(v) for k, v in self.ranges.items()})
         object.__setattr__(self, "overall_channels", tuple(self.overall_channels))
+        if not self.overall_channels or not set(self.overall_channels) <= set(self.ranges):
+            raise ParameterError(
+                f"overall_channels {list(self.overall_channels)} must name one or more "
+                f"channels of ranges {sorted(self.ranges)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -109,22 +114,20 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     mse = float(np.mean((a - b) ** 2))
     if mse < peak**2 * 10 ** (-PSNR_CAP / 10.0):
         return PSNR_CAP
-    return float(10.0 * np.log10(peak**2 / mse))
+    # np.log10, not math.log10: the two differ in the last bit for some inputs.
+    return 10.0 * float(np.log10(peak**2 / mse))
 
 
 def normalize(x: float, lo: float, hi: float) -> float:
     if not lo < hi:
         raise ParameterError(f"need lo < hi, got ({lo}, {hi})")
-    return float(np.clip((x - lo) / (hi - lo), 0.0, 1.0))
+    return min(max((x - lo) / (hi - lo), 0.0), 1.0)
 
 
 def overall_score(values: dict, cfg: MetricConfig) -> float:
     """Mean of the declared channels after clamped range normalization."""
-    parts = []
-    for name in cfg.overall_channels:
-        lo, hi = cfg.ranges[name]
-        parts.append(normalize(values[name], lo, hi))
-    return float(np.mean(parts))
+    parts = [normalize(values[name], *cfg.ranges[name]) for name in cfg.overall_channels]
+    return sum(parts) / len(parts)
 
 
 def score_video(

@@ -253,11 +253,11 @@ def _spatial_posterior_eps(z_t, t, world: SpatialWorld, sched, restrict):
     if z_t.ndim != 2 or z_t.shape[1] != world.dim:
         raise ShapeError(f"latent must be (frames, {world.dim}), got {z_t.shape}")
     ab = sched.alpha_bar[t]
-    scaled_means = sched.sqrt_ab[t] * world.means  # (K, D)
     marg_var = ab * world.sigma**2 + (1.0 - ab)
     if restrict is not None:
-        post_mean_scaled = scaled_means[restrict][None, :]
+        post_mean_scaled = sched.sqrt_ab[t] * world.means[restrict]  # (D,)
     else:
+        scaled_means = sched.sqrt_ab[t] * world.means  # (K, D)
         diff = z_t[:, None, :] - scaled_means[None, :, :]  # (F, K, D)
         loglik = np.log(world.weights)[None, :] - (diff**2).sum(-1) / (2.0 * marg_var)
         resp = softmax_rows(loglik)  # (F, K)
@@ -291,12 +291,12 @@ def spatial_log_density(v: np.ndarray, world: SpatialWorld, c: Condition | None 
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[1] != world.dim:
         raise ShapeError(f"latent must be (frames, {world.dim}), got {v.shape}")
-    diff = v[:, None, :] - world.means[None, :, :]
-    quad = (diff**2).sum(-1) / (2.0 * world.sigma**2)
     const = -0.5 * world.dim * np.log(2.0 * np.pi * world.sigma**2)
     restrict = None if c is None else c.mode_id
     if restrict is not None:
-        return const - quad[:, restrict]
+        return const - ((v - world.means[restrict]) ** 2).sum(-1) / (2.0 * world.sigma**2)
+    diff = v[:, None, :] - world.means[None, :, :]
+    quad = (diff**2).sum(-1) / (2.0 * world.sigma**2)
     logterms = np.log(world.weights)[None, :] - quad
     peak = logterms.max(axis=1, keepdims=True)
     return const + (peak + np.log(np.exp(logterms - peak).sum(axis=1, keepdims=True)))[:, 0]
@@ -368,6 +368,11 @@ def _time_features(t: int, total_steps: int) -> np.ndarray:
     return np.concatenate([np.sin(_TIME_FREQS * u), np.cos(_TIME_FREQS * u)])
 
 
+def _time_feature_table(total_steps: int) -> np.ndarray:
+    """Row t is ``_time_features(t, total_steps)`` for t = 0..total_steps."""
+    return np.stack([_time_features(t, total_steps) for t in range(total_steps + 1)])
+
+
 def _net_body(model, z, tfeat, cond_idx, want_grads=False, t=None, injection=None,
               capture=None):
     """The attention net over a stack of videos ``(B, F, D)``; returns output and tape.
@@ -380,6 +385,8 @@ def _net_body(model, z, tfeat, cond_idx, want_grads=False, t=None, injection=Non
     ``(FeatureCache, key)`` pair and ``injection`` a ``(FeatureCache,
     InjectionConfig)`` pair read at timestep ``t``; both take a one-video
     stack, whose ``(B*F, E)`` token arrays are the ``(F, E)`` cache entries.
+    A path that injection replaces skips its projections, unless the same
+    call also captures them.
     """
     p = model.params
     scale = 1.0 / np.sqrt(model.embed)
@@ -396,15 +403,17 @@ def _net_body(model, z, tfeat, cond_idx, want_grads=False, t=None, injection=Non
     tape = {"h": [h], "q": [], "k": [], "v": [], "a": [], "attn": []} if want_grads else None
     cache, cfg = injection if injection is not None else (None, None)
     for layer in range(model.blocks):
-        f = h @ p[f"w_f{layer}"] + p[f"b_f{layer}"]
+        injected = cfg is not None and layer in cfg.layers
+        reuse_f = injected and cfg.inject_f and capture is None
+        reuse_kv = injected and cfg.inject_kv and capture is None
+        f = None if reuse_f else h @ p[f"w_f{layer}"] + p[f"b_f{layer}"]
         q = h @ p[f"w_q{layer}"]
-        k = h @ p[f"w_k{layer}"]
-        v = h @ p[f"w_v{layer}"]
+        k = None if reuse_kv else h @ p[f"w_k{layer}"]
+        v = None if reuse_kv else h @ p[f"w_v{layer}"]
         if capture is not None:
             store, key = capture
             for kind, value in zip(KINDS, (f, q, k, v)):
                 store.put(key, layer, kind, value)
-        injected = cfg is not None and layer in cfg.layers
         if injected and cfg.inject_f:
             f = cache.get(t, layer, "f")
         if injected and cfg.inject_kv:
@@ -472,6 +481,14 @@ class ToyAttentionDenoiser(Denoiser):
         for name in self.param_names()[4:-2]:  # the block parameters, drawn in this order
             p[name] = np.zeros(embed) if name.startswith("b_") else w((embed, embed))
         self.params = p
+        # Row i + 1 is the condition index of mode i as a one-video stack.
+        self._cond_rows = np.arange(n_modes + 1)[:, None]
+
+    @cached_property
+    def time_features(self) -> np.ndarray:
+        """Row t holds the time features of level t (built at first use, so a
+        read net with a corrupt ``total_steps`` costs nothing until refused)."""
+        return _time_feature_table(self.total_steps)
 
     # -- parameter plumbing (serialization keeps this order) --
 
@@ -497,10 +514,12 @@ class ToyAttentionDenoiser(Denoiser):
         z_t = np.asarray(z_t, dtype=np.float64)
         if z_t.ndim != 2 or z_t.shape[1] != self.dim:
             raise ShapeError(f"latent must be (frames, {self.dim}), got {z_t.shape}")
+        if not (isinstance(t, (int, np.integer)) and 0 <= t <= self.total_steps):
+            raise ParameterError(f"timestep {t!r} is not an integer in 0..{self.total_steps}")
         if capture is not None:
             capture = (capture, t if capture_key is None else capture_key)
         out, _ = _net_body(
-            self, z_t[None], _time_features(t, self.total_steps)[None], [self._cond_index(c)],
+            self, z_t[None], self.time_features[t : t + 1], self._cond_rows[self._cond_index(c)],
             t=t, injection=injection, capture=capture,
         )
         return out[0]
@@ -575,11 +594,6 @@ def _batched_backward(model, z, tfeat, cond_idx, tape, dout):
     return grads
 
 
-def _time_feature_table(total_steps: int) -> np.ndarray:
-    """Row t is ``_time_features(t, total_steps)`` for t = 0..total_steps."""
-    return np.stack([_time_features(t, total_steps) for t in range(total_steps + 1)])
-
-
 def _draw_training_batch(world: TemporalWorld, sched, rng, batch_size, tfeat_table):
     modes = rng.integers(0, world.modes, size=batch_size)
     eta = rng.standard_normal((batch_size, world.frames, world.dim))
@@ -607,7 +621,7 @@ def train_toy_denoiser(
     )
     data_rng = np.random.default_rng(np.random.SeedSequence([recipe.seed, 1]))
     held_rng = np.random.default_rng(np.random.SeedSequence([recipe.seed, 2]))
-    tfeat_table = _time_feature_table(sched.total_steps)
+    tfeat_table = model.time_features
     held = _draw_training_batch(world, sched, held_rng, 256, tfeat_table)
 
     def held_out_loss():

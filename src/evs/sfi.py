@@ -8,6 +8,9 @@ preserved while everything not injected is free to follow the model's prior.
 
 The cache is write-once during inversion and read-only afterwards; entries
 are stored as non-writeable arrays, so injection can never alter a recording.
+A cache built with ``keep`` stores only those keys: the encapsulated
+pipeline's block keeps just the ``injection_keys`` its one injection walk
+reads, while a cache that serves several operating points keeps everything.
 """
 
 from __future__ import annotations
@@ -29,15 +32,24 @@ KINDS = ("f", "Q", "K", "V")
 
 
 class FeatureCache:
-    """Map from (timestep, layer, kind) to recorded feature arrays."""
+    """Map from (timestep, layer, kind) to recorded feature arrays.
 
-    def __init__(self):
+    With ``keep`` (a set of keys) only those keys are stored; every other
+    ``put`` is still checked for a duplicate and then dropped.
+    """
+
+    def __init__(self, keep=None):
+        self._keep = None if keep is None else frozenset(keep)
+        self._seen: set[tuple[int, int, str]] = set()
         self._entries: dict[tuple[int, int, str], np.ndarray] = {}
 
     def put(self, t: int, layer: int, kind: str, value: np.ndarray):
         key = (int(t), int(layer), kind)
-        if key in self._entries:
+        if key in self._seen:
             raise InjectionError(f"feature already recorded for {key}")
+        self._seen.add(key)
+        if self._keep is not None and key not in self._keep:
+            return
         arr = np.array(value, dtype=np.float64)
         arr.flags.writeable = False
         self._entries[key] = arr
@@ -109,11 +121,25 @@ def blended_attention(q, q_inv, k_inv, v_inv, gamma: float) -> np.ndarray:
     return softmax_rows(blended @ k_inv.T / np.sqrt(q.shape[-1])) @ v_inv
 
 
-def invert_with_capture(z0, t_target, model, c, sched):
-    """Invert while recording tap features; returns (latent, cache, nfe)."""
-    cache = FeatureCache()
+def invert_with_capture(z0, t_target, model, c, sched, keep=None):
+    """Invert while recording tap features; returns (latent, cache, nfe).
+
+    ``keep`` limits the stored features to those keys (see ``FeatureCache``).
+    """
+    cache = FeatureCache(keep)
     z, nfe = ddim_invert(z0, t_target, model, c, sched, capture=cache)
     return z, cache, nfe
+
+
+def injection_keys(t_v: int, n_v: int, cfg: InjectionConfig) -> frozenset:
+    """The ``(t, layer, kind)`` keys that ``denoise_with_injection`` reads."""
+    kinds = (("f",) if cfg.inject_f else ()) + (("Q", "K", "V") if cfg.inject_kv else ())
+    return frozenset(
+        (t, layer, kind)
+        for t in range(t_v, t_v - n_v, -1)
+        for layer in cfg.layers
+        for kind in kinds
+    )
 
 
 def denoise_with_injection(

@@ -355,6 +355,27 @@ class TestReportAndTrain:
         assert run_cli("report", run_dir / "run_manifest.json", "--out", tmp_path / "rep") == 3
         assert "'rows'" in capsys.readouterr().err
 
+    def test_report_rejects_row_without_metric(self, small_dataset, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run_cli("run", "t2i", "--dataset", small_dataset, "--out", run_dir) == 0
+        payload = evsio.read_json(run_dir / "run_manifest.json")
+        del payload["rows"][0]["ms"]
+        payload["rows"][1]["nfe_t2i"] = "20"
+        evsio.write_json(run_dir / "run_manifest.json", payload)
+        assert run_cli("report", run_dir / "run_manifest.json", "--out", tmp_path / "rep") == 3
+        assert "row 0 needs 'ms' as a number" in capsys.readouterr().err
+
+    def test_rerun_rejects_empty_dataset_record(self, small_dataset, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run_cli("run", "t2i", "--dataset", small_dataset, "--out", run_dir) == 0
+        payload = evsio.read_json(run_dir / "run_manifest.json")
+        payload["dataset"] = {}
+        evsio.write_json(run_dir / "run_manifest.json", payload)
+        again = tmp_path / "again"
+        assert run_cli("run", "--from-manifest", run_dir / "run_manifest.json", "--out", again) == 3
+        assert "dataset record needs 'path' as a str" in capsys.readouterr().err
+        assert not again.exists()
+
     def test_report_rejects_non_run_manifest(self, small_dataset, tmp_path):
         code = run_cli("report", small_dataset / "dataset_manifest.json", "--out", tmp_path)
         assert code == 3
@@ -410,6 +431,10 @@ class TestTracerBindings:
 
     def _traced_spans(self, tmp_path, commands):
         """Run ``commands`` in one ``benchmark/child.py`` process; return its spans."""
+        return self._traced_dump(tmp_path, commands)["spans"]
+
+    def _traced_dump(self, tmp_path, commands):
+        """Run ``commands`` in one ``benchmark/child.py`` process; return its spans and counts."""
         root = Path(__file__).resolve().parents[1]
         paths = [str(Path(evs.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
@@ -419,19 +444,25 @@ class TestTracerBindings:
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        return json.loads((tmp_path / "spans.json").read_text())["spans"]
+        return json.loads((tmp_path / "spans.json").read_text())
 
     def test_traced_evs_run_records_every_layer(self, tmp_path):
         ds = tmp_path / "ds"
         assert run_cli("gen", "--out", ds, "--set", "dataset.count=2") == 0
         commands = [["run", "evs", "--dataset", str(ds), "--out", str(tmp_path / "run")]]
-        names = [span[0] for span in self._traced_spans(tmp_path, commands)]
+        dump = self._traced_dump(tmp_path, commands)
+        names = [span[0] for span in dump["spans"]]
         for name in ("compose.pipeline", "diffusion.walk", "sfi.invert", "sfi.inject",
                      "models.net_capture", "models.net_inject", "metrics.score_video"):
             assert name in names
         evals = sum(name.startswith(("models.eps_", "models.net_")) for name in names)
         rows = evsio.read_metric_csv(tmp_path / "run" / "runs.csv")
         assert evals == sum(int(r["nfe_t2i"]) + int(r["nfe_t2v"]) for r in rows)
+        # The benchmark's traced gate: every tap is offered to the cache (t_V=4
+        # levels x 4 blocks x 4 kinds) and the walk reads n_V=2 levels x 2
+        # layers x Q/K/V per item.
+        assert dump["counts"]["sfi.cache.puts"] == 64 * len(rows)
+        assert dump["counts"]["sfi.cache.gets"] == 12 * len(rows)
 
     def test_traced_ablation_records_each_item_once(self, tmp_path):
         """The benchmark's ablation workload: six pipelines and a report in one process."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evs import compose
 from evs.compose import (
     BLOCK_SDEDIT,
     ModelBundle,
@@ -15,7 +16,14 @@ from evs.compose import (
 from evs.errors import CapabilityError, ParameterError
 from evs.metrics import imaging_quality, motion_smoothness
 from evs.models import AnalyticDenoiser, Condition, ToyAttentionDenoiser, make_degraded_video
-from evs.sfi import ALL_LAYERS, InjectionConfig
+from evs.sfi import (
+    ALL_LAYERS,
+    DEEP_LAYERS,
+    SHALLOW_LAYERS,
+    FeatureCache,
+    InjectionConfig,
+    injection_keys,
+)
 
 
 @pytest.fixture()
@@ -147,6 +155,54 @@ class TestEncapsulatedPipeline:
         assert result.nfe_t2i == 20
         assert result.nfe_t2v == cfg.t_V + cfg.n_V == 6
         assert result.nfe_t2i + result.nfe_t2v == 26
+
+    def test_sfi_block_cache_keeps_only_injected_keys(self, lab, sfi_bundle, monkeypatch):
+        puts, gets, caches = [], set(), []
+        put, get, denoise = FeatureCache.put, FeatureCache.get, compose.denoise_with_injection
+
+        def spy_put(self, t, layer, kind, value):
+            puts.append((t, layer, kind))
+            return put(self, t, layer, kind, value)
+
+        def spy_get(self, t, layer, kind):
+            gets.add((t, layer, kind))
+            return get(self, t, layer, kind)
+
+        def spy_denoise(*args):
+            caches.append(args[6])
+            return denoise(*args)
+
+        monkeypatch.setattr(FeatureCache, "put", spy_put)
+        monkeypatch.setattr(FeatureCache, "get", spy_get)
+        monkeypatch.setattr(compose, "denoise_with_injection", spy_denoise)
+        z0, c = degraded(lab, 3)
+        cfg = PipelineConfig()
+        run_evs(z0, cfg, sfi_bundle, c, seed=0)
+        assert len(puts) == len(set(puts)) == cfg.t_V * sfi_bundle.temporal.blocks * 4 == 64
+        (cache,) = caches
+        assert cache.keys() == gets == injection_keys(cfg.t_V, cfg.n_V, cfg.injection)
+        assert len(cache) == 12
+
+    @pytest.mark.parametrize("injection", [
+        InjectionConfig(layers=DEEP_LAYERS, gamma=0.8),
+        InjectionConfig(layers=SHALLOW_LAYERS, gamma=0.3, inject_f=True),
+        InjectionConfig(layers=ALL_LAYERS, gamma=1.0, inject_f=True, inject_kv=False),
+    ])
+    def test_selective_cache_matches_keeping_every_feature(self, lab, injection, monkeypatch):
+        z0, c = degraded(lab, 4)
+        cfg = PipelineConfig(t_V=5, n_V=3, injection=injection)
+        outs = []
+        for keep_all in (False, True):
+            if keep_all:
+                monkeypatch.setattr(compose, "injection_keys", lambda *args: None)
+            bundle = ModelBundle(
+                spatial=AnalyticDenoiser(lab.spatial_world, lab.sched_i),
+                temporal=ToyAttentionDenoiser(seed=11),
+                spatial_schedule=lab.sched_i,
+                temporal_schedule=lab.sched_v,
+            )
+            outs.append(run_evs(z0, cfg, bundle, c, seed=2).output)
+        assert np.array_equal(outs[0], outs[1])
 
     def test_sfi_mode_requires_taps(self, lab, bundle):
         z0, c = degraded(lab, 3)

@@ -183,6 +183,22 @@ class TestOverallScore:
         with pytest.raises(ParameterError):
             normalize(0.5, 1.0, 1.0)
 
+    @pytest.mark.parametrize("channels", [(), ("ms", "bogus")])
+    def test_channels_must_name_declared_ranges(self, channels):
+        with pytest.raises(ParameterError):
+            MetricConfig(overall_channels=channels)
+
+    def test_matches_numpy_mean_of_clipped_parts(self):
+        # The Python-float arithmetic reproduces np.mean(np.clip(...)) bit for bit.
+        cfg = MetricConfig()
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            values = {"ms": rng.uniform(0.3, 1.2), "sc": rng.uniform(0.3, 1.2),
+                      "iq": rng.uniform(40.0, 120.0), "psnr": rng.uniform(-5.0, 70.0)}
+            parts = [np.clip((values[n] - cfg.ranges[n][0]) / (cfg.ranges[n][1] - cfg.ranges[n][0]),
+                             0.0, 1.0) for n in cfg.overall_channels]
+            assert overall_score(values, cfg) == float(np.mean(parts))
+
     @given(delta=st.floats(0.0, 0.5))
     @settings(max_examples=30, deadline=None)
     def test_monotone_in_each_channel(self, delta):

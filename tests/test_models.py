@@ -317,6 +317,38 @@ class TestToyAttentionDenoiser:
         replayed = net.forward(other, 3, None, injection=(cache, cfg))
         assert np.array_equal(captured, replayed)
 
+    @pytest.mark.parametrize("inject_f", [False, True])
+    def test_injected_forward_that_also_captures_equals_plain_injection(self, inject_f):
+        from evs.sfi import DEEP_LAYERS, FeatureCache, InjectionConfig
+
+        net = ToyAttentionDenoiser(seed=6)
+        rng = np.random.default_rng(4)
+        cache = FeatureCache()
+        net.forward(rng.standard_normal((16, 64)), 2, None, capture=cache)
+        cfg = InjectionConfig(layers=DEEP_LAYERS, gamma=0.8, inject_f=inject_f, inject_kv=True)
+        z = rng.standard_normal((16, 64))
+        plain = net.forward(z, 2, None, injection=(cache, cfg))
+        recorded = FeatureCache()
+        both = net.forward(z, 2, None, injection=(cache, cfg), capture=recorded)
+        assert np.array_equal(plain, both)
+        # Layer 2 is the first injected one, so its input, and the runtime
+        # features it records, equal those of a forward without injection.
+        reference = FeatureCache()
+        net.forward(z, 2, None, capture=reference)
+        for kind in "fQKV":
+            assert np.array_equal(recorded.get(2, 2, kind), reference.get(2, 2, kind))
+
+    @pytest.mark.parametrize("t", [-1, 9, 2.5])
+    def test_rejects_timestep_outside_schedule(self, t):
+        net = ToyAttentionDenoiser(seed=5, total_steps=8)
+        with pytest.raises(ParameterError, match="0..8"):
+            net.forward(np.zeros((4, 64)), t, None)
+
+    def test_accepts_both_schedule_ends(self):
+        net = ToyAttentionDenoiser(seed=5, total_steps=8)
+        for t in (0, 8, np.int64(4)):
+            assert np.all(np.isfinite(net.forward(np.ones((4, 64)), t, None)))
+
     def test_rejects_bad_latent_shape(self):
         net = ToyAttentionDenoiser(seed=5)
         with pytest.raises(ShapeError):

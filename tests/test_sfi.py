@@ -14,6 +14,7 @@ from evs.sfi import (
     InjectionConfig,
     blended_attention,
     denoise_with_injection,
+    injection_keys,
     invert_with_capture,
 )
 
@@ -52,6 +53,21 @@ class TestFeatureCache:
         cache.put(1, 0, "K", np.zeros(3))
         with pytest.raises(ValueError):
             cache.get(1, 0, "K")[0] = 5.0
+
+    def test_keep_stores_only_the_listed_keys(self):
+        cache = FeatureCache(keep={(2, 1, "K")})
+        cache.put(2, 1, "K", np.ones(3))
+        cache.put(2, 1, "V", np.zeros(3))
+        assert cache.keys() == {(2, 1, "K")}
+        with pytest.raises(InjectionError, match=r"kind=V"):
+            cache.get(2, 1, "V")
+
+    def test_duplicate_put_of_a_dropped_key_raises(self):
+        cache = FeatureCache(keep=set())
+        cache.put(1, 0, "f", np.zeros(2))
+        with pytest.raises(InjectionError):
+            cache.put(1, 0, "f", np.zeros(2))
+        assert len(cache) == 0
 
     def test_checksum_tracks_content(self):
         a, b = FeatureCache(), FeatureCache()
@@ -127,6 +143,28 @@ class TestInvertWithCapture:
             for kind in ("f", "Q", "K", "V")
         }
         assert cache.keys() == expected
+
+
+class TestInjectionKeys:
+    def test_default_block_reads_twelve_features(self):
+        keys = injection_keys(4, 2, InjectionConfig(layers=DEEP_LAYERS, gamma=0.8))
+        assert keys == {(t, layer, kind) for t in (4, 3) for layer in (2, 3) for kind in "QKV"}
+
+    def test_kinds_follow_the_toggles(self):
+        cfg = InjectionConfig(layers=frozenset({1}), inject_f=True, inject_kv=False)
+        assert injection_keys(3, 3, cfg) == {(3, 1, "f"), (2, 1, "f"), (1, 1, "f")}
+        assert injection_keys(3, 1, InjectionConfig(layers=frozenset())) == set()
+
+    def test_walk_reads_exactly_the_listed_keys(self, lab):
+        net = ToyAttentionDenoiser(seed=3)
+        c = Condition(mode_id=1)
+        z0 = sample_world(lab.temporal_world, c, 5)
+        for cfg in (InjectionConfig(layers=DEEP_LAYERS, gamma=0.8),
+                    InjectionConfig(layers=ALL_LAYERS, gamma=1.0, inject_f=True)):
+            keep = injection_keys(4, 3, cfg)
+            z, cache, _ = invert_with_capture(z0, 4, net, c, lab.sched_v, keep=keep)
+            assert cache.keys() == keep
+            denoise_with_injection(z, 4, 3, net, c, lab.sched_v, cache, cfg)  # no cache miss
 
 
 class TestDenoiseWithInjection:
