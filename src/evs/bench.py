@@ -95,6 +95,8 @@ def _manifest_base(cfg: dict, kind: str) -> dict:
 
 def cmd_gen(cfg: dict, out_dir) -> Path:
     """Write the input dataset: degraded videos, or styled off-prior ones."""
+    if cfg["dataset"]["count"] < 1:  # every reader of a dataset refuses an empty one
+        raise ConfigError(f"dataset.count must be at least 1, got {cfg['dataset']['count']}")
     out = _out_dir(out_dir)
     lab = build_lab(cfg)
     styled = bool(cfg["dataset"]["styled"])

@@ -14,6 +14,7 @@ Subcommands: gen, run, sweep, frontier, report, train.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import bench
@@ -51,7 +52,10 @@ def _load_config(args) -> dict:
     return resolve_config(overrides)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it unchanged, and an
+    ``append`` option copies its default list before adding to it."""
     parser = argparse.ArgumentParser(
         prog="evs",
         description="Two-model latent video refinement lab: datasets, pipelines, sweeps, reports.",

@@ -195,6 +195,10 @@ def read_manifest(path, kind: str) -> dict:
     for key, json_type in _MANIFEST_KEYS[kind].items():
         if not isinstance(manifest.get(key), json_type):
             raise ConfigError(f"{path}: a {kind} manifest needs {key!r} as a {json_type.__name__}")
+    # A report over no rows is a row of nan, and a run over no items writes no rows.
+    entries = "rows" if kind == "run" else "items"
+    if not manifest[entries]:
+        raise ConfigError(f"{path}: a {kind} manifest needs at least one entry in {entries!r}")
     if kind == "run":
         _check_keys(path, "its dataset record", manifest["dataset"], _RUN_DATASET_KEYS)
         for n, row in enumerate(manifest["rows"]):

@@ -40,6 +40,11 @@ class TestGen:
         manifest = evsio.read_json(tmp_path / "dataset_manifest.json")
         assert len(manifest["items"]) == 1
 
+    def test_empty_dataset_is_config_error(self, tmp_path, capsys):
+        assert run_cli("gen", "--out", tmp_path / "ds", "--set", "dataset.count=0") == 3
+        assert "dataset.count must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
+
     def test_regeneration_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -61,6 +66,21 @@ class TestGen:
         assert run_cli("gen", "--out", b, "--set", "dataset.count=1", "--seed", "5") == 0
         assert _dir_bytes(a, ".evslat") == _dir_bytes(b, ".evslat")
         assert evsio.read_json(a / "dataset_manifest.json")["config"]["seed"] == 5
+
+    def test_main_builds_one_parser_per_process(self, tmp_path):
+        from evs import cli
+
+        parser = cli.build_parser()
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli("gen", "--out", a, "--set", "dataset.count=1", "--set", "dataset.styled=true") == 0
+        assert run_cli("gen", "--out", b, "--set", "dataset.count=2") == 0
+        assert cli.build_parser() is parser
+        assert cli.build_parser.cache_info().misses == 1
+        # The first call's --set list does not reach the second call.
+        styled = [[item["styled"] for item in evsio.read_json(d / "dataset_manifest.json")["items"]]
+                  for d in (a, b)]
+        assert styled == [[True], [False, False]]
+        assert parser.parse_args(["train", "--out", "x"]).set == []
 
 
 class TestRun:
@@ -180,7 +200,7 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "spoil", ["empty_manifest", "non_utf8_manifest", "list_config", "run_manifest_as_dataset",
-                  "item_without_file", "two_videos_per_item"],
+                  "item_without_file", "dataset_without_items", "two_videos_per_item"],
     )
     def test_unreadable_input_is_config_error(self, small_dataset, tmp_path, spoil):
         dataset = tmp_path / "ds"
@@ -200,6 +220,10 @@ class TestRun:
         elif spoil == "item_without_file":
             payload = evsio.read_json(manifest)
             del payload["items"][1]["file"]
+            evsio.write_json(manifest, payload)
+        elif spoil == "dataset_without_items":
+            payload = evsio.read_json(manifest)
+            payload["items"] = []
             evsio.write_json(manifest, payload)
         else:
             item = dataset / "item_0000.evslat"
@@ -355,6 +379,18 @@ class TestReportAndTrain:
         assert run_cli("report", run_dir / "run_manifest.json", "--out", tmp_path / "rep") == 3
         assert "'rows'" in capsys.readouterr().err
 
+    def test_report_rejects_run_manifest_with_no_rows(self, small_dataset, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run_cli("run", "t2i", "--dataset", small_dataset, "--out", run_dir) == 0
+        payload = evsio.read_json(run_dir / "run_manifest.json")
+        payload["rows"] = []
+        evsio.write_json(run_dir / "run_manifest.json", payload)
+        assert run_cli("report", run_dir / "run_manifest.json", "--out", tmp_path / "rep") == 3
+        err = capsys.readouterr().err
+        assert "needs at least one entry in 'rows'" in err
+        assert "RuntimeWarning" not in err
+        assert not (tmp_path / "rep" / "summary.csv").exists()
+
     def test_report_rejects_row_without_metric(self, small_dataset, tmp_path, capsys):
         run_dir = tmp_path / "run"
         assert run_cli("run", "t2i", "--dataset", small_dataset, "--out", run_dir) == 0
@@ -463,6 +499,18 @@ class TestTracerBindings:
         # layers x Q/K/V per item.
         assert dump["counts"]["sfi.cache.puts"] == 64 * len(rows)
         assert dump["counts"]["sfi.cache.gets"] == 12 * len(rows)
+
+    def test_traced_train_counts_each_step_once(self, tmp_path):
+        """The benchmark's traced train gate: one draw, forward and backward per
+        step, and every other forward scores the held-out set."""
+        dump = self._traced_dump(tmp_path, [["train", "--out", str(tmp_path / "train"),
+                                             "--set", "train.steps=3"]])
+        names = [span[0] for span in dump["spans"] if span[0].startswith("models.train.")]
+        for part in ("draw", "forward", "backward"):
+            assert names.count(f"models.train.{part}") == 3, part
+        # A held-out forward on batch_size videos would count as a fourth step.
+        assert set(names) == {f"models.train.{part}" for part in
+                              ("loop", "draw", "forward", "backward", "held_out")}
 
     def test_traced_ablation_records_each_item_once(self, tmp_path):
         """The benchmark's ablation workload: six pipelines and a report in one process."""

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from evs.models import (
     TrainRecipe,
     _batched_backward,
     _batched_forward,
+    _draw_training_batch,
     _time_features,
     ar1_correlation,
     blur_means,
@@ -376,6 +380,43 @@ class TestTraining:
         recipe = TrainRecipe(steps=40, lr=1e12, batch_size=8, seed=0)
         with pytest.raises(TrainingError):
             train_toy_denoiser(lab.temporal_world, lab.sched_v, recipe)
+
+    @staticmethod
+    def _one_stack_held_out_loss(lab, model, seed):
+        """The held-out loss as one 256-video forward and one expression."""
+        held_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+        z_t, tfeat, cond_idx, eps = _draw_training_batch(
+            lab.temporal_world, lab.sched_v, held_rng, 256, model.time_features
+        )
+        out, _ = _batched_forward(model, z_t, tfeat, cond_idx)
+        return float(np.mean((out - eps) ** 2))
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_stacked_held_out_loss_matches_one_stack_bit_for_bit(self, lab, steps):
+        model = train_toy_denoiser(lab.temporal_world, lab.sched_v, TrainRecipe(steps=steps, seed=4))
+        fresh = ToyAttentionDenoiser(dim=64, total_steps=lab.sched_v.total_steps, n_modes=4, seed=4)
+        report = model.train_report
+        assert report["initial_loss"] == self._one_stack_held_out_loss(lab, fresh, 4)
+        assert report["final_loss"] == self._one_stack_held_out_loss(lab, model, 4)
+
+    def test_training_peak_memory_stays_within_one_step(self, lab):
+        world = lab.temporal_world
+        held_out_array = 256 * world.frames * world.dim * 8
+        tracemalloc.start()
+        try:
+            train_toy_denoiser(world, lab.sched_v, TrainRecipe(steps=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * held_out_array
+
+    def test_weights_after_40_steps_are_pinned(self, lab, tmp_path):
+        from evs.io import write_net
+
+        model = train_toy_denoiser(lab.temporal_world, lab.sched_v, TrainRecipe(steps=40))
+        write_net(tmp_path / "net.evsnet", model)
+        digest = hashlib.sha256((tmp_path / "net.evsnet").read_bytes()).hexdigest()
+        assert digest == "45f6bec514fd5e2d63505fba5a596c416b3a84912f222dc8cf292e0a0a4576dc"
 
 
 class TestBatchedTrainingPath:
