@@ -300,6 +300,8 @@ def cmd_sweep(axis: str, grid, cfg: dict, dataset_dir, out_dir) -> Path:
     for value in grid:
         try:
             if axis != "gamma":
+                if not float(value).is_integer():
+                    raise ParameterError(f"{axis} must be an integer")
                 pcfg = replace(base, **{axis: int(value)})
             elif base.injection is None:
                 raise ConfigError("sweep axis gamma needs pipeline.injection, which is null")
@@ -410,9 +412,9 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
                 refined = video
             else:
                 rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], index, t_noise]))
-                refined = sdedit_refine(
+                _, refined = sdedit_refine(
                     video, t_noise, 0, lab.models.temporal, conds[index], lab.sched_v, rng
-                ).predicted_clean
+                )
             ms_vals.append(motion_smoothness(refined, mcfg.tau))
             ps_vals.append(psnr(refined, video, mcfg.psnr_peak))
         point = (float(np.mean(ms_vals)), float(np.mean(ps_vals)))
@@ -432,11 +434,11 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
     ms_vals = [[] for _ in sfi_grid]
     ps_vals = [[] for _ in sfi_grid]
     for index, video in videos:
-        z, cache, _ = invert_with_capture(video, t_v, net, conds[index], lab.sched_v)
+        z, cache = invert_with_capture(video, t_v, net, conds[index], lab.sched_v)
         for k, icfg in enumerate(icfgs):
-            refined = denoise_with_injection(
+            _, refined = denoise_with_injection(
                 z, t_v, t_v, net, conds[index], lab.sched_v, cache, icfg
-            ).predicted_clean
+            )
             ms_vals[k].append(motion_smoothness(refined, mcfg.tau))
             ps_vals[k].append(psnr(refined, video, mcfg.psnr_peak))
     sfi_pts = []
@@ -481,10 +483,18 @@ def cmd_report(manifest_paths, out_dir) -> Path:
     """Aggregate run manifests into a per-pipeline summary with speedups."""
     if not manifest_paths:
         raise UsageError("report needs at least one run manifest")
-    out = _out_dir(out_dir)
-    runs = []
+    runs, configs = [], {}
     for path in manifest_paths:
-        runs.append(evsio.read_manifest(path, "run"))
+        manifest = evsio.read_manifest(path, "run")
+        # A row pools one pipeline's runs, so they must share a config (seed aside).
+        config = {k: v for k, v in manifest["config"].items() if k != "seed"}
+        first_path, first = configs.setdefault(manifest["pipeline"], (path, config))
+        if config != first:
+            raise ConfigError(
+                f"{path} and {first_path} are {manifest['pipeline']} runs with different configs"
+            )
+        runs.append(manifest)
+    out = _out_dir(out_dir)
 
     summary = {}
     for manifest in runs:

@@ -44,6 +44,16 @@ def _add_common(parser, dataset=False):
         parser.add_argument("--dataset", required=True, help="dataset directory from `evs gen`")
 
 
+def _grid_value(token: str):
+    """A ``--grid`` token as an int, or else a float."""
+    for kind in (int, float):
+        try:
+            return kind(token)
+        except ValueError:
+            pass
+    raise UsageError(f"--grid value {token!r} is not a number")
+
+
 def _load_config(args) -> dict:
     overrides = read_json(args.config) if args.config else {}
     overrides = apply_set_overrides(overrides, args.set)
@@ -113,7 +123,7 @@ def main(argv=None) -> int:
                 )
         elif args.command == "sweep":
             cfg = _load_config(args)
-            grid = [float(x) if "." in x else int(x) for x in args.grid.split(",") if x]
+            grid = [_grid_value(x) for x in args.grid.split(",") if x]
             path = bench.cmd_sweep(args.axis, grid, cfg, args.dataset, args.out)
         elif args.command == "frontier":
             cfg = _load_config(args)

@@ -121,7 +121,7 @@ def _refine_stages(z, stages, models: ModelBundle, c, rng, run: _Run, trajectory
             model, sched = models.spatial, models.spatial_schedule
         else:
             model, sched = models.temporal, models.temporal_schedule
-        z = sdedit_refine(z, t_noise, 0, model, c, sched, rng, trajectory=trajectory).predicted_clean
+        _, z = sdedit_refine(z, t_noise, 0, model, c, sched, rng, trajectory=trajectory)
         run.log(name, t_noise, 0)
     return z
 
@@ -168,9 +168,9 @@ def _temporal_block(bridge, cfg: PipelineConfig, models: ModelBundle, c, rng, ru
     """One encapsulated temporal stage acting on a clean bridge latent."""
     sched_v = models.temporal_schedule
     if cfg.block_mode == BLOCK_SDEDIT:
-        out = sdedit_refine(bridge, cfg.t_V, cfg.t_V - cfg.n_V, models.temporal, c, sched_v, rng)
+        _, clean = sdedit_refine(bridge, cfg.t_V, cfg.t_V - cfg.n_V, models.temporal, c, sched_v, rng)
         run.log("t2v:sdedit", cfg.t_V, cfg.t_V - cfg.n_V)
-        return out.predicted_clean
+        return clean
     if cfg.injection is None:
         raise ParameterError("block_mode inversion+sfi requires an injection config")
     if not getattr(models.temporal, "has_taps", False):
@@ -182,13 +182,13 @@ def _temporal_block(bridge, cfg: PipelineConfig, models: ModelBundle, c, rng, ru
         )
     # The cache stores only the features the one injection walk below reads.
     keep = injection_keys(cfg.t_V, cfg.n_V, cfg.injection)
-    z_tv, cache, _ = invert_with_capture(bridge, cfg.t_V, models.temporal, c, sched_v, keep=keep)
+    z_tv, cache = invert_with_capture(bridge, cfg.t_V, models.temporal, c, sched_v, keep=keep)
     run.log("t2v:invert", 0, cfg.t_V)
-    out = denoise_with_injection(
+    _, clean = denoise_with_injection(
         z_tv, cfg.t_V, cfg.n_V, models.temporal, c, sched_v, cache, cfg.injection
     )
     run.log("t2v:inject", cfg.t_V, cfg.t_V - cfg.n_V)
-    return out.predicted_clean
+    return clean
 
 
 def run_evs(
@@ -209,9 +209,8 @@ def run_evs(
 
     if cfg.t_T2V < cfg.t_I:
         z = forward_noise(z0, cfg.t_I, rng.standard_normal(np.shape(z0)), sched_i)
-        head = ddim_sample(z, cfg.t_I, cfg.t_T2V, models.spatial, c, sched_i)
+        _, bridge = ddim_sample(z, cfg.t_I, cfg.t_T2V, models.spatial, c, sched_i)
         run.log("t2i", cfg.t_I, cfg.t_T2V)
-        bridge = head.predicted_clean
     else:
         bridge = z0
 
@@ -219,9 +218,9 @@ def run_evs(
 
     z = forward_noise(block_clean, cfg.t_T2V, rng.standard_normal(np.shape(z0)), sched_i)
     run.log("renoise", cfg.t_T2V, cfg.t_T2V)
-    tail = ddim_sample(z, cfg.t_T2V, 0, models.spatial, c, sched_i)
+    _, clean = ddim_sample(z, cfg.t_T2V, 0, models.spatial, c, sched_i)
     run.log("t2i", cfg.t_T2V, 0)
-    return run.finish(tail.predicted_clean)
+    return run.finish(clean)
 
 
 def iterated_stages(rounds: int, t_i: int, t_v: int) -> list[tuple[str, int]]:

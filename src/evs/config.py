@@ -117,6 +117,11 @@ def resolve_config(overrides: dict | None = None, seed_env: bool = True) -> dict
             cfg["seed"] = int(os.environ["EVS_SEED"])
         except ValueError as exc:
             raise ConfigError(f"EVS_SEED must be an integer: {exc}") from exc
+    seeds = {"seed": cfg["seed"], "world.seed": cfg["world"]["seed"],
+             "net.seed": cfg["net"]["seed"], "train.seed": cfg["train"]["seed"]}
+    for key, value in seeds.items():
+        if value < 0:  # numpy seeds are non-negative
+            raise ConfigError(f"config key {key!r} must be >= 0, got {value}")
     return cfg
 
 

@@ -1,41 +1,20 @@
 """Deterministic DDIM sampling, inversion, and the noising-denoising refiner.
 
 All reverse steps are fully deterministic (no injected stochasticity) and walk
-consecutive integer timesteps on their schedule.  Every operation reports the
-number of denoiser evaluations it consumed; callers rely on that count for
-inference-cost accounting.
+consecutive integer timesteps on their schedule, one denoiser evaluation per
+step; the denoiser's ``num_evals`` counts them.
 
 Descending from ``t_from`` to ``t_to`` executes steps ``t_from .. t_to+1``, so
-the returned pair is the latent at ``t_to`` together with the clean-latent
-prediction made by the final executed step.
+a walk returns the pair ``(latent at t_to, clean-latent prediction of the
+final executed step)``; inversion returns the latent alone.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapabilityError, NumericError, ParameterError
 from .schedule import NoiseSchedule, forward_noise
-
-__all__ = [
-    "RefineOutput",
-    "predict_clean",
-    "ddim_step",
-    "ddim_sample",
-    "ddim_invert",
-    "sdedit_refine",
-]
-
-
-@dataclass(frozen=True)
-class RefineOutput:
-    """Latent at the ending timestep plus the final clean-latent prediction."""
-
-    partial_latent: np.ndarray
-    predicted_clean: np.ndarray
-    nfe: int
 
 
 def predict_clean(
@@ -43,7 +22,7 @@ def predict_clean(
 ) -> np.ndarray:
     """One-shot clean-latent estimate from a noisy latent and predicted noise."""
     t = sched.check_timestep(t, minimum=1)
-    return (z_t - sched.sqrt_1m_ab[t] * eps_hat) / sched.sqrt_ab[t]
+    return _descend(z_t, t, t, eps_hat, sched)[1]
 
 
 def _descend(z_t, t, t_next, eps, sched):
@@ -72,18 +51,7 @@ def _walk(z, steps, eps_at, sched: NoiseSchedule, trajectory=None):
     return z, pred_clean
 
 
-def ddim_step(z_t, t, t_prev, model, c, sched: NoiseSchedule):
-    """Single deterministic reverse step; returns (z_at_t_prev, predicted_clean)."""
-    t = sched.check_timestep(t, minimum=1)
-    t_prev = sched.check_timestep(t_prev)
-    if not t_prev < t:
-        raise ParameterError(f"need t_prev < t, got t_prev={t_prev}, t={t}")
-    return _walk(z_t, [(t, t_prev)], lambda z, s: model.evaluate(z, s, c), sched)
-
-
-def ddim_sample(
-    z_from, t_from, t_to, model, c, sched: NoiseSchedule, trajectory=None
-) -> RefineOutput:
+def ddim_sample(z_from, t_from, t_to, model, c, sched: NoiseSchedule, trajectory=None):
     """Walk consecutive reverse steps from ``t_from`` down to ``t_to``.
 
     ``trajectory``, if given, is a list that receives the latent after every
@@ -93,11 +61,10 @@ def ddim_sample(
     t_to = sched.check_timestep(t_to)
     if not t_to < t_from:
         raise ParameterError(f"need t_to < t_from, got t_to={t_to}, t_from={t_from}")
-    z, pred_clean = _walk(
+    return _walk(
         z_from, [(t, t - 1) for t in range(t_from, t_to, -1)],
         lambda z, t: model.evaluate(z, t, c), sched, trajectory,
     )
-    return RefineOutput(partial_latent=z, predicted_clean=pred_clean, nfe=t_from - t_to)
 
 
 def ddim_invert(z0, t_target, model, c, sched: NoiseSchedule, capture=None):
@@ -106,7 +73,7 @@ def ddim_invert(z0, t_target, model, c, sched: NoiseSchedule, capture=None):
     Runs the reversed recurrence from level 0 upward, one denoiser evaluation
     per level.  When ``capture`` (a FeatureCache) is supplied, the model's taps
     record features under the timestep being produced, which is the key the
-    matching reverse step will ask for.  Returns ``(z_at_t_target, nfe)``.
+    matching reverse step will ask for.  Returns the latent at ``t_target``.
     """
     t_target = sched.check_timestep(t_target, minimum=1)
     if capture is not None and not getattr(model, "has_taps", False):
@@ -117,14 +84,13 @@ def ddim_invert(z0, t_target, model, c, sched: NoiseSchedule, capture=None):
             return model.evaluate(z, t, c)
         return model.forward(z, t, c, capture=capture, capture_key=t + 1)
 
-    z, _ = _walk(z0, [(t, t + 1) for t in range(t_target)], eps_at, sched)
-    return z, t_target
+    return _walk(z0, [(t, t + 1) for t in range(t_target)], eps_at, sched)[0]
 
 
 def sdedit_refine(
     z0, t_noise, t_end, model, c, sched: NoiseSchedule, rng: np.random.Generator,
     trajectory=None,
-) -> RefineOutput:
+):
     """Noise a clean latent to ``t_noise`` with a fresh draw, then denoise to ``t_end``.
 
     Pulls out-of-distribution inputs toward the model's prior; the refinement

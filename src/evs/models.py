@@ -164,6 +164,8 @@ def default_worlds(
     moving average removes a large share of their high-frequency energy and
     "sharp vs blurry" is structural, not a matter of tuning.
     """
+    if dim < 1 or modes < 1:
+        raise ParameterError(f"need dim >= 1 and modes >= 1, got dim={dim}, modes={modes}")
     rng = np.random.default_rng(seed)
     means = rng.integers(0, 2, size=(modes, dim)).astype(np.float64) * 2.0 - 1.0
     weights = np.full(modes, 1.0 / modes)
@@ -176,12 +178,6 @@ def default_worlds(
         frames=frames,
     )
     return spatial, temporal
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _pick_mode(world, c: Condition | None, rng) -> int:
@@ -198,7 +194,7 @@ def sample_world(world, c: Condition | None, seed) -> np.ndarray:
     One mode per video; the temporal world draws jointly with its AR(1)
     frame coupling.  A style offset on the condition is added to every frame.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     k = _pick_mode(world, c, rng)
     eta = rng.standard_normal((world.frames, world.dim))
     if isinstance(world, TemporalWorld):
@@ -217,7 +213,7 @@ def make_degraded_video(
     """Temporal-world sample plus independent per-frame jitter (flicker)."""
     if flicker_sigma < 0:
         raise ParameterError(f"flicker_sigma must be >= 0, got {flicker_sigma}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     z = sample_world(world_t, c, rng)
     return z + flicker_sigma * rng.standard_normal(z.shape)
 
@@ -339,13 +335,6 @@ class AnalyticDenoiser(Denoiser):
 
     def _eps(self, z_t, t, c):
         return gmm_posterior_eps(z_t, t, self.world, c, self.sched)
-
-
-class ZeroDenoiser(Denoiser):
-    """Predicts zero noise everywhere; inversion under it is pure rescaling."""
-
-    def _eps(self, z_t, t, c):
-        return np.zeros_like(np.asarray(z_t, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +533,13 @@ class TrainRecipe:
     lr: float = 3e-3
     batch_size: int = 32
     seed: int = 0
+
+    def __post_init__(self):
+        if self.steps < 0 or not self.lr > 0 or self.batch_size < 1:
+            raise ParameterError(
+                f"need train.steps >= 0, train.lr > 0 and train.batch_size >= 1, got "
+                f"steps={self.steps}, lr={self.lr}, batch_size={self.batch_size}"
+            )
 
 
 def _batched_forward(model: ToyAttentionDenoiser, z, tfeat, cond_idx, want_grads=False):

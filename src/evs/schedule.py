@@ -86,9 +86,3 @@ def forward_noise(
     t = sched.check_timestep(t)
     return sched.sqrt_ab[t] * z0 + sched.sqrt_1m_ab[t] * eps
 
-
-def strength_to_timestep(s: float, sched: NoiseSchedule) -> int:
-    """Map a relative strength in [0, 1] to a timestep, rounding half up."""
-    if not 0.0 <= s <= 1.0:
-        raise ParameterError(f"strength must be in [0, 1], got {s}")
-    return int(np.floor(s * sched.total_steps + 0.5))

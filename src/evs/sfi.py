@@ -15,12 +15,11 @@ reads, while a cache that serves several operating points keeps everything.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import RefineOutput, _walk, ddim_invert
+from .diffusion import _walk, ddim_invert
 from .errors import InjectionError, ParameterError, ShapeError
 
 # Block-index convention for the 4-block toy net.
@@ -62,18 +61,8 @@ class FeatureCache:
                 f"missing inversion feature (t={t}, layer={layer}, kind={kind})"
             ) from None
 
-    def keys(self):
-        return set(self._entries)
-
     def __len__(self) -> int:
         return len(self._entries)
-
-    def checksum(self) -> str:
-        digest = hashlib.sha256()
-        for key in sorted(self._entries):
-            digest.update(repr(key).encode())
-            digest.update(self._entries[key].tobytes())
-        return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -122,13 +111,12 @@ def blended_attention(q, q_inv, k_inv, v_inv, gamma: float) -> np.ndarray:
 
 
 def invert_with_capture(z0, t_target, model, c, sched, keep=None):
-    """Invert while recording tap features; returns (latent, cache, nfe).
+    """Invert while recording tap features; returns (latent, cache).
 
     ``keep`` limits the stored features to those keys (see ``FeatureCache``).
     """
     cache = FeatureCache(keep)
-    z, nfe = ddim_invert(z0, t_target, model, c, sched, capture=cache)
-    return z, cache, nfe
+    return ddim_invert(z0, t_target, model, c, sched, capture=cache), cache
 
 
 def injection_keys(t_v: int, n_v: int, cfg: InjectionConfig) -> frozenset:
@@ -144,17 +132,16 @@ def injection_keys(t_v: int, n_v: int, cfg: InjectionConfig) -> frozenset:
 
 def denoise_with_injection(
     z_tv, t_v, n_v, model, c, sched, cache: FeatureCache, cfg: InjectionConfig
-) -> RefineOutput:
+):
     """Run ``n_v`` reverse steps with feature injection at every model call.
 
-    The cache must cover timesteps ``t_v .. t_v - n_v + 1``; the returned
-    prediction is the clean latent estimated by the final executed step.
+    The cache must cover timesteps ``t_v .. t_v - n_v + 1``.  Returns the
+    latent at ``t_v - n_v`` and the clean latent predicted by the final step.
     """
     t_v = sched.check_timestep(t_v, minimum=1)
     if not 1 <= n_v <= t_v:
         raise ParameterError(f"need 1 <= n_v <= t_v, got n_v={n_v}, t_v={t_v}")
-    z, pred_clean = _walk(
+    return _walk(
         z_tv, [(t, t - 1) for t in range(t_v, t_v - n_v, -1)],
         lambda z, t: model.forward(z, t, c, injection=(cache, cfg)), sched,
     )
-    return RefineOutput(partial_latent=z, predicted_clean=pred_clean, nfe=n_v)

@@ -160,9 +160,9 @@ def test_criterion_3_round_trip_reconstruction(lab):
     for seed in range(20):
         c = Condition(mode_id=seed % 4)
         z0 = sample_world(lab.spatial_world, c, seed)
-        z, _ = ddim_invert(z0, 50, model, c, lab.sched_i)
-        back = ddim_sample(z, 50, 0, model, c, lab.sched_i)
-        psnrs.append(psnr(back.partial_latent, z0, peak))
+        z = ddim_invert(z0, 50, model, c, lab.sched_i)
+        back, _ = ddim_sample(z, 50, 0, model, c, lab.sched_i)
+        psnrs.append(psnr(back, z0, peak))
     ok_psnr = min(psnrs) >= 40.0
 
     errs = []
@@ -173,9 +173,9 @@ def test_criterion_3_round_trip_reconstruction(lab):
         for seed in range(20):
             c = Condition(mode_id=seed % 4)
             z0 = sample_world(lab.spatial_world, c, seed)
-            z, _ = ddim_invert(z0, total, m, c, sched)
-            back = ddim_sample(z, total, 0, m, c, sched)
-            seed_errs.append(np.sqrt(np.mean((back.partial_latent - z0) ** 2)))
+            z = ddim_invert(z0, total, m, c, sched)
+            back, _ = ddim_sample(z, total, 0, m, c, sched)
+            seed_errs.append(np.sqrt(np.mean((back - z0) ** 2)))
         errs.append(np.mean(seed_errs))
     ok_mono = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
     check(3, "round-trip reconstruction", ok_psnr and ok_mono,
@@ -193,9 +193,9 @@ def test_criterion_4_full_injection_reconstruction(lab):
         c = Condition(mode_id=seed % 4)
         z0 = sample_world(lab.temporal_world, c, 40 + seed)
         t_v = 4
-        z, cache, _ = invert_with_capture(z0, t_v, net, c, lab.sched_v)
-        out = denoise_with_injection(z, t_v, t_v, net, c, lab.sched_v, cache, cfg)
-        rel = np.max(np.abs(out.predicted_clean - z0)) / np.max(np.abs(z0))
+        z, cache = invert_with_capture(z0, t_v, net, c, lab.sched_v)
+        _, clean = denoise_with_injection(z, t_v, t_v, net, c, lab.sched_v, cache, cfg)
+        rel = np.max(np.abs(clean - z0)) / np.max(np.abs(z0))
         worst = max(worst, float(rel))
     ok = worst <= 1e-6
     check(4, "full-injection reconstruction", ok, f"(worst rel err {worst:.2e}, tol 1e-6)")

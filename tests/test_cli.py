@@ -19,6 +19,12 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def _src_env():
+    """The environment for a child process that imports this checkout's ``evs``."""
+    paths = [str(Path(evs.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def _dir_bytes(path, suffix):
     return {p.name: p.read_bytes() for p in sorted(Path(path).glob(f"*{suffix}"))}
 
@@ -272,6 +278,33 @@ class TestSweep:
         assert code == 3
         assert "t_V=9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["x", "4,x", "0x4"])
+    def test_grid_token_that_is_not_a_number_is_usage_error(
+        self, small_dataset, tmp_path, capsys, grid
+    ):
+        code = run_cli("sweep", "t_V", "--grid", grid, "--dataset", small_dataset, "--out", tmp_path)
+        assert code == 2
+        assert "is not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis,value", [("t_V", "2.5"), ("t_T2V", "1e-1"), ("n_V", "1.5")])
+    def test_non_integer_grid_point_is_config_error(
+        self, small_dataset, tmp_path, capsys, axis, value
+    ):
+        code = run_cli(
+            "sweep", axis, "--grid", value, "--dataset", small_dataset, "--out", tmp_path,
+            "--set", "pipeline.block_mode=sdedit", "--set", "pipeline.injection=null",
+        )
+        assert code == 3
+        assert f"grid point {axis}={float(value)}: {axis} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_gamma_grid_takes_exponent_notation(self, small_dataset, tmp_path):
+        assert run_cli(
+            "sweep", "gamma", "--grid", "1e-1,5e-1", "--dataset", small_dataset, "--out", tmp_path
+        ) == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["gamma", "0.1", "0.5"]
+
     def test_gamma_without_injection_is_config_error(self, small_dataset, tmp_path, capsys):
         code = run_cli(
             "sweep", "gamma", "--grid", "0.5", "--dataset", small_dataset, "--out", tmp_path,
@@ -412,6 +445,30 @@ class TestReportAndTrain:
         assert "dataset record needs 'path' as a str" in capsys.readouterr().err
         assert not again.exists()
 
+    @pytest.mark.parametrize("setting", ["pipeline.block_mode=sdedit", "pipeline.t_I=30"])
+    def test_report_refuses_one_pipeline_with_different_configs(
+        self, small_dataset, tmp_path, capsys, setting
+    ):
+        base, other = tmp_path / "base", tmp_path / "other"
+        assert run_cli("run", "evs", "--dataset", small_dataset, "--out", base) == 0
+        assert run_cli("run", "evs", "--dataset", small_dataset, "--out", other, "--set", setting) == 0
+        manifests = [base / "run_manifest.json", other / "run_manifest.json"]
+        assert run_cli("report", *manifests, "--out", tmp_path / "rep") == 3
+        assert "are evs runs with different configs" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    def test_report_pools_runs_that_differ_only_in_seed(self, small_dataset, tmp_path):
+        manifests = []
+        for seed in (0, 5):
+            run_dir = tmp_path / f"run_{seed}"
+            assert run_cli(
+                "run", "evs", "--dataset", small_dataset, "--out", run_dir, "--seed", seed
+            ) == 0
+            manifests.append(run_dir / "run_manifest.json")
+        assert run_cli("report", *manifests, "--out", tmp_path / "rep") == 0
+        (entry,) = evsio.read_json(tmp_path / "rep" / "report_manifest.json")["table"]
+        assert entry["nfe_total"] == 26
+
     def test_report_rejects_non_run_manifest(self, small_dataset, tmp_path):
         code = run_cli("report", small_dataset / "dataset_manifest.json", "--out", tmp_path)
         assert code == 3
@@ -448,17 +505,50 @@ class TestReportAndTrain:
         assert manifest["train_report"]["final_loss"] < manifest["train_report"]["initial_loss"]
 
     def test_diverged_training_is_numeric_error(self, tmp_path):
-        paths = [str(Path(evs.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         proc = subprocess.run(
             [sys.executable, "-m", "evs.cli", "train", "--out", str(tmp_path),
              "--set", "train.lr=1e6", "--set", "train.steps=40"],
-            capture_output=True, text=True, env=env, timeout=300,
+            capture_output=True, text=True, env=_src_env(), timeout=300,
         )
         assert proc.returncode == 5
         assert "numeric error" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize("setting", [
+        "seed=-1", "world.seed=-1", "net.seed=-1", "train.seed=-1", "EVS_SEED=-1",
+        "world.modes=0", "dim=0", "train.batch_size=0", "train.steps=-1", "train.lr=0",
+    ])
+    def test_out_of_domain_config_value_is_config_error(
+        self, tmp_path, monkeypatch, capsys, setting
+    ):
+        argv = ["train", "--out", tmp_path, "--set", "train.steps=2"]
+        key, value = setting.split("=")
+        if key == "EVS_SEED":
+            monkeypatch.setenv(key, value)
+        else:
+            argv += ["--set", setting]
+        assert run_cli(*argv) == 3
+        assert "config error" in capsys.readouterr().err
+
+
+class TestOutputDigest:
+    def test_digest_is_independent_of_the_output_path(self, tmp_path):
+        """``scripts/output_digest.py`` is the byte-identity check for refactors:
+        two output directories whose paths differ in length give one digest."""
+        script = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+        outs = [tmp_path / "a", tmp_path / "a_much_longer_output_directory"]
+        digests = []
+        for out in outs:
+            proc = subprocess.run(
+                [sys.executable, str(script), "--out", str(out), "--count", "2"],
+                capture_output=True, text=True, env=_src_env(), timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.splitlines())
+        assert len(digests[0]) == 49
+        assert digests[0] == digests[1]
+        assert not [line for line in digests[0] for out in outs if str(out) in line]
 
 
 class TestTracerBindings:
@@ -472,12 +562,10 @@ class TestTracerBindings:
     def _traced_dump(self, tmp_path, commands):
         """Run ``commands`` in one ``benchmark/child.py`` process; return its spans and counts."""
         root = Path(__file__).resolve().parents[1]
-        paths = [str(Path(evs.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         proc = subprocess.run(
             [sys.executable, str(root / "benchmark" / "child.py"), "run", json.dumps(commands),
              str(tmp_path / "rss"), str(tmp_path / "spans.json")],
-            capture_output=True, text=True, env=env, timeout=300,
+            capture_output=True, text=True, env=_src_env(), timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         return json.loads((tmp_path / "spans.json").read_text())

@@ -180,8 +180,11 @@ class TestEncapsulatedPipeline:
         run_evs(z0, cfg, sfi_bundle, c, seed=0)
         assert len(puts) == len(set(puts)) == cfg.t_V * sfi_bundle.temporal.blocks * 4 == 64
         (cache,) = caches
-        assert cache.keys() == gets == injection_keys(cfg.t_V, cfg.n_V, cfg.injection)
-        assert len(cache) == 12
+        expected = injection_keys(cfg.t_V, cfg.n_V, cfg.injection)
+        assert gets == expected
+        assert len(cache) == len(expected) == 12
+        for key in expected:
+            cache.get(*key)
 
     @pytest.mark.parametrize("injection", [
         InjectionConfig(layers=DEEP_LAYERS, gamma=0.8),

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from evs.diffusion import (
-    _descend, ddim_invert, ddim_sample, ddim_step, predict_clean, sdedit_refine,
-)
+from evs.diffusion import _descend, ddim_invert, ddim_sample, predict_clean, sdedit_refine
 from evs.errors import CapabilityError, NumericError, ParameterError
 from evs.metrics import psnr
 from evs.models import (
@@ -11,7 +9,6 @@ from evs.models import (
     Condition,
     Denoiser,
     SpatialWorld,
-    ZeroDenoiser,
     sample_world,
 )
 from evs.schedule import NoiseSchedule, build_linear_beta, forward_noise
@@ -82,31 +79,33 @@ class TestPredictClean:
 
 
 class TestDdimStep:
+    """One reverse step, taken through ``ddim_sample(z, t, t - 1, ...)``."""
+
     def test_endpoint_identity(self, lab):
         model = ConstantDenoiser(0.3)
         z = np.ones((2, 3))
-        z_prev, pred = ddim_step(z, 1, 0, model, None, lab.sched_i)
+        z_prev, pred = ddim_sample(z, 1, 0, model, None, lab.sched_i)
         assert np.array_equal(z_prev, pred)
 
     def test_hand_case(self):
         sched = NoiseSchedule(total_steps=2, alpha_bar=np.array([1.0, 0.81, 0.64]))
         model = ConstantDenoiser(0.5)
         z_t = np.array([[0.8 * 2.0 + 0.6 * 0.5]])  # predicted clean will be 2.0
-        z_prev, pred = ddim_step(z_t, 2, 1, model, None, sched)
+        z_prev, pred = ddim_sample(z_t, 2, 1, model, None, sched)
         assert pred[0, 0] == pytest.approx(2.0, abs=1e-14)
         assert z_prev[0, 0] == pytest.approx(2.0179449471770337, abs=1e-12)
 
     def test_rejects_bad_order(self, lab):
         with pytest.raises(ParameterError):
-            ddim_step(np.zeros((1, 1)), 3, 3, ConstantDenoiser(0.0), None, lab.sched_i)
+            ddim_sample(np.zeros((1, 1)), 3, 3, ConstantDenoiser(0.0), None, lab.sched_i)
 
     def test_non_finite_model_output(self, lab):
         with pytest.raises(NumericError):
-            ddim_step(np.zeros((1, 1)), 5, 4, NanDenoiser(), None, lab.sched_i)
+            ddim_sample(np.zeros((1, 1)), 5, 4, NanDenoiser(), None, lab.sched_i)
 
     def test_one_eval_per_step(self, lab):
         model = ConstantDenoiser(0.0)
-        ddim_step(np.zeros((1, 1)), 5, 4, model, None, lab.sched_i)
+        ddim_sample(np.zeros((1, 1)), 5, 4, model, None, lab.sched_i)
         assert model.num_evals == 1
 
     def test_update_matches_scalar_formula_bit_for_bit(self, lab):
@@ -149,12 +148,12 @@ class TestTrajectoryAgainstReferenceIntegrator:
         z_t = np.sqrt(ab) * world.means[0] + rng.standard_normal((4, 8))
 
         model = AnalyticDenoiser(world, sched)
-        coarse = ddim_sample(z_t, t_start, 0, model, None, sched).partial_latent
+        coarse, _ = ddim_sample(z_t, t_start, 0, model, None, sched)
 
         factor = 10
         fine_sched = refine_schedule(sched, factor)
         fine_model = AnalyticDenoiser(world, fine_sched)
-        fine = ddim_sample(z_t, t_start * factor, 0, fine_model, None, fine_sched).partial_latent
+        fine, _ = ddim_sample(z_t, t_start * factor, 0, fine_model, None, fine_sched)
 
         s_t = np.sqrt(ab * world.sigma**2 + 1 - ab)
         closed = world.means[0] + (z_t - np.sqrt(ab) * world.means[0]) * world.sigma / s_t
@@ -167,25 +166,25 @@ class TestTrajectoryAgainstReferenceIntegrator:
 
 class TestDdimSample:
     def test_single_step_equals_ddim_step(self, lab):
-        model = ConstantDenoiser(0.2)
+        # One step is the DDIM update fed with one evaluation, bit for bit.
+        model = AnalyticDenoiser(lab.spatial_world, lab.sched_i)
         rng = np.random.default_rng(5)
-        z = rng.standard_normal((3, 4))
-        out = ddim_sample(z, 10, 9, model, None, lab.sched_i)
-        z_prev, pred = ddim_step(z, 10, 9, ConstantDenoiser(0.2), None, lab.sched_i)
-        assert np.array_equal(out.partial_latent, z_prev)
-        assert np.array_equal(out.predicted_clean, pred)
-        assert out.nfe == 1
+        z = rng.standard_normal((16, 64))
+        z_prev, pred = ddim_sample(z, 10, 9, model, None, lab.sched_i)
+        assert model.num_evals == 1
+        want_prev, want_pred = _descend(z, 10, 9, model.evaluate(z, 10, None), lab.sched_i)
+        assert np.array_equal(z_prev, want_prev)
+        assert np.array_equal(pred, want_pred)
 
     def test_endpoint_identity_at_zero(self, lab):
         model = ConstantDenoiser(0.2)
-        out = ddim_sample(np.ones((2, 2)), 5, 0, model, None, lab.sched_i)
-        assert np.array_equal(out.partial_latent, out.predicted_clean)
+        z, pred = ddim_sample(np.ones((2, 2)), 5, 0, model, None, lab.sched_i)
+        assert np.array_equal(z, pred)
 
     @pytest.mark.parametrize("t_from,t_to", [(10, 0), (20, 10), (3, 2)])
     def test_nfe_counting(self, t_from, t_to, lab):
         model = ConstantDenoiser(0.0)
-        out = ddim_sample(np.zeros((2, 2)), t_from, t_to, model, None, lab.sched_i)
-        assert out.nfe == t_from - t_to
+        ddim_sample(np.zeros((2, 2)), t_from, t_to, model, None, lab.sched_i)
         assert model.num_evals == t_from - t_to
 
     def test_rejects_bad_range(self, lab):
@@ -203,9 +202,10 @@ class TestDdimInvert:
         rng = np.random.default_rng(2)
         z0 = rng.standard_normal((4, 8))
         for t in (1, 5, 20):
-            z, nfe = ddim_invert(z0, t, ZeroDenoiser(), None, lab.sched_i)
+            model = ConstantDenoiser(0.0)
+            z = ddim_invert(z0, t, model, None, lab.sched_i)
             np.testing.assert_allclose(z, np.sqrt(lab.sched_i.alpha_bar[t]) * z0, atol=1e-12)
-            assert nfe == t
+            assert model.num_evals == t
 
     def test_round_trip_reconstruction(self, lab):
         # In-distribution videos, full inversion on the 50-step schedule.
@@ -213,9 +213,9 @@ class TestDdimInvert:
         for seed in range(3):
             c = Condition(mode_id=seed % 4)
             z0 = sample_world(lab.spatial_world, c, seed)
-            z, _ = ddim_invert(z0, 50, model, c, lab.sched_i)
-            back = ddim_sample(z, 50, 0, model, c, lab.sched_i)
-            assert psnr(back.partial_latent, z0, peak=2.0) >= 40.0
+            z = ddim_invert(z0, 50, model, c, lab.sched_i)
+            back, _ = ddim_sample(z, 50, 0, model, c, lab.sched_i)
+            assert psnr(back, z0, peak=2.0) >= 40.0
 
     def test_fewer_steps_reconstruct_worse(self, lab):
         # Same total noise budget, coarser walk: the short schedule must lose.
@@ -227,9 +227,9 @@ class TestDdimInvert:
             for seed in range(20):
                 c = Condition(mode_id=seed % 4)
                 z0 = sample_world(lab.spatial_world, c, seed)
-                z, _ = ddim_invert(z0, total, model, c, sched)
-                back = ddim_sample(z, total, 0, model, c, sched)
-                seed_errs.append(np.sqrt(np.mean((back.partial_latent - z0) ** 2)))
+                z = ddim_invert(z0, total, model, c, sched)
+                back, _ = ddim_sample(z, total, 0, model, c, sched)
+                seed_errs.append(np.sqrt(np.mean((back - z0) ** 2)))
             errs[total] = np.mean(seed_errs)
         assert errs[5] > errs[50]
 
@@ -237,11 +237,13 @@ class TestDdimInvert:
         from evs.sfi import FeatureCache
 
         with pytest.raises(CapabilityError):
-            ddim_invert(np.zeros((2, 2)), 3, ZeroDenoiser(), None, lab.sched_i, capture=FeatureCache())
+            ddim_invert(
+                np.zeros((2, 2)), 3, ConstantDenoiser(0.0), None, lab.sched_i, capture=FeatureCache()
+            )
 
     def test_rejects_t_zero_target(self, lab):
         with pytest.raises(ParameterError):
-            ddim_invert(np.zeros((2, 2)), 0, ZeroDenoiser(), None, lab.sched_i)
+            ddim_invert(np.zeros((2, 2)), 0, ConstantDenoiser(0.0), None, lab.sched_i)
 
 
 class TestSdeditRefine:
@@ -252,18 +254,14 @@ class TestSdeditRefine:
 
     def test_minimal_refinement(self, lab):
         model = ConstantDenoiser(0.0)
-        out = sdedit_refine(np.zeros((2, 2)), 1, 0, model, None, lab.sched_i, np.random.default_rng(0))
-        assert out.nfe == 1
+        sdedit_refine(np.zeros((2, 2)), 1, 0, model, None, lab.sched_i, np.random.default_rng(0))
         assert model.num_evals == 1
 
     def test_default_strength_mapping(self, lab):
-        from evs.schedule import strength_to_timestep
-
-        t_noise = strength_to_timestep(0.4, lab.sched_i)
-        assert t_noise == 20
+        # Strength 0.4 on the 50-step schedule: 20 levels, 20 evaluations.
         model = ConstantDenoiser(0.0)
-        out = sdedit_refine(np.zeros((2, 2)), t_noise, 0, model, None, lab.sched_i, np.random.default_rng(1))
-        assert out.nfe == 20
+        sdedit_refine(np.zeros((2, 2)), 20, 0, model, None, lab.sched_i, np.random.default_rng(1))
+        assert model.num_evals == 20
 
     def test_contraction_matches_closed_form(self):
         # Norm-contraction toward the prior mean over 100 fresh-noise draws,
@@ -279,8 +277,8 @@ class TestSdeditRefine:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             z0 = rng.standard_normal((world.frames, 8)) * 2.0
-            out = sdedit_refine(z0, t_noise, 0, model, None, sched, rng)
-            ratios.append(np.linalg.norm(out.predicted_clean) / np.linalg.norm(z0))
+            _, clean = sdedit_refine(z0, t_noise, 0, model, None, sched, rng)
+            ratios.append(np.linalg.norm(clean) / np.linalg.norm(z0))
             d0 = np.linalg.norm(z0)
             expected.append(np.sqrt(ab * d0**2 + (1 - ab) * n) / d0 * world.sigma / s_t)
         assert np.mean(ratios) == pytest.approx(np.mean(expected), rel=0.05)
@@ -292,5 +290,6 @@ class TestSdeditRefine:
         for _ in range(2):
             rng = np.random.default_rng(12345)
             outs.append(sdedit_refine(z0, 10, 0, model, Condition(mode_id=0), lab.sched_i, rng))
-        assert np.array_equal(outs[0].partial_latent, outs[1].partial_latent)
-        assert np.array_equal(outs[0].predicted_clean, outs[1].predicted_clean)
+        (z_a, clean_a), (z_b, clean_b) = outs
+        assert np.array_equal(z_a, z_b)
+        assert np.array_equal(clean_a, clean_b)

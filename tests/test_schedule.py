@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evs.errors import ParameterError, ShapeError
-from evs.schedule import (
-    NoiseSchedule,
-    build_linear_beta,
-    forward_noise,
-    strength_to_timestep,
-)
+from evs.schedule import NoiseSchedule, build_linear_beta, forward_noise
 
 
 def product_oracle(total, beta_start, beta_end):
@@ -137,30 +132,3 @@ class TestForwardNoise:
         z = np.zeros((2, 2))
         assert np.array_equal(forward_noise(z, 5, z, lab.sched_i), z)
 
-
-class TestStrengthToTimestep:
-    def test_default_refinement_strength(self, lab):
-        assert strength_to_timestep(0.4, lab.sched_i) == 20
-
-    def test_zero_strength(self, lab):
-        assert strength_to_timestep(0.0, lab.sched_i) == 0
-        assert strength_to_timestep(0.0, lab.sched_v) == 0
-
-    def test_short_schedule_rounding(self, lab):
-        assert strength_to_timestep(0.5, lab.sched_v) == 4
-
-    def test_rounds_half_up(self):
-        sched = build_linear_beta(5, 1e-4, 0.02)
-        assert strength_to_timestep(0.5, sched) == 3  # 2.5 rounds up
-
-    @pytest.mark.parametrize("s", [-0.01, 1.01])
-    def test_out_of_range(self, s, lab):
-        with pytest.raises(ParameterError):
-            strength_to_timestep(s, lab.sched_i)
-
-    @given(st.floats(0, 1), st.floats(0, 1))
-    @settings(max_examples=60, deadline=None)
-    def test_monotone(self, s1, s2):
-        sched = build_linear_beta(50, 1e-4, 0.02)
-        lo, hi = sorted([s1, s2])
-        assert strength_to_timestep(lo, sched) <= strength_to_timestep(hi, sched)
