@@ -3,8 +3,8 @@
 that two source trees can be compared for byte-identical outputs with `diff`.
 
 The set: `gen` plain and `--styled`; all six pipelines; `evs` with the sdedit
-block; `sweep t_T2V`; `train` at 20 steps; `frontier` with those weights; and
-`report` over the six pipeline runs.  Wall-clock values are dropped before
+block; `run --from-manifest` over the `evs` run; `sweep t_T2V`; `train` at 20
+steps; `frontier` with those weights; and `report` over the six pipeline runs.  Wall-clock values are dropped before
 hashing (the `wall_time` CSV column and JSON key), the output directory is
 written as `OUT` wherever a manifest records a path, and an SVG is hashed
 without its `<metadata>` element, which holds the sha256 of a manifest that
@@ -43,6 +43,8 @@ def commands(out: Path, count: int, seed: int) -> list[list]:
     cmds += [
         ["run", "evs", "--dataset", ds, "--out", out / "run_evs_sdedit",
          "--set", "pipeline.block_mode=sdedit", "--set", "pipeline.injection=null", *common],
+        ["run", "--from-manifest", out / "run_evs" / "run_manifest.json",
+         "--out", out / "rerun_evs"],
         ["sweep", "t_T2V", "--grid", "5,10,15,20", "--dataset", ds, "--out", out / "sweep", *common],
         ["train", "--out", out / "train", "--set", "train.steps=20", *common],
         ["frontier", "--dataset", styled, "--out", out / "frontier",

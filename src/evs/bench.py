@@ -54,6 +54,8 @@ from .sfi import (
 PIPELINES = ("t2i", "t2v", "iv", "vi", "evs", "iterated")
 SWEEP_AXES = ("t_T2V", "t_V", "n_V", "gamma")
 METRICS = ("ms", "sc", "iq", "psnr", "overall")
+# The columns of runs.csv, which are also the keys of each run manifest row.
+RUN_CSV_COLUMNS = ("pipeline", "seed", *METRICS, "nfe_t2i", "nfe_t2v", "wall_time")
 
 DATASET_MANIFEST = "dataset_manifest.json"
 RUN_MANIFEST = "run_manifest.json"
@@ -79,13 +81,16 @@ def _dataset_record(dataset_dir) -> dict:
     }
 
 
-def _manifest_base(cfg: dict, kind: str) -> dict:
-    return {
+def _write_manifest(path, cfg: dict, kind: str, **fields) -> Path:
+    """Write a ``kind`` manifest: the version stamps, the config and ``fields``."""
+    evsio.write_json(path, {
         "manifest_version": evsio.MANIFEST_VERSION,
         "tool_version": evsio.TOOL_VERSION,
         "kind": kind,
         "config": cfg,
-    }
+        **fields,
+    })
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +102,10 @@ def cmd_gen(cfg: dict, out_dir) -> Path:
     """Write the input dataset: degraded videos, or styled off-prior ones."""
     if cfg["dataset"]["count"] < 1:  # every reader of a dataset refuses an empty one
         raise ConfigError(f"dataset.count must be at least 1, got {cfg['dataset']['count']}")
-    out = _out_dir(out_dir)
     lab = build_lab(cfg)
     styled = bool(cfg["dataset"]["styled"])
     style = style_vector(cfg) if styled else None
+    out = _out_dir(out_dir)
     items = []
     for i in range(cfg["dataset"]["count"]):
         cond = item_condition(cfg, i, style)
@@ -114,12 +119,10 @@ def cmd_gen(cfg: dict, out_dir) -> Path:
         name = f"item_{i:04d}.evslat"
         evsio.write_latents(out / name, [video])
         items.append({"file": name, "index": i, "mode_id": cond.mode_id, "styled": styled})
-    manifest = _manifest_base(cfg, "dataset")
-    manifest["items"] = items
-    manifest["style"] = None if style is None else [float(x) for x in style]
-    path = out / DATASET_MANIFEST
-    evsio.write_json(path, manifest)
-    return path
+    return _write_manifest(
+        out / DATASET_MANIFEST, cfg, "dataset",
+        items=items, style=None if style is None else [float(x) for x in style],
+    )
 
 
 def load_dataset(dataset_dir) -> tuple[dict, list[tuple[int, np.ndarray]]]:
@@ -177,16 +180,15 @@ def load_or_init_net(cfg: dict) -> ToyAttentionDenoiser:
     return net
 
 
-def _execute(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, index, video, cond,
-             trajectory=None):
-    """Run one pipeline on one item; ``trajectory`` collects t2i/t2v step latents."""
+def _execute(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, index, video, cond):
+    """Run one pipeline on one item."""
     if pipeline == "evs":  # seeds its own generator
         return run_evs(video, pcfg, lab.models, cond, _evs_item_seed(cfg, index))
     rng = _pipeline_noise_rng(cfg, index)
     if pipeline == "t2i":
-        return run_t2i_only(video, pcfg.t_I, lab.models, cond, rng, trajectory=trajectory)
+        return run_t2i_only(video, pcfg.t_I, lab.models, cond, rng)
     if pipeline == "t2v":
-        return run_t2v_only(video, pcfg.t_V, lab.models, cond, rng, trajectory=trajectory)
+        return run_t2v_only(video, pcfg.t_V, lab.models, cond, rng)
     if pipeline == "iv":
         return compose_iv(video, pcfg.t_I, pcfg.t_V, lab.models, cond, rng)
     if pipeline == "vi":
@@ -196,39 +198,31 @@ def _execute(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, index, vi
     raise UsageError(f"unknown pipeline {pipeline!r} (choose from {', '.join(PIPELINES)})")
 
 
-def _scored_items(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, videos,
-                  trajectory_dir=None):
+def _scored_items(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, videos):
     """Run ``pipeline`` on each item and score it, one item at a time.
 
-    Yields ``(index, result, report)``.  With ``trajectory_dir`` each item's
-    t2i/t2v step latents are written there as ``item_<index>.evstrj``.
+    Yields ``(index, result, report)``.
     """
     for index, video in videos:
         cond = item_condition(cfg, index)
-        traj = None if trajectory_dir is None else []
-        result = _execute(pipeline, lab, cfg, pcfg, index, video, cond, trajectory=traj)
-        if traj is not None:
-            evsio.write_trajectory(trajectory_dir / f"item_{index:04d}.evstrj", traj)
+        result = _execute(pipeline, lab, cfg, pcfg, index, video, cond)
         report = score_video(result.output, video, lab.spatial_world, cond, lab.metric_config)
         yield index, result, report
 
 
-def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir, trajectories: bool = False) -> Path:
+def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir) -> Path:
     """Execute one pipeline over the dataset; write CSV, outputs, manifest."""
     if pipeline not in PIPELINES:
         raise UsageError(f"unknown pipeline {pipeline!r} (choose from {', '.join(PIPELINES)})")
-    if trajectories and pipeline not in ("t2i", "t2v"):
-        raise UsageError("--trajectories is only supported for the t2i and t2v pipelines")
-    out = _out_dir(out_dir)
     pcfg = PipelineConfig(**cfg["pipeline"])
     lab = build_lab(cfg, temporal_override=_temporal_model_for(cfg, pcfg, pipeline))
     pcfg.validate(lab.sched_i, lab.sched_v)
     _, videos = load_dataset(dataset_dir)
+    out = _out_dir(out_dir)
 
     rows = []
     row_meta = []
-    items = _scored_items(pipeline, lab, cfg, pcfg, videos, out if trajectories else None)
-    for index, result, report in items:
+    for index, result, report in _scored_items(pipeline, lab, cfg, pcfg, videos):
         out_file = f"item_{index:04d}.out.evslat"
         evsio.write_latents(out / out_file, [result.output])
         rows.append(
@@ -250,24 +244,19 @@ def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir, trajectories: bool =
                 "stage_log": [[name, list(span)] for name, span in result.stage_log],
             }
         )
-    evsio.write_metric_csv(out / "runs.csv", rows)
-    manifest = _manifest_base(cfg, "run")
-    manifest.update(
-        {
-            "pipeline": pipeline,
-            "dataset": _dataset_record(dataset_dir),
-            "schedules": {
-                "spatial_alpha_bar": [float(x) for x in lab.sched_i.alpha_bar],
-                "temporal_alpha_bar": [float(x) for x in lab.sched_v.alpha_bar],
-            },
-            "csv": "runs.csv",
-            "rows": rows,
-            "items": row_meta,
-        }
+    evsio.write_metric_csv(out / "runs.csv", rows, RUN_CSV_COLUMNS)
+    return _write_manifest(
+        out / RUN_MANIFEST, cfg, "run",
+        pipeline=pipeline,
+        dataset=_dataset_record(dataset_dir),
+        schedules={
+            "spatial_alpha_bar": [float(x) for x in lab.sched_i.alpha_bar],
+            "temporal_alpha_bar": [float(x) for x in lab.sched_v.alpha_bar],
+        },
+        csv="runs.csv",
+        rows=rows,
+        items=row_meta,
     )
-    path = out / RUN_MANIFEST
-    evsio.write_json(path, manifest)
-    return path
 
 
 def rerun_from_manifest(manifest_path, out_dir) -> Path:
@@ -285,31 +274,37 @@ def rerun_from_manifest(manifest_path, out_dir) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _sweep_point(base: PipelineConfig, axis: str, value, lab: Lab) -> PipelineConfig:
+    """``base`` with ``axis`` set to the grid value, checked against the lab's schedules."""
+    try:
+        if axis != "gamma":
+            if not float(value).is_integer():
+                raise ParameterError(f"{axis} must be an integer")
+            pcfg = replace(base, **{axis: int(value)})
+        elif base.injection is None:
+            raise ConfigError("sweep axis gamma needs pipeline.injection, which is null")
+        else:
+            pcfg = replace(base, injection=replace(base.injection, gamma=float(value)))
+        pcfg.validate(lab.sched_i, lab.sched_v)
+    except ParameterError as exc:
+        raise ParameterError(f"grid point {axis}={value}: {exc}") from exc
+    return pcfg
+
+
 def cmd_sweep(axis: str, grid, cfg: dict, dataset_dir, out_dir) -> Path:
     """Run the encapsulated pipeline across one hyperparameter grid."""
     if axis not in SWEEP_AXES:
         raise UsageError(f"unknown sweep axis {axis!r} (choose from {', '.join(SWEEP_AXES)})")
     if not grid:
         raise ParameterError("sweep grid must be nonempty")
-    out = _out_dir(out_dir)
     _, videos = load_dataset(dataset_dir)
     base = PipelineConfig(**cfg["pipeline"])
     # No sweep axis changes the block mode, so one lab serves every grid point.
     lab = build_lab(cfg, temporal_override=_temporal_model_for(cfg, base, "evs"))
+    pcfgs = [_sweep_point(base, axis, value, lab) for value in grid]
+    out = _out_dir(out_dir)
     point_stats = []
-    for value in grid:
-        try:
-            if axis != "gamma":
-                if not float(value).is_integer():
-                    raise ParameterError(f"{axis} must be an integer")
-                pcfg = replace(base, **{axis: int(value)})
-            elif base.injection is None:
-                raise ConfigError("sweep axis gamma needs pipeline.injection, which is null")
-            else:
-                pcfg = replace(base, injection=replace(base.injection, gamma=float(value)))
-            pcfg.validate(lab.sched_i, lab.sched_v)
-        except ParameterError as exc:
-            raise ParameterError(f"grid point {axis}={value}: {exc}") from exc
+    for value, pcfg in zip(grid, pcfgs):
         reports = [report for _, _, report in _scored_items("evs", lab, cfg, pcfg, videos)]
         stats = {"value": value}
         for m in METRICS:
@@ -318,18 +313,14 @@ def cmd_sweep(axis: str, grid, cfg: dict, dataset_dir, out_dir) -> Path:
             stats[f"{m}_stderr"] = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
         point_stats.append(stats)
 
-    manifest = _manifest_base(cfg, "sweep")
-    manifest.update(
-        {
-            "axis": axis,
-            "grid": list(grid),
-            "dataset": _dataset_record(dataset_dir),
-            "points": point_stats,
-            "csv": "sweep.csv",
-        }
+    manifest_path = _write_manifest(
+        out / "sweep_manifest.json", cfg, "sweep",
+        axis=axis,
+        grid=list(grid),
+        dataset=_dataset_record(dataset_dir),
+        points=point_stats,
+        csv="sweep.csv",
     )
-    manifest_path = out / "sweep_manifest.json"
-    evsio.write_json(manifest_path, manifest)
     mhash = evsio.file_sha256(manifest_path)
     # Grid values are written as given (str), so 0.0 stays 0.0.
     evsio.write_metric_csv(
@@ -385,19 +376,18 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
     injection arm uses the tapped net (trained here unless weights are
     provided).  Points are (motion smoothness, fidelity-to-input) means.
     """
-    out = _out_dir(out_dir)
     ds_manifest, videos = load_dataset(dataset_dir)
     if ds_manifest.get("style") is None:
         raise ConfigError("frontier requires a styled dataset (gen --styled)")
     lab = build_lab(cfg)
     mcfg = lab.metric_config
-
-    if cfg["net"]["weights"]:
-        net = load_or_init_net(cfg)
-        net_file = cfg["net"]["weights"]
-    else:
-        net = train_toy_denoiser(lab.temporal_world, lab.sched_v, TrainRecipe(**cfg["train"]))
+    net_file = cfg["net"]["weights"]
+    net = load_or_init_net(cfg) if net_file else None
+    recipe = None if net_file else TrainRecipe(**cfg["train"])
+    out = _out_dir(out_dir)
+    if net is None:
         net_file = "net.evsnet"
+        net = train_toy_denoiser(lab.temporal_world, lab.sched_v, recipe)
         evsio.write_net(out / net_file, net)
 
     t_v = cfg["pipeline"]["t_V"]
@@ -449,18 +439,14 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
         rows.append({"method": "sfi", "param": label, "ms": point[0], "psnr": point[1]})
 
     dominance = frontier_dominance(sfi_pts, sdedit_pts)
-    manifest = _manifest_base(cfg, "frontier")
-    manifest.update(
-        {
-            "dataset": _dataset_record(dataset_dir),
-            "net_file": str(net_file),
-            "rows": rows,
-            "dominance": dominance,
-            "csv": "frontier.csv",
-        }
+    manifest_path = _write_manifest(
+        out / "frontier_manifest.json", cfg, "frontier",
+        dataset=_dataset_record(dataset_dir),
+        net_file=str(net_file),
+        rows=rows,
+        dominance=dominance,
+        csv="frontier.csv",
     )
-    manifest_path = out / "frontier_manifest.json"
-    evsio.write_json(manifest_path, manifest)
     mhash = evsio.file_sha256(manifest_path)
     evsio.write_metric_csv(out / "frontier.csv", rows, ["method", "param", "ms", "psnr"])
     evsio.svg_scatter(
@@ -528,17 +514,13 @@ def cmd_report(manifest_paths, out_dir) -> Path:
         )
     table.sort(key=lambda r: -r["overall"])
 
-    manifest = _manifest_base(base_cfg, "report")
-    manifest.update(
-        {
-            "inputs": [str(Path(p).resolve()) for p in manifest_paths],
-            "baseline_nfe": baseline_nfe,
-            "table": table,
-            "csv": "summary.csv",
-        }
+    manifest_path = _write_manifest(
+        out / "report_manifest.json", base_cfg, "report",
+        inputs=[str(Path(p).resolve()) for p in manifest_paths],
+        baseline_nfe=baseline_nfe,
+        table=table,
+        csv="summary.csv",
     )
-    manifest_path = out / "report_manifest.json"
-    evsio.write_json(manifest_path, manifest)
     mhash = evsio.file_sha256(manifest_path)
     evsio.write_metric_csv(
         out / "summary.csv", table,
@@ -562,12 +544,12 @@ def cmd_report(manifest_paths, out_dir) -> Path:
 
 def cmd_train(cfg: dict, out_dir) -> Path:
     """Train the tapped temporal denoiser and save its weights."""
-    out = _out_dir(out_dir)
     lab = build_lab(cfg)
-    net = train_toy_denoiser(lab.temporal_world, lab.sched_v, TrainRecipe(**cfg["train"]))
+    recipe = TrainRecipe(**cfg["train"])
+    out = _out_dir(out_dir)
+    net = train_toy_denoiser(lab.temporal_world, lab.sched_v, recipe)
     evsio.write_net(out / "net.evsnet", net)
-    manifest = _manifest_base(cfg, "train")
-    manifest.update({"net_file": "net.evsnet", "train_report": net.train_report})
-    path = out / "train_manifest.json"
-    evsio.write_json(path, manifest)
-    return path
+    return _write_manifest(
+        out / "train_manifest.json", cfg, "train",
+        net_file="net.evsnet", train_report=net.train_report,
+    )

@@ -81,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, dataset=False)
     p.add_argument("--dataset", help="dataset directory from `evs gen`")
     p.add_argument("--from-manifest", help="re-execute a recorded run manifest")
-    p.add_argument("--trajectories", action="store_true",
-                   help="dump per-step latents (t2i/t2v pipelines only)")
 
     p = sub.add_parser("sweep", help="sweep one hyperparameter of the encapsulated pipeline")
     p.add_argument("axis", choices=bench.SWEEP_AXES)
@@ -118,9 +116,7 @@ def main(argv=None) -> int:
                 if not args.pipeline or not args.dataset:
                     raise UsageError("run needs a pipeline and --dataset (or --from-manifest)")
                 cfg = _load_config(args)
-                path = bench.cmd_run(
-                    args.pipeline, cfg, args.dataset, args.out, trajectories=args.trajectories
-                )
+                path = bench.cmd_run(args.pipeline, cfg, args.dataset, args.out)
         elif args.command == "sweep":
             cfg = _load_config(args)
             grid = [_grid_value(x) for x in args.grid.split(",") if x]

@@ -113,7 +113,7 @@ class _Run:
         )
 
 
-def _refine_stages(z, stages, models: ModelBundle, c, rng, run: _Run, trajectory=None):
+def _refine_stages(z, stages, models: ModelBundle, c, rng, run: _Run):
     """Full-depth refinement stages in order: each ``("t2i" | "t2v", t_noise)``
     noises its input to ``t_noise`` on its model's schedule and denoises to clean."""
     for name, t_noise in stages:
@@ -121,7 +121,7 @@ def _refine_stages(z, stages, models: ModelBundle, c, rng, run: _Run, trajectory
             model, sched = models.spatial, models.spatial_schedule
         else:
             model, sched = models.temporal, models.temporal_schedule
-        _, z = sdedit_refine(z, t_noise, 0, model, c, sched, rng, trajectory=trajectory)
+        _, z = sdedit_refine(z, t_noise, 0, model, c, sched, rng)
         run.log(name, t_noise, 0)
     return z
 
@@ -131,21 +131,19 @@ def _nonzero(*stages):
 
 
 def run_t2i_only(
-    z0, t_i: int, models: ModelBundle, c: Condition | None, rng: np.random.Generator,
-    trajectory=None,
+    z0, t_i: int, models: ModelBundle, c: Condition | None, rng: np.random.Generator
 ) -> PipelineResult:
     """Frame-wise refinement: noise to ``t_i`` on the spatial schedule, denoise to 0."""
     run = _Run(models)
-    return run.finish(_refine_stages(z0, [("t2i", t_i)], models, c, rng, run, trajectory))
+    return run.finish(_refine_stages(z0, [("t2i", t_i)], models, c, rng, run))
 
 
 def run_t2v_only(
-    z0, t_v: int, models: ModelBundle, c: Condition | None, rng: np.random.Generator,
-    trajectory=None,
+    z0, t_v: int, models: ModelBundle, c: Condition | None, rng: np.random.Generator
 ) -> PipelineResult:
     """Sequence-wise refinement on the temporal schedule."""
     run = _Run(models)
-    return run.finish(_refine_stages(z0, [("t2v", t_v)], models, c, rng, run, trajectory))
+    return run.finish(_refine_stages(z0, [("t2v", t_v)], models, c, rng, run))
 
 
 def compose_vi(

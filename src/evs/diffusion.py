@@ -33,12 +33,11 @@ def _descend(z_t, t, t_next, eps, sched):
     return z_next, pred_clean
 
 
-def _walk(z, steps, eps_at, sched: NoiseSchedule, trajectory=None):
+def _walk(z, steps, eps_at, sched: NoiseSchedule):
     """Apply the DDIM update over ``steps``, a sequence of ``(t, t_next)`` pairs.
 
     ``eps_at(z, t)`` is the noise prediction at level ``t``.  Returns the
-    final latent and the clean-latent prediction of the last step;
-    ``trajectory``, if given, receives the latent after every step.
+    final latent and the clean-latent prediction of the last step.
     """
     pred_clean = None
     for t, t_next in steps:
@@ -46,24 +45,18 @@ def _walk(z, steps, eps_at, sched: NoiseSchedule, trajectory=None):
         if not np.isfinite(eps).all():
             raise NumericError(f"denoiser returned non-finite output at t={t}")
         z, pred_clean = _descend(z, t, t_next, eps, sched)
-        if trajectory is not None:
-            trajectory.append(z)
     return z, pred_clean
 
 
-def ddim_sample(z_from, t_from, t_to, model, c, sched: NoiseSchedule, trajectory=None):
-    """Walk consecutive reverse steps from ``t_from`` down to ``t_to``.
-
-    ``trajectory``, if given, is a list that receives the latent after every
-    executed step (for debug dumps).
-    """
+def ddim_sample(z_from, t_from, t_to, model, c, sched: NoiseSchedule):
+    """Walk consecutive reverse steps from ``t_from`` down to ``t_to``."""
     t_from = sched.check_timestep(t_from, minimum=1)
     t_to = sched.check_timestep(t_to)
     if not t_to < t_from:
         raise ParameterError(f"need t_to < t_from, got t_to={t_to}, t_from={t_from}")
     return _walk(
         z_from, [(t, t - 1) for t in range(t_from, t_to, -1)],
-        lambda z, t: model.evaluate(z, t, c), sched, trajectory,
+        lambda z, t: model.evaluate(z, t, c), sched,
     )
 
 
@@ -88,8 +81,7 @@ def ddim_invert(z0, t_target, model, c, sched: NoiseSchedule, capture=None):
 
 
 def sdedit_refine(
-    z0, t_noise, t_end, model, c, sched: NoiseSchedule, rng: np.random.Generator,
-    trajectory=None,
+    z0, t_noise, t_end, model, c, sched: NoiseSchedule, rng: np.random.Generator
 ):
     """Noise a clean latent to ``t_noise`` with a fresh draw, then denoise to ``t_end``.
 
@@ -101,4 +93,4 @@ def sdedit_refine(
         raise ParameterError(f"need 0 <= t_end < t_noise, got {t_end}, {t_noise}")
     eps = rng.standard_normal(np.shape(z0))
     z_noisy = forward_noise(z0, t_noise, eps, sched)
-    return ddim_sample(z_noisy, t_noise, t_end, model, c, sched, trajectory=trajectory)
+    return ddim_sample(z_noisy, t_noise, t_end, model, c, sched)

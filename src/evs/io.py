@@ -11,7 +11,6 @@ followed by little-endian float64 payload.  Field meaning per magic:
 
 * ``EVSLAT`` — video latents: a=frames, b=dim, count=videos; payload is
   count*frames*dim values.
-* ``EVSTRJ`` — trajectory dump: a=frames, b=dim, count=steps.
 * ``EVSNET`` — attention-denoiser weights: a=dim, b=embed, count=payload
   length; payload is [blocks, total_steps, n_modes, seed] ++ parameters in
   the model's declared order.  The four leading values must be whole, the
@@ -36,16 +35,10 @@ from .errors import ConfigError, ShapeError
 from .models import ToyAttentionDenoiser, net_param_count
 
 MAGIC_LATENT = b"EVSLAT"
-MAGIC_TRAJECTORY = b"EVSTRJ"
 MAGIC_NET = b"EVSNET"
 
 _HEADER = struct.Struct("<6s2xIII4x")
 assert _HEADER.size == 24
-
-CSV_COLUMNS = (
-    "pipeline", "seed", "ms", "sc", "iq", "psnr", "overall",
-    "nfe_t2i", "nfe_t2v", "wall_time",
-)
 
 MANIFEST_VERSION = 1
 TOOL_VERSION = "0.1.0"
@@ -85,9 +78,8 @@ def _read_file(path, expect_magic: bytes):
     return a, b, count, np.frombuffer(payload, dtype="<f8")
 
 
-def _write_frames(path, magic: bytes, videos) -> None:
-    if isinstance(videos, np.ndarray) and videos.ndim == 2:
-        videos = [videos]
+def write_latents(path, videos) -> None:
+    """Write a sequence of (frames, dim) videos to an EVSLAT file."""
     videos = [np.ascontiguousarray(v, dtype=np.float64) for v in videos]
     if not videos or videos[0].ndim != 2:
         raise ShapeError("expected a sequence of (frames, dim) arrays")
@@ -95,34 +87,16 @@ def _write_frames(path, magic: bytes, videos) -> None:
     if any(v.shape != (f, d) for v in videos):
         raise ShapeError("all videos in one file must share a shape")
     with open(path, "wb") as fh:
-        _write_header(fh, magic, f, d, len(videos))
+        _write_header(fh, MAGIC_LATENT, f, d, len(videos))
         for v in videos:
             fh.write(v.astype("<f8").tobytes())
 
 
-def _read_frames(path, magic: bytes) -> list[np.ndarray]:
-    f, d, count, data = _read_file(path, magic)
+def read_latents(path) -> list[np.ndarray]:
+    f, d, count, data = _read_file(path, MAGIC_LATENT)
     if data.size != count * f * d:
         raise ConfigError(f"latent payload has {data.size} values, expected {count * f * d}")
     return [data[i * f * d : (i + 1) * f * d].reshape(f, d).copy() for i in range(count)]
-
-
-def write_latents(path, videos) -> None:
-    """Write one or more (frames, dim) videos to an EVSLAT file."""
-    _write_frames(path, MAGIC_LATENT, videos)
-
-
-def read_latents(path) -> list[np.ndarray]:
-    return _read_frames(path, MAGIC_LATENT)
-
-
-def write_trajectory(path, latents) -> None:
-    """Dump per-step latents (debug aid) to an EVSTRJ file."""
-    _write_frames(path, MAGIC_TRAJECTORY, latents)
-
-
-def read_trajectory(path) -> list[np.ndarray]:
-    return _read_frames(path, MAGIC_TRAJECTORY)
 
 
 def write_net(path, model: ToyAttentionDenoiser) -> None:
@@ -217,7 +191,7 @@ def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_metric_csv(path, rows, columns=CSV_COLUMNS) -> None:
+def write_metric_csv(path, rows, columns) -> None:
     """Rows are dicts keyed by ``columns``, written in that order; floats get
     12 significant digits and every other value is written as is."""
     with open(path, "w", newline="") as fh:

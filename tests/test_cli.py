@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import evs
+from evs import bench
 from evs import io as evsio
 from evs.cli import main
 from evs.config import DEFAULT_CONFIG
@@ -141,12 +142,10 @@ class TestRun:
         again = tmp_path / "again"
         assert run_cli("run", "--from-manifest", first / "run_manifest.json", "--out", again) == 3
 
-    def test_trajectory_dump(self, small_dataset, tmp_path):
-        assert run_cli(
-            "run", "t2v", "--dataset", small_dataset, "--out", tmp_path, "--trajectories"
-        ) == 0
-        steps = evsio.read_trajectory(tmp_path / "item_0000.evstrj")
-        assert len(steps) == 4  # default temporal strength
+    def test_trajectories_flag_is_usage_error(self, small_dataset, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "t2v", "--dataset", small_dataset, "--out", tmp_path, "--trajectories")
+        assert exc.value.code == 2
 
     def test_unknown_pipeline_is_usage_error(self, small_dataset, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -297,6 +296,27 @@ class TestSweep:
         assert code == 3
         assert f"grid point {axis}={float(value)}: {axis} must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_every_grid_point_is_checked_before_any_runs(
+        self, small_dataset, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        execute = bench._execute
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "_execute", counted)
+        out = tmp_path / "sw"
+        code = run_cli(
+            "sweep", "t_V", "--grid", "2,4,9", "--dataset", small_dataset, "--out", out,
+            "--set", "pipeline.block_mode=sdedit", "--set", "pipeline.injection=null",
+        )
+        assert code == 3
+        assert "t_V=9" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
     def test_gamma_grid_takes_exponent_notation(self, small_dataset, tmp_path):
         assert run_cli(
@@ -532,6 +552,20 @@ class TestReportAndTrain:
         assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["train", "--set", "train.lr=0"], 3),
+    (["run", "t2i", "--dataset", "SMALL", "--set", "pipeline.t_T2V=40"], 3),
+    (["frontier", "--dataset", "SMALL"], 3),
+    (["run", "t2i", "--dataset", "MISSING"], 4),
+], ids=["train-lr", "run-t_T2V", "frontier-plain", "run-missing-dataset"])
+def test_failed_check_leaves_no_out_directory(small_dataset, tmp_path, argv, code):
+    """A command checks its config, grid, dataset and weights before it creates ``--out``."""
+    places = {"SMALL": small_dataset, "MISSING": tmp_path / "missing"}
+    out = tmp_path / "out"
+    assert run_cli(*(places.get(a, a) for a in argv), "--out", out) == code
+    assert not out.exists()
+
+
 class TestOutputDigest:
     def test_digest_is_independent_of_the_output_path(self, tmp_path):
         """``scripts/output_digest.py`` is the byte-identity check for refactors:
@@ -546,7 +580,7 @@ class TestOutputDigest:
             )
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.splitlines())
-        assert len(digests[0]) == 49
+        assert len(digests[0]) == 53
         assert digests[0] == digests[1]
         assert not [line for line in digests[0] for out in outs if str(out) in line]
 

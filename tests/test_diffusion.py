@@ -191,11 +191,6 @@ class TestDdimSample:
         with pytest.raises(ParameterError):
             ddim_sample(np.zeros((1, 1)), 5, 5, ConstantDenoiser(0.0), None, lab.sched_i)
 
-    def test_trajectory_sink(self, lab):
-        traj = []
-        ddim_sample(np.zeros((2, 2)), 5, 0, ConstantDenoiser(0.1), None, lab.sched_i, trajectory=traj)
-        assert len(traj) == 5
-
 
 class TestDdimInvert:
     def test_zero_denoiser_is_pure_rescaling(self, lab):

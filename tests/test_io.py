@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evs import io as evsio
+from evs.bench import RUN_CSV_COLUMNS
 from evs.errors import ConfigError
 from evs.models import ToyAttentionDenoiser
 
@@ -28,19 +29,10 @@ class TestBinaryFormats:
             np.testing.assert_array_equal(a, b)
 
     def test_wrong_magic_rejected(self, tmp_path):
-        path = tmp_path / "t.evstrj"
-        evsio.write_trajectory(path, [np.zeros((2, 2))])
-        with pytest.raises(ConfigError):
+        path = tmp_path / "weights.evsnet"
+        evsio.write_net(path, ToyAttentionDenoiser(blocks=1, dim=4, embed=4))
+        with pytest.raises(ConfigError, match="bad magic"):
             evsio.read_latents(path)
-
-    def test_trajectory_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        steps = [rng.standard_normal((3, 5)) for _ in range(7)]
-        path = tmp_path / "walk.evstrj"
-        evsio.write_trajectory(path, steps)
-        loaded = evsio.read_trajectory(path)
-        assert len(loaded) == 7
-        np.testing.assert_array_equal(loaded[4], steps[4])
 
     def test_net_roundtrip(self, tmp_path):
         net = ToyAttentionDenoiser(seed=5)
@@ -53,12 +45,13 @@ class TestBinaryFormats:
         for name in net.param_names():
             np.testing.assert_array_equal(loaded.params[name], net.params[name])
 
-    def test_truncated_trajectory_rejected(self, tmp_path):
-        path = tmp_path / "walk.evstrj"
-        evsio.write_trajectory(path, [np.zeros((3, 5)) for _ in range(4)])
+    def test_truncated_latents_rejected(self, tmp_path):
+        # One float64 short: whole values, but fewer than the header's count implies.
+        path = tmp_path / "batch.evslat"
+        evsio.write_latents(path, [np.zeros((3, 5)) for _ in range(4)])
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ConfigError):
-            evsio.read_trajectory(path)
+        with pytest.raises(ConfigError, match="expected 60"):
+            evsio.read_latents(path)
 
     def test_truncated_net_rejected(self, tmp_path):
         path = tmp_path / "weights.evsnet"
@@ -121,7 +114,6 @@ def _write_dataset_manifest(path):
 # (reader, writer of a valid file) for every binary format and the dataset manifest.
 _READERS = {
     "evslat": (evsio.read_latents, lambda p: evsio.write_latents(p, [np.ones((3, 4))] * 2)),
-    "evstrj": (evsio.read_trajectory, lambda p: evsio.write_trajectory(p, [np.ones((2, 3))] * 3)),
     "evsnet": (evsio.read_net,
                lambda p: evsio.write_net(p, ToyAttentionDenoiser(dim=4, embed=4, blocks=1))),
     "manifest": (lambda p: evsio.read_manifest(p, "dataset"), _write_dataset_manifest),
@@ -185,13 +177,13 @@ class TestCsv:
 
     def test_fixed_column_order(self, tmp_path):
         path = tmp_path / "rows.csv"
-        evsio.write_metric_csv(path, self._rows())
+        evsio.write_metric_csv(path, self._rows(), RUN_CSV_COLUMNS)
         header = path.read_text().splitlines()[0]
         assert header == "pipeline,seed,ms,sc,iq,psnr,overall,nfe_t2i,nfe_t2v,wall_time"
 
     def test_wall_time_stripping(self, tmp_path):
         path = tmp_path / "rows.csv"
-        evsio.write_metric_csv(path, self._rows())
+        evsio.write_metric_csv(path, self._rows(), RUN_CSV_COLUMNS)
         stripped = evsio.csv_without_wall_time(path)
         assert "wall_time" not in stripped
         assert "0.123" not in stripped
