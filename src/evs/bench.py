@@ -34,10 +34,9 @@ from .config import (
 )
 from .diffusion import sdedit_refine
 from .errors import ConfigError, ParameterError, UsageError
-from .metrics import motion_smoothness, psnr, score_video
+from .metrics import METRICS, motion_smoothness, psnr, score_video
 from .models import (
     ToyAttentionDenoiser,
-    TrainRecipe,
     make_degraded_video,
     sample_world,
     train_toy_denoiser,
@@ -53,7 +52,6 @@ from .sfi import (
 
 PIPELINES = ("t2i", "t2v", "iv", "vi", "evs", "iterated")
 SWEEP_AXES = ("t_T2V", "t_V", "n_V", "gamma")
-METRICS = ("ms", "sc", "iq", "psnr", "overall")
 # The columns of runs.csv, which are also the keys of each run manifest row.
 RUN_CSV_COLUMNS = ("pipeline", "seed", *METRICS, "nfe_t2i", "nfe_t2v", "wall_time")
 
@@ -100,8 +98,6 @@ def _write_manifest(path, cfg: dict, kind: str, **fields) -> Path:
 
 def cmd_gen(cfg: dict, out_dir) -> Path:
     """Write the input dataset: degraded videos, or styled off-prior ones."""
-    if cfg["dataset"]["count"] < 1:  # every reader of a dataset refuses an empty one
-        raise ConfigError(f"dataset.count must be at least 1, got {cfg['dataset']['count']}")
     lab = build_lab(cfg)
     styled = bool(cfg["dataset"]["styled"])
     style = style_vector(cfg) if styled else None
@@ -154,9 +150,9 @@ def _evs_item_seed(cfg: dict, index: int) -> int:
     return int(np.random.SeedSequence([cfg["seed"], index]).generate_state(1)[0])
 
 
-def _temporal_model_for(cfg: dict, pcfg: PipelineConfig, pipeline: str):
+def _temporal_model_for(cfg: dict, pipeline: str):
     """The tapped net when the temporal block needs taps, else the analytic model."""
-    if pipeline == "evs" and pcfg.block_mode == BLOCK_INVERSION_SFI:
+    if pipeline == "evs" and cfg["pipeline"]["block_mode"] == BLOCK_INVERSION_SFI:
         return load_or_init_net(cfg)
     return None
 
@@ -214,15 +210,13 @@ def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir) -> Path:
     """Execute one pipeline over the dataset; write CSV, outputs, manifest."""
     if pipeline not in PIPELINES:
         raise UsageError(f"unknown pipeline {pipeline!r} (choose from {', '.join(PIPELINES)})")
-    pcfg = PipelineConfig(**cfg["pipeline"])
-    lab = build_lab(cfg, temporal_override=_temporal_model_for(cfg, pcfg, pipeline))
-    pcfg.validate(lab.sched_i, lab.sched_v)
+    lab = build_lab(cfg, temporal_override=_temporal_model_for(cfg, pipeline))
     _, videos = load_dataset(dataset_dir)
     out = _out_dir(out_dir)
 
     rows = []
     row_meta = []
-    for index, result, report in _scored_items(pipeline, lab, cfg, pcfg, videos):
+    for index, result, report in _scored_items(pipeline, lab, cfg, lab.pipeline_config, videos):
         out_file = f"item_{index:04d}.out.evslat"
         evsio.write_latents(out / out_file, [result.output])
         rows.append(
@@ -285,7 +279,7 @@ def _sweep_point(base: PipelineConfig, axis: str, value, lab: Lab) -> PipelineCo
             raise ConfigError("sweep axis gamma needs pipeline.injection, which is null")
         else:
             pcfg = replace(base, injection=replace(base.injection, gamma=float(value)))
-        pcfg.validate(lab.sched_i, lab.sched_v)
+        pcfg.validate(lab.models)
     except ParameterError as exc:
         raise ParameterError(f"grid point {axis}={value}: {exc}") from exc
     return pcfg
@@ -298,10 +292,9 @@ def cmd_sweep(axis: str, grid, cfg: dict, dataset_dir, out_dir) -> Path:
     if not grid:
         raise ParameterError("sweep grid must be nonempty")
     _, videos = load_dataset(dataset_dir)
-    base = PipelineConfig(**cfg["pipeline"])
     # No sweep axis changes the block mode, so one lab serves every grid point.
-    lab = build_lab(cfg, temporal_override=_temporal_model_for(cfg, base, "evs"))
-    pcfgs = [_sweep_point(base, axis, value, lab) for value in grid]
+    lab = build_lab(cfg, temporal_override=_temporal_model_for(cfg, "evs"))
+    pcfgs = [_sweep_point(lab.pipeline_config, axis, value, lab) for value in grid]
     out = _out_dir(out_dir)
     point_stats = []
     for value, pcfg in zip(grid, pcfgs):
@@ -383,14 +376,13 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
     mcfg = lab.metric_config
     net_file = cfg["net"]["weights"]
     net = load_or_init_net(cfg) if net_file else None
-    recipe = None if net_file else TrainRecipe(**cfg["train"])
     out = _out_dir(out_dir)
     if net is None:
         net_file = "net.evsnet"
-        net = train_toy_denoiser(lab.temporal_world, lab.sched_v, recipe)
+        net = train_toy_denoiser(lab.temporal_world, lab.sched_v, lab.recipe)
         evsio.write_net(out / net_file, net)
 
-    t_v = cfg["pipeline"]["t_V"]
+    t_v = lab.pipeline_config.t_V
     conds = {i: item_condition(cfg, i) for i, _ in videos}
 
     rows = []
@@ -545,9 +537,8 @@ def cmd_report(manifest_paths, out_dir) -> Path:
 def cmd_train(cfg: dict, out_dir) -> Path:
     """Train the tapped temporal denoiser and save its weights."""
     lab = build_lab(cfg)
-    recipe = TrainRecipe(**cfg["train"])
     out = _out_dir(out_dir)
-    net = train_toy_denoiser(lab.temporal_world, lab.sched_v, recipe)
+    net = train_toy_denoiser(lab.temporal_world, lab.sched_v, lab.recipe)
     evsio.write_net(out / "net.evsnet", net)
     return _write_manifest(
         out / "train_manifest.json", cfg, "train",

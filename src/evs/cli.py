@@ -104,35 +104,29 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "gen":
-            cfg = _load_config(args)
-            if args.styled:
-                cfg["dataset"]["styled"] = True
-            path = bench.cmd_gen(cfg, args.out)
-        elif args.command == "run":
-            if args.from_manifest:
-                path = bench.rerun_from_manifest(args.from_manifest, args.out)
-            else:
-                if not args.pipeline or not args.dataset:
-                    raise UsageError("run needs a pipeline and --dataset (or --from-manifest)")
-                cfg = _load_config(args)
-                path = bench.cmd_run(args.pipeline, cfg, args.dataset, args.out)
-        elif args.command == "sweep":
-            cfg = _load_config(args)
-            grid = [_grid_value(x) for x in args.grid.split(",") if x]
-            path = bench.cmd_sweep(args.axis, grid, cfg, args.dataset, args.out)
-        elif args.command == "frontier":
-            cfg = _load_config(args)
-            if args.net:
-                cfg["net"]["weights"] = args.net
-            path = bench.cmd_frontier(cfg, args.dataset, args.out)
-        elif args.command == "report":
+        if args.command == "report":
             path = bench.cmd_report(args.manifests, args.out)
-        elif args.command == "train":
+        elif args.command == "run" and args.from_manifest:
+            path = bench.rerun_from_manifest(args.from_manifest, args.out)
+        elif args.command == "run" and not (args.pipeline and args.dataset):
+            raise UsageError("run needs a pipeline and --dataset (or --from-manifest)")
+        else:  # the commands that take a config: gen, run, sweep, frontier, train
             cfg = _load_config(args)
-            path = bench.cmd_train(cfg, args.out)
-        else:  # pragma: no cover - argparse enforces choices
-            raise UsageError(f"unknown command {args.command!r}")
+            if args.command == "gen":
+                if args.styled:
+                    cfg["dataset"]["styled"] = True
+                path = bench.cmd_gen(cfg, args.out)
+            elif args.command == "run":
+                path = bench.cmd_run(args.pipeline, cfg, args.dataset, args.out)
+            elif args.command == "sweep":
+                grid = [_grid_value(x) for x in args.grid.split(",") if x]
+                path = bench.cmd_sweep(args.axis, grid, cfg, args.dataset, args.out)
+            elif args.command == "frontier":
+                if args.net:
+                    cfg["net"]["weights"] = args.net
+                path = bench.cmd_frontier(cfg, args.dataset, args.out)
+            else:
+                path = bench.cmd_train(cfg, args.out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -65,7 +65,9 @@ class PipelineConfig:
         if isinstance(self.injection, dict):
             object.__setattr__(self, "injection", InjectionConfig(**self.injection))
 
-    def validate(self, sched_i: NoiseSchedule, sched_v: NoiseSchedule):
+    def validate(self, models: ModelBundle):
+        """Check every key; with a tapped temporal model, also the block's injection."""
+        sched_i, sched_v = models.spatial_schedule, models.temporal_schedule
         if not 1 <= self.t_T2V <= self.t_I <= sched_i.total_steps:
             raise ParameterError(
                 f"need 1 <= t_T2V <= t_I <= {sched_i.total_steps}, "
@@ -80,6 +82,15 @@ class PipelineConfig:
             raise ParameterError(f"unknown block_mode {self.block_mode!r}")
         if self.rounds < 1:
             raise ParameterError(f"need rounds >= 1, got rounds={self.rounds}")
+        if self.block_mode != BLOCK_INVERSION_SFI or not getattr(models.temporal, "has_taps", False):
+            return
+        if self.injection is None:
+            raise ParameterError("block_mode inversion+sfi requires an injection config")
+        unknown = sorted(set(self.injection.layers) - set(range(models.temporal.blocks)))
+        if unknown:
+            raise InjectionError(
+                f"injection layers {unknown} outside the net's blocks 0..{models.temporal.blocks - 1}"
+            )
 
 
 @dataclass(frozen=True)
@@ -113,9 +124,10 @@ class _Run:
         )
 
 
-def _refine_stages(z, stages, models: ModelBundle, c, rng, run: _Run):
-    """Full-depth refinement stages in order: each ``("t2i" | "t2v", t_noise)``
-    noises its input to ``t_noise`` on its model's schedule and denoises to clean."""
+def _refine_stages(z, stages, models: ModelBundle, c, rng) -> PipelineResult:
+    """One pipeline run of full-depth stages: each ``("t2i" | "t2v", t_noise)``, in
+    order, noises its input to ``t_noise`` on its model's schedule and denoises to clean."""
+    run = _Run(models)
     for name, t_noise in stages:
         if name == "t2i":
             model, sched = models.spatial, models.spatial_schedule
@@ -123,7 +135,7 @@ def _refine_stages(z, stages, models: ModelBundle, c, rng, run: _Run):
             model, sched = models.temporal, models.temporal_schedule
         _, z = sdedit_refine(z, t_noise, 0, model, c, sched, rng)
         run.log(name, t_noise, 0)
-    return z
+    return run.finish(z)
 
 
 def _nonzero(*stages):
@@ -134,32 +146,28 @@ def run_t2i_only(
     z0, t_i: int, models: ModelBundle, c: Condition | None, rng: np.random.Generator
 ) -> PipelineResult:
     """Frame-wise refinement: noise to ``t_i`` on the spatial schedule, denoise to 0."""
-    run = _Run(models)
-    return run.finish(_refine_stages(z0, [("t2i", t_i)], models, c, rng, run))
+    return _refine_stages(z0, [("t2i", t_i)], models, c, rng)
 
 
 def run_t2v_only(
     z0, t_v: int, models: ModelBundle, c: Condition | None, rng: np.random.Generator
 ) -> PipelineResult:
     """Sequence-wise refinement on the temporal schedule."""
-    run = _Run(models)
-    return run.finish(_refine_stages(z0, [("t2v", t_v)], models, c, rng, run))
+    return _refine_stages(z0, [("t2v", t_v)], models, c, rng)
 
 
 def compose_vi(
     z0, t_v: int, t_i: int, models: ModelBundle, c, rng: np.random.Generator
 ) -> PipelineResult:
     """Temporal refinement to clean, then frame-wise refinement (zero stages omitted)."""
-    run = _Run(models)
-    return run.finish(_refine_stages(z0, _nonzero(("t2v", t_v), ("t2i", t_i)), models, c, rng, run))
+    return _refine_stages(z0, _nonzero(("t2v", t_v), ("t2i", t_i)), models, c, rng)
 
 
 def compose_iv(
     z0, t_i: int, t_v: int, models: ModelBundle, c, rng: np.random.Generator
 ) -> PipelineResult:
     """Frame-wise refinement to clean, then temporal refinement (zero stages omitted)."""
-    run = _Run(models)
-    return run.finish(_refine_stages(z0, _nonzero(("t2i", t_i), ("t2v", t_v)), models, c, rng, run))
+    return _refine_stages(z0, _nonzero(("t2i", t_i), ("t2v", t_v)), models, c, rng)
 
 
 def _temporal_block(bridge, cfg: PipelineConfig, models: ModelBundle, c, rng, run: _Run):
@@ -169,15 +177,8 @@ def _temporal_block(bridge, cfg: PipelineConfig, models: ModelBundle, c, rng, ru
         _, clean = sdedit_refine(bridge, cfg.t_V, cfg.t_V - cfg.n_V, models.temporal, c, sched_v, rng)
         run.log("t2v:sdedit", cfg.t_V, cfg.t_V - cfg.n_V)
         return clean
-    if cfg.injection is None:
-        raise ParameterError("block_mode inversion+sfi requires an injection config")
     if not getattr(models.temporal, "has_taps", False):
         raise CapabilityError("inversion+sfi block requires a temporal model with taps")
-    unknown = sorted(set(cfg.injection.layers) - set(range(models.temporal.blocks)))
-    if unknown:
-        raise InjectionError(
-            f"injection layers {unknown} outside the net's blocks 0..{models.temporal.blocks - 1}"
-        )
     # The cache stores only the features the one injection walk below reads.
     keep = injection_keys(cfg.t_V, cfg.n_V, cfg.injection)
     z_tv, cache = invert_with_capture(bridge, cfg.t_V, models.temporal, c, sched_v, keep=keep)
@@ -200,7 +201,7 @@ def run_evs(
     ``t_T2V == t_I`` the leading spatial stage is empty and the block acts on
     the input itself.  ``seed`` keys the noise draws.
     """
-    cfg.validate(models.spatial_schedule, models.temporal_schedule)
+    cfg.validate(models)
     rng = np.random.default_rng(np.random.SeedSequence([0x45565321, seed]))
     sched_i = models.spatial_schedule
     run = _Run(models)
@@ -243,5 +244,4 @@ def run_iterated_baseline(
     z0, rounds: int, t_i: int, t_v: int, models: ModelBundle, c, rng: np.random.Generator
 ) -> PipelineResult:
     """Full-depth alternation baseline used as the inference-cost denominator."""
-    run = _Run(models)
-    return run.finish(_refine_stages(z0, iterated_stages(rounds, t_i, t_v), models, c, rng, run))
+    return _refine_stages(z0, iterated_stages(rounds, t_i, t_v), models, c, rng)

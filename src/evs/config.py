@@ -8,8 +8,8 @@ A section's keys are the parameters of the object it builds: ``world`` goes
 to ``models.default_worlds``, ``pipeline`` to ``compose.PipelineConfig``,
 ``metrics`` to ``MetricConfig`` and ``train`` to ``TrainRecipe``, and the last
 three sections take their defaults from those classes, so each default is
-written once.  ``PipelineConfig.validate`` checks every pipeline key before
-the first item runs.
+written once.  ``build_lab`` builds and checks every section, so a command
+that builds its lab first refuses a bad value before it writes anything.
 """
 
 from __future__ import annotations
@@ -147,12 +147,14 @@ def apply_set_overrides(cfg_overrides: dict, assignments: list[str]) -> dict:
 
 @dataclass(frozen=True)
 class Lab:
-    """Everything a pipeline run needs, built from one resolved config."""
+    """Everything a command needs, built from one resolved config."""
 
     spatial_world: models.SpatialWorld
     temporal_world: models.TemporalWorld
     models: ModelBundle
     metric_config: MetricConfig
+    pipeline_config: PipelineConfig
+    recipe: TrainRecipe
 
     @property
     def sched_i(self):
@@ -164,11 +166,15 @@ class Lab:
 
 
 def build_lab(cfg: dict, temporal_override=None) -> Lab:
-    """Instantiate worlds, schedules, and denoisers from a resolved config.
+    """Build and check every section of a resolved config; a bad value raises.
 
     ``temporal_override`` swaps in a different temporal denoiser (the tapped
-    net) while keeping everything else identical.
+    net), against which the pipeline section is checked.
     """
+    # Every reader of a dataset refuses an empty one, so count starts at 1.
+    for key, least in (("count", 1), ("flicker_sigma", 0)):
+        if cfg["dataset"][key] < least:
+            raise ConfigError(f"dataset.{key} must be at least {least}, got {cfg['dataset'][key]}")
     spatial_world, temporal_world = models.default_worlds(
         dim=cfg["dim"], frames=cfg["frames"], **cfg["world"]
     )
@@ -182,7 +188,12 @@ def build_lab(cfg: dict, temporal_override=None) -> Lab:
         spatial_schedule=sched_i,
         temporal_schedule=sched_v,
     )
-    return Lab(spatial_world, temporal_world, bundle, MetricConfig(**cfg["metrics"]))
+    pipeline = PipelineConfig(**cfg["pipeline"])
+    pipeline.validate(bundle)
+    return Lab(
+        spatial_world, temporal_world, bundle, MetricConfig(**cfg["metrics"]),
+        pipeline, TrainRecipe(**cfg["train"]),
+    )
 
 
 def item_seed(base_seed: int, index: int) -> np.random.SeedSequence:

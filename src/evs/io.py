@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .metrics import METRICS
 from .models import ToyAttentionDenoiser, net_param_count
 
 MAGIC_LATENT = b"EVSLAT"
@@ -53,7 +54,7 @@ _NUMBER = (int, float)
 _TYPE_NAMES = {str: "a str", int: "an int", _NUMBER: "a number"}
 _RUN_DATASET_KEYS = {"path": str, "manifest_sha256": str}
 _RUN_ROW_KEYS = {
-    **dict.fromkeys(("ms", "sc", "iq", "psnr", "overall", "wall_time"), _NUMBER),
+    **dict.fromkeys((*METRICS, "wall_time"), _NUMBER),
     "nfe_t2i": int,
     "nfe_t2v": int,
 }

@@ -10,7 +10,7 @@ with every run, so aggregate numbers are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,6 +63,10 @@ class MetricReport:
     iq: float
     psnr: float
     overall: float
+
+
+# The metric names, in report order: the run CSV's and manifest rows' metric columns.
+METRICS = tuple(f.name for f in fields(MetricReport))
 
 
 def motion_smoothness(v: np.ndarray, tau: float = 0.05) -> float:

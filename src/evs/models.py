@@ -180,12 +180,13 @@ def default_worlds(
     return spatial, temporal
 
 
-def _pick_mode(world, c: Condition | None, rng) -> int:
-    if c is not None and c.mode_id is not None:
-        if not 0 <= c.mode_id < world.modes:
-            raise ParameterError(f"mode_id {c.mode_id} outside 0..{world.modes - 1}")
-        return int(c.mode_id)
-    return int(rng.choice(world.modes, p=world.weights))
+def _mode_of(c: Condition | None, modes: int) -> int | None:
+    """The mode a condition restricts to, or None; a mode outside 0..modes-1 is refused."""
+    if c is None or c.mode_id is None:
+        return None
+    if not 0 <= c.mode_id < modes:
+        raise ParameterError(f"mode_id {c.mode_id} outside 0..{modes - 1}")
+    return int(c.mode_id)
 
 
 def sample_world(world, c: Condition | None, seed) -> np.ndarray:
@@ -195,7 +196,9 @@ def sample_world(world, c: Condition | None, seed) -> np.ndarray:
     frame coupling.  A style offset on the condition is added to every frame.
     """
     rng = np.random.default_rng(seed)
-    k = _pick_mode(world, c, rng)
+    k = _mode_of(c, world.modes)
+    if k is None:
+        k = int(rng.choice(world.modes, p=world.weights))
     eta = rng.standard_normal((world.frames, world.dim))
     if isinstance(world, TemporalWorld):
         noise = world.sigma * (world.correlation_chol @ eta)
@@ -234,9 +237,7 @@ def gmm_posterior_eps(
     """
     z_t = np.asarray(z_t, dtype=np.float64)
     t = sched.check_timestep(t)
-    restrict = None if c is None else c.mode_id
-    if restrict is not None and not 0 <= restrict < world.modes:
-        raise ParameterError(f"mode_id {restrict} outside 0..{world.modes - 1}")
+    restrict = _mode_of(c, world.modes)
 
     if isinstance(world, SpatialWorld):
         return _spatial_posterior_eps(z_t, t, world, sched, restrict)
@@ -288,7 +289,7 @@ def spatial_log_density(v: np.ndarray, world: SpatialWorld, c: Condition | None 
     if v.ndim != 2 or v.shape[1] != world.dim:
         raise ShapeError(f"latent must be (frames, {world.dim}), got {v.shape}")
     const = -0.5 * world.dim * np.log(2.0 * np.pi * world.sigma**2)
-    restrict = None if c is None else c.mode_id
+    restrict = _mode_of(c, world.modes)
     if restrict is not None:
         return const - ((v - world.means[restrict]) ** 2).sum(-1) / (2.0 * world.sigma**2)
     diff = v[:, None, :] - world.means[None, :, :]
@@ -486,11 +487,8 @@ class ToyAttentionDenoiser(Denoiser):
         return ["w_in", "w_time", "cond_emb", "b_in", *blocks, "w_out", "b_out"]
 
     def _cond_index(self, c: Condition | None) -> int:
-        if c is None or c.mode_id is None:
-            return 0
-        if not 0 <= c.mode_id < self.n_modes:
-            raise ParameterError(f"mode_id {c.mode_id} outside 0..{self.n_modes - 1}")
-        return c.mode_id + 1
+        mode = _mode_of(c, self.n_modes)
+        return 0 if mode is None else mode + 1
 
     def forward(self, z_t, t, c, injection=None, capture=None, capture_key=None):
         """One denoiser evaluation, optionally with capture or injection.

@@ -124,6 +124,12 @@ class TestImagingQuality:
         with pytest.raises(ParameterError):
             imaging_quality(np.zeros((2, 64)), lab.spatial_world, scale=0.0)
 
+    @pytest.mark.parametrize("mode_id", [-1, 4])
+    def test_mode_outside_the_world_is_refused(self, lab, mode_id):
+        # -1 must not index the last mode; 4 is one past the default world's modes.
+        with pytest.raises(ParameterError, match=f"mode_id {mode_id} outside 0..3"):
+            imaging_quality(np.zeros((2, 64)), lab.spatial_world, Condition(mode_id=mode_id))
+
 
 class TestPsnr:
     def test_identical_inputs_hit_cap(self):
