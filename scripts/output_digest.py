@@ -4,7 +4,9 @@ that two source trees can be compared for byte-identical outputs with `diff`.
 
 The set: `gen` plain and `--styled`; all six pipelines; `evs` with the sdedit
 block; `run --from-manifest` over the `evs` run; `sweep t_T2V`; `train` at 20
-steps; `frontier` with those weights; and `report` over the six pipeline runs.  Wall-clock values are dropped before
+steps; `frontier` with those weights, and again training its own net at 20
+steps; `sweep gamma` with the trained weights; and `report` over the six
+pipeline runs.  Wall-clock values are dropped before
 hashing (the `wall_time` CSV column and JSON key), the output directory is
 written as `OUT` wherever a manifest records a path, and an SVG is hashed
 without its `<metadata>` element, which holds the sha256 of a manifest that
@@ -49,6 +51,10 @@ def commands(out: Path, count: int, seed: int) -> list[list]:
         ["train", "--out", out / "train", "--set", "train.steps=20", *common],
         ["frontier", "--dataset", styled, "--out", out / "frontier",
          "--net", out / "train" / "net.evsnet", *common],
+        ["frontier", "--dataset", styled, "--out", out / "frontier_trained",
+         "--set", "train.steps=20", *common],
+        ["sweep", "gamma", "--grid", "0.0,0.5,1.0", "--dataset", ds, "--out", out / "sweep_gamma",
+         "--set", f"net.weights={out / 'train' / 'net.evsnet'}", *common],
         ["report", *(out / f"run_{p}" / "run_manifest.json" for p in PIPELINES),
          "--out", out / "report"],
     ]

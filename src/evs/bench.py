@@ -32,7 +32,6 @@ from .config import (
     resolve_config,
     style_vector,
 )
-from .diffusion import sdedit_refine
 from .errors import ConfigError, ParameterError, UsageError
 from .metrics import METRICS, motion_smoothness, psnr, score_video
 from .models import (
@@ -58,10 +57,14 @@ RUN_CSV_COLUMNS = ("pipeline", "seed", *METRICS, "nfe_t2i", "nfe_t2v", "wall_tim
 DATASET_MANIFEST = "dataset_manifest.json"
 RUN_MANIFEST = "run_manifest.json"
 
-# Selective operating points blend queries at the named shallow/deep layer
-# sets; the one all-layers row is the full-feature reconstruction anchor.
-_FRONTIER_LAYER_SETS = (("shallow", SHALLOW_LAYERS), ("deep", DEEP_LAYERS))
-_FRONTIER_GAMMAS = (0.0, 0.25, 0.5, 0.8, 1.0)
+# The frontier's injection operating points, by label: the selective points
+# blend queries at the shallow or deep layer set; the one all-layers point is
+# the full-feature reconstruction anchor.
+_FRONTIER_SFI = {
+    f"{name},g={gamma}": InjectionConfig(layers=layers, gamma=gamma)
+    for name, layers in (("shallow", SHALLOW_LAYERS), ("deep", DEEP_LAYERS))
+    for gamma in (0.0, 0.25, 0.5, 0.8, 1.0)
+} | {"all,g=1.0,f": InjectionConfig(layers=ALL_LAYERS, gamma=1.0, inject_f=True)}
 _DOMINANCE_GRID = 41
 
 
@@ -253,13 +256,23 @@ def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir) -> Path:
     )
 
 
+def _read_run(path) -> tuple[dict, dict]:
+    """A run manifest and its embedded config, resolved and checked again;
+    a pipeline that is not one of ``PIPELINES`` is refused."""
+    manifest = evsio.read_manifest(path, "run")
+    if manifest["pipeline"] not in PIPELINES:
+        raise ConfigError(
+            f"{path}: unknown pipeline {manifest['pipeline']!r} (choose from {', '.join(PIPELINES)})"
+        )
+    return manifest, resolve_config(manifest["config"], seed_env=False)
+
+
 def rerun_from_manifest(manifest_path, out_dir) -> Path:
     """Re-execute a recorded run: its embedded config, checked again, on its unchanged dataset."""
-    manifest = evsio.read_manifest(manifest_path, "run")
+    manifest, cfg = _read_run(manifest_path)
     dataset = manifest["dataset"]
     if evsio.file_sha256(Path(dataset["path"]) / DATASET_MANIFEST) != dataset["manifest_sha256"]:
         raise ConfigError(f"dataset {dataset['path']} changed since {manifest_path} was written")
-    cfg = resolve_config(manifest["config"], seed_env=False)
     return cmd_run(manifest["pipeline"], cfg, dataset["path"], out_dir)
 
 
@@ -275,8 +288,13 @@ def _sweep_point(base: PipelineConfig, axis: str, value, lab: Lab) -> PipelineCo
             if not float(value).is_integer():
                 raise ParameterError(f"{axis} must be an integer")
             pcfg = replace(base, **{axis: int(value)})
-        elif base.injection is None:
-            raise ConfigError("sweep axis gamma needs pipeline.injection, which is null")
+        elif (base.block_mode != BLOCK_INVERSION_SFI or base.injection is None
+              or not base.injection.inject_kv or not base.injection.layers):
+            # Only a key/value injection at some layer reads gamma.
+            raise ConfigError(
+                "sweep axis gamma needs pipeline.block_mode inversion+sfi and a "
+                "pipeline.injection with inject_kv true and one or more layers"
+            )
         else:
             pcfg = replace(base, injection=replace(base.injection, gamma=float(value)))
         pcfg.validate(lab.models)
@@ -343,23 +361,16 @@ def cmd_sweep(axis: str, grid, cfg: dict, dataset_dir, out_dir) -> Path:
 def frontier_dominance(points_a, points_b, grid_size: int = _DOMINANCE_GRID) -> float:
     """Fraction of the shared smoothness grid where frontier A attains at
     least B's best fidelity among points at or above each smoothness level."""
-
-    def best_at(points, level):
-        vals = [p for m, p in points if m >= level]
-        return max(vals) if vals else None
-
     lo = max(min(m for m, _ in points_a), min(m for m, _ in points_b))
     hi = min(max(m for m, _ in points_a), max(m for m, _ in points_b))
     if hi <= lo:
         return 1.0
-    wins = 0
+    # Every level lies in [lo, hi], so each frontier has a point at or above it.
     grid = np.linspace(lo, hi, grid_size)
-    for level in grid:
-        a = best_at(points_a, level)
-        b = best_at(points_b, level)
-        if a is not None and (b is None or a >= b):
-            wins += 1
-    return wins / len(grid)
+    return sum(
+        max(p for m, p in points_a if m >= level) >= max(p for m, p in points_b if m >= level)
+        for level in grid
+    ) / len(grid)
 
 
 def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
@@ -376,6 +387,10 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
     mcfg = lab.metric_config
     net_file = cfg["net"]["weights"]
     net = load_or_init_net(cfg) if net_file else None
+    if net is not None and set(range(net.blocks)) != ALL_LAYERS:
+        raise ConfigError(
+            f"{net_file}: net has {net.blocks} blocks; the frontier's layer sets need {len(ALL_LAYERS)}"
+        )
     out = _out_dir(out_dir)
     if net is None:
         net_file = "net.evsnet"
@@ -383,54 +398,33 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
         evsio.write_net(out / net_file, net)
 
     t_v = lab.pipeline_config.t_V
-    conds = {i: item_condition(cfg, i) for i, _ in videos}
+    # Each refined output's (smoothness, fidelity) pair, per (method, label) point.
+    scores = {}
+    for index, video in videos:
+        c = item_condition(cfg, index)
+        outputs = {("sdedit", "t=0"): video}
+        for t in range(1, lab.sched_v.total_steps + 1):
+            rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], index, t]))
+            outputs["sdedit", f"t={t}"] = run_t2v_only(video, t, lab.models, c, rng).output
+        # Each video is inverted once; its cache serves every operating point.
+        z, cache = invert_with_capture(video, t_v, net, c, lab.sched_v)
+        for label, icfg in _FRONTIER_SFI.items():
+            _, outputs["sfi", label] = denoise_with_injection(
+                z, t_v, t_v, net, c, lab.sched_v, cache, icfg
+            )
+        for key, refined in outputs.items():
+            scores.setdefault(key, []).append(
+                (motion_smoothness(refined, mcfg.tau), psnr(refined, video, mcfg.psnr_peak))
+            )
 
     rows = []
-    sdedit_pts = []
-    for t_noise in range(0, lab.sched_v.total_steps + 1):
-        ms_vals, ps_vals = [], []
-        for index, video in videos:
-            if t_noise == 0:
-                refined = video
-            else:
-                rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], index, t_noise]))
-                _, refined = sdedit_refine(
-                    video, t_noise, 0, lab.models.temporal, conds[index], lab.sched_v, rng
-                )
-            ms_vals.append(motion_smoothness(refined, mcfg.tau))
-            ps_vals.append(psnr(refined, video, mcfg.psnr_peak))
-        point = (float(np.mean(ms_vals)), float(np.mean(ps_vals)))
-        sdedit_pts.append(point)
-        rows.append({"method": "sdedit", "param": f"t={t_noise}", "ms": point[0], "psnr": point[1]})
+    arms = {"sdedit": [], "sfi": []}
+    for (method, label), pairs in scores.items():
+        point = tuple(float(np.mean(column)) for column in zip(*pairs))
+        arms[method].append(point)
+        rows.append({"method": method, "param": label, "ms": point[0], "psnr": point[1]})
 
-    sfi_grid = [
-        (name, layers, gamma, False)
-        for name, layers in _FRONTIER_LAYER_SETS
-        for gamma in _FRONTIER_GAMMAS
-    ] + [("all", ALL_LAYERS, 1.0, True)]
-    icfgs = [
-        InjectionConfig(layers=layers, gamma=gamma, inject_f=inject_f)
-        for _, layers, gamma, inject_f in sfi_grid
-    ]
-    # Each video is inverted once; its cache serves every operating point.
-    ms_vals = [[] for _ in sfi_grid]
-    ps_vals = [[] for _ in sfi_grid]
-    for index, video in videos:
-        z, cache = invert_with_capture(video, t_v, net, conds[index], lab.sched_v)
-        for k, icfg in enumerate(icfgs):
-            _, refined = denoise_with_injection(
-                z, t_v, t_v, net, conds[index], lab.sched_v, cache, icfg
-            )
-            ms_vals[k].append(motion_smoothness(refined, mcfg.tau))
-            ps_vals[k].append(psnr(refined, video, mcfg.psnr_peak))
-    sfi_pts = []
-    for (name, _, gamma, inject_f), ms, ps in zip(sfi_grid, ms_vals, ps_vals):
-        point = (float(np.mean(ms)), float(np.mean(ps)))
-        sfi_pts.append(point)
-        label = f"{name},g={gamma}" + (",f" if inject_f else "")
-        rows.append({"method": "sfi", "param": label, "ms": point[0], "psnr": point[1]})
-
-    dominance = frontier_dominance(sfi_pts, sdedit_pts)
+    dominance = frontier_dominance(arms["sfi"], arms["sdedit"])
     manifest_path = _write_manifest(
         out / "frontier_manifest.json", cfg, "frontier",
         dataset=_dataset_record(dataset_dir),
@@ -446,7 +440,7 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
         f"refinement frontier (dominance {dominance:.2f})",
         "motion smoothness",
         "psnr to input (dB)",
-        {"sdedit": sdedit_pts, "sfi": sfi_pts},
+        arms,
         mhash,
     )
     return manifest_path
@@ -461,34 +455,28 @@ def cmd_report(manifest_paths, out_dir) -> Path:
     """Aggregate run manifests into a per-pipeline summary with speedups."""
     if not manifest_paths:
         raise UsageError("report needs at least one run manifest")
-    runs, configs = [], {}
+    summary, firsts = {}, {}
     for path in manifest_paths:
-        manifest = evsio.read_manifest(path, "run")
-        # A row pools one pipeline's runs, so they must share a config (seed aside).
-        config = {k: v for k, v in manifest["config"].items() if k != "seed"}
-        first_path, first = configs.setdefault(manifest["pipeline"], (path, config))
-        if config != first:
-            raise ConfigError(
-                f"{path} and {first_path} are {manifest['pipeline']} runs with different configs"
-            )
-        runs.append(manifest)
-    out = _out_dir(out_dir)
-
-    summary = {}
-    for manifest in runs:
+        manifest, cfg = _read_run(path)
         name = manifest["pipeline"]
-        rows = manifest["rows"]
+        # A row pools one pipeline's runs, so they must share a config (seed aside).
+        first_path, first_cfg = firsts.setdefault(name, (path, cfg))
+        if {**cfg, "seed": None} != {**first_cfg, "seed": None}:
+            raise ConfigError(f"{path} and {first_path} are {name} runs with different configs")
         entry = summary.setdefault(name, {m: [] for m in (*METRICS, "wall_time", "nfe_total")})
-        for row in rows:
+        for row in manifest["rows"]:
             for m in (*METRICS, "wall_time"):
                 entry[m].append(float(row[m]))
             entry["nfe_total"].append(int(row["nfe_t2i"]) + int(row["nfe_t2v"]))
+    # The first run's config heads the report and prices the fallback baseline.
+    _, base_cfg = next(iter(firsts.values()))
+    lab = build_lab(base_cfg)
+    out = _out_dir(out_dir)
 
-    base_cfg = runs[0]["config"]
     if "iterated" in summary:
         baseline_nfe = float(np.mean(summary["iterated"]["nfe_total"]))
     else:
-        p = PipelineConfig(**base_cfg["pipeline"])
+        p = lab.pipeline_config
         baseline_nfe = float(sum(t for _, t in iterated_stages(p.rounds, p.t_I, p.t_V)))
 
     table = []

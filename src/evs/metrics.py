@@ -49,6 +49,12 @@ class MetricConfig:
         # The config section gives JSON lists; hold tuples like the defaults.
         object.__setattr__(self, "ranges", {k: tuple(v) for k, v in self.ranges.items()})
         object.__setattr__(self, "overall_channels", tuple(self.overall_channels))
+        for name in ("tau", "iq_scale", "psnr_peak"):
+            if not getattr(self, name) > 0:
+                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, bounds in self.ranges.items():
+            if len(bounds) != 2 or not bounds[0] < bounds[1]:
+                raise ParameterError(f"range {name} must be a pair lo < hi, got {list(bounds)}")
         if not self.overall_channels or not set(self.overall_channels) <= set(self.ranges):
             raise ParameterError(
                 f"overall_channels {list(self.overall_channels)} must name one or more "

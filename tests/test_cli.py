@@ -365,6 +365,17 @@ class TestFrontier:
         assert (tmp_path / "frontier.svg").exists()
         assert (tmp_path / "net.evsnet").exists()
 
+    def test_frontier_dominance(self):
+        # Smoothness ranges that do not overlap share no grid: A is not beaten.
+        assert bench.frontier_dominance([(0.1, 1.0), (0.2, 2.0)], [(0.5, 9.0), (0.6, 9.0)]) == 1.0
+        # Ties count for A.
+        same = [(0.5, 10.0), (0.7, 7.0), (0.9, 5.0)]
+        assert bench.frontier_dominance(same, list(same)) == 1.0
+        # On the grid 0.5, 0.51, ..., 0.9 A is best only at 0.5 (10 against 8);
+        # above it only the 0.9 points count, and B's 6 beats A's 5.
+        a, b = [(0.5, 10.0), (0.9, 5.0)], [(0.5, 8.0), (0.9, 6.0)]
+        assert bench.frontier_dominance(a, b) == 1 / 41
+
     def test_weights_for_another_schedule_are_config_error(self, styled_dataset, tmp_path, capsys):
         weights = tmp_path / "net.evsnet"
         evsio.write_net(weights, ToyAttentionDenoiser(total_steps=12))
@@ -447,6 +458,32 @@ class TestReportAndTrain:
         assert run_cli("run", "--from-manifest", run_dir / "run_manifest.json", "--out", again) == 3
         assert "dataset record needs 'path' as a str" in capsys.readouterr().err
         assert not again.exists()
+
+    @pytest.mark.parametrize("command", ["report", "rerun"])
+    @pytest.mark.parametrize("keys, value", [
+        (("config", "pipeline", "bogus"), 1),
+        (("config", "pipeline", "t_I"), "x"),
+        (("config", "pipeline", "rounds"), 0),
+        (("pipeline",), "bogus"),
+    ], ids=["unknown-key", "t_I-string", "rounds-0", "pipeline-name"])
+    def test_run_manifest_is_checked_before_out(
+        self, small_dataset, tmp_path, capsys, command, keys, value
+    ):
+        """``report`` and ``run --from-manifest`` read a run manifest one way:
+        its pipeline must be known and its config must resolve and build."""
+        run_dir, out = tmp_path / "run", tmp_path / "out"
+        assert run_cli("run", "t2i", "--dataset", small_dataset, "--out", run_dir) == 0
+        payload = evsio.read_json(run_dir / "run_manifest.json")
+        node = payload
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        evsio.write_json(run_dir / "run_manifest.json", payload)
+        manifest = run_dir / "run_manifest.json"
+        argv = ["report", manifest] if command == "report" else ["run", "--from-manifest", manifest]
+        assert run_cli(*argv, "--out", out) == 3
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("setting", ["pipeline.block_mode=sdedit", "pipeline.t_I=30"])
     def test_report_refuses_one_pipeline_with_different_configs(
@@ -548,9 +585,25 @@ class TestReportAndTrain:
     (["sweep", "t_V", "--grid", "2,4", "--dataset", "SMALL",
       "--set", "pipeline.injection.layers=[7]"], 3),
     (["frontier", "--dataset", "STYLED", "--set", "pipeline.t_V=99", "--set", "train.steps=30"], 3),
+    (["frontier", "--dataset", "STYLED", "--net", "NET2"], 3),
+    (["frontier", "--dataset", "STYLED", "--net", "NET6"], 3),
+    *((["sweep", "gamma", "--grid", "0.0,1.0", "--dataset", "SMALL", *sets], 3) for sets in (
+        ["--set", "pipeline.block_mode=sdedit"],
+        ["--set", "pipeline.block_mode=sdedit", "--set", "pipeline.injection=null"],
+        ["--set", "pipeline.injection.inject_kv=false"],
+        ["--set", "pipeline.injection.layers=[]"],
+    )),
+    *((["run", "t2i", "--dataset", "SMALL", "--set", setting], 3) for setting in (
+        "metrics.tau=0", "metrics.tau=-1", "metrics.iq_scale=0", "metrics.psnr_peak=0",
+        "metrics.ranges.ms=[1,0]", "metrics.ranges.ms=[0.5]",
+    )),
 ], ids=[
     "train-lr", "run-t_T2V", "frontier-plain", "run-missing-dataset", "run-train-lr",
     "gen-t_T2V", "gen-flicker", "train-t_T2V", "run-evs-layers", "sweep-layers", "frontier-t_V",
+    "frontier-2-blocks", "frontier-6-blocks",
+    "gamma-sdedit", "gamma-null", "gamma-no-kv", "gamma-no-layers",
+    "metrics-tau-0", "metrics-tau-neg", "metrics-iq_scale", "metrics-psnr_peak",
+    "metrics-range-order", "metrics-range-pair",
 ])
 def test_failed_check_leaves_no_out_directory(
     small_dataset, styled_dataset, tmp_path, argv, code
@@ -558,6 +611,9 @@ def test_failed_check_leaves_no_out_directory(
     """Every command checks every config section, and its grid, dataset and weights,
     before it creates ``--out``, also a section the command does not read."""
     places = {"SMALL": small_dataset, "STYLED": styled_dataset, "MISSING": tmp_path / "missing"}
+    for blocks in (2, 6):  # nets whose blocks are not the frontier's layers 0..3
+        places[f"NET{blocks}"] = tmp_path / f"net{blocks}.evsnet"
+        evsio.write_net(places[f"NET{blocks}"], ToyAttentionDenoiser(blocks=blocks))
     out = tmp_path / "out"
     assert run_cli(*(places.get(a, a) for a in argv), "--out", out) == code
     assert not out.exists()
@@ -577,7 +633,7 @@ class TestOutputDigest:
             )
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.splitlines())
-        assert len(digests[0]) == 53
+        assert len(digests[0]) == 64
         assert digests[0] == digests[1]
         assert not [line for line in digests[0] for out in outs if str(out) in line]
 
