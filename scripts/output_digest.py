@@ -3,14 +3,14 @@
 that two source trees can be compared for byte-identical outputs with `diff`.
 
 The set: `gen` plain and `--styled`; all six pipelines; `evs` with the sdedit
-block; `run --from-manifest` over the `evs` run; `sweep t_T2V`; `train` at 20
-steps; `frontier` with those weights, and again training its own net at 20
-steps; `sweep gamma` with the trained weights; and `report` over the six
-pipeline runs.  Wall-clock values are dropped before
-hashing (the `wall_time` CSV column and JSON key), the output directory is
-written as `OUT` wherever a manifest records a path, and an SVG is hashed
-without its `<metadata>` element, which holds the sha256 of a manifest that
-carries both.
+block; `evs` at the corner `t_T2V = t_I = 20`; `run --from-manifest` over the
+`evs` run; `sweep t_T2V`; `train` at 20 steps; `frontier` with those weights,
+and again training its own net at 20 steps; `sweep gamma` with the trained
+weights; and `report` over the six pipeline runs.  Wall-clock values are
+dropped before hashing (the `wall_time` CSV column and JSON key), the output
+directory is written as `OUT` wherever a manifest records a path, and an SVG
+is hashed without its `<metadata>` element, which holds the sha256 of a
+manifest that carries both.
 
 Usage:
   python scripts/output_digest.py --out DIR [--count 4] [--seed 0] > digest.txt
@@ -45,6 +45,8 @@ def commands(out: Path, count: int, seed: int) -> list[list]:
     cmds += [
         ["run", "evs", "--dataset", ds, "--out", out / "run_evs_sdedit",
          "--set", "pipeline.block_mode=sdedit", "--set", "pipeline.injection=null", *common],
+        ["run", "evs", "--dataset", ds, "--out", out / "run_evs_corner",
+         "--set", "pipeline.t_T2V=20", *common],
         ["run", "--from-manifest", out / "run_evs" / "run_manifest.json",
          "--out", out / "rerun_evs"],
         ["sweep", "t_T2V", "--grid", "5,10,15,20", "--dataset", ds, "--out", out / "sweep", *common],

@@ -468,9 +468,11 @@ def cmd_report(manifest_paths, out_dir) -> Path:
             for m in (*METRICS, "wall_time"):
                 entry[m].append(float(row[m]))
             entry["nfe_total"].append(int(row["nfe_t2i"]) + int(row["nfe_t2v"]))
-    # The first run's config heads the report and prices the fallback baseline.
-    _, base_cfg = next(iter(firsts.values()))
-    lab = build_lab(base_cfg)
+    # Every distinct config is built, so checked, before --out exists; the
+    # first run's config heads the report and prices the fallback baseline.
+    configs = [cfg for _, cfg in firsts.values()]
+    labs = [build_lab(cfg) for i, cfg in enumerate(configs) if cfg not in configs[:i]]
+    base_cfg, lab = configs[0], labs[0]
     out = _out_dir(out_dir)
 
     if "iterated" in summary:

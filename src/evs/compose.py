@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import ddim_sample, sdedit_refine
+from .diffusion import ddim_sample, predict_clean, sdedit_refine
 from .errors import CapabilityError, InjectionError, ParameterError
 from .models import Condition, Denoiser
 from .schedule import NoiseSchedule, forward_noise
@@ -198,20 +198,21 @@ def run_evs(
     Noise to ``t_I``; reverse spatial steps down to ``t_T2V``; hand the
     predicted clean latent to the temporal block; re-noise the block output
     to ``t_T2V`` with a fresh draw; finish the spatial reverse steps.  When
-    ``t_T2V == t_I`` the leading spatial stage is empty and the block acts on
-    the input itself.  ``seed`` keys the noise draws.
+    ``t_T2V == t_I`` the leading walk is empty, and the block receives the
+    one-shot spatial prediction at ``t_I`` instead, so the temporal model
+    never sees the raw input.  ``seed`` keys the noise draws.
     """
     cfg.validate(models)
     rng = np.random.default_rng(np.random.SeedSequence([0x45565321, seed]))
     sched_i = models.spatial_schedule
     run = _Run(models)
 
+    z = forward_noise(z0, cfg.t_I, rng.standard_normal(np.shape(z0)), sched_i)
     if cfg.t_T2V < cfg.t_I:
-        z = forward_noise(z0, cfg.t_I, rng.standard_normal(np.shape(z0)), sched_i)
         _, bridge = ddim_sample(z, cfg.t_I, cfg.t_T2V, models.spatial, c, sched_i)
-        run.log("t2i", cfg.t_I, cfg.t_T2V)
     else:
-        bridge = z0
+        bridge = predict_clean(z, cfg.t_I, models.spatial.evaluate(z, cfg.t_I, c), sched_i)
+    run.log("t2i", cfg.t_I, cfg.t_T2V)
 
     block_clean = _temporal_block(bridge, cfg, models, c, rng, run)
 

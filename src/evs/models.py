@@ -595,11 +595,17 @@ def _batched_backward(model, z, tfeat, cond_idx, tape, dout):
 def _draw_training_batch(world: TemporalWorld, sched, rng, batch_size, tfeat_table):
     modes = rng.integers(0, world.modes, size=batch_size)
     eta = rng.standard_normal((batch_size, world.frames, world.dim))
-    chol = world.correlation_chol
-    z0 = world.means[modes][:, None, :] + world.sigma * np.einsum("fg,bgd->bfd", chol, eta)
+    # z_t is built in place, one array plus one temporary at a time; IEEE
+    # products and sums commute, so each step keeps the bits of
+    # sqrt_ab*(means + sigma*(chol @ eta)) + sqrt_1m_ab*eps.
+    z_t = np.einsum("fg,bgd->bfd", world.correlation_chol, eta)
+    del eta
+    z_t *= world.sigma
+    z_t += world.means[modes][:, None, :]
     t = rng.integers(1, sched.total_steps + 1, size=batch_size)
-    eps = rng.standard_normal(z0.shape)
-    z_t = sched.sqrt_ab[t][:, None, None] * z0 + sched.sqrt_1m_ab[t][:, None, None] * eps
+    eps = rng.standard_normal(z_t.shape)
+    z_t *= sched.sqrt_ab[t][:, None, None]
+    z_t += sched.sqrt_1m_ab[t][:, None, None] * eps
     return z_t, tfeat_table[t], modes + 1, eps
 
 
@@ -610,31 +616,22 @@ def train_toy_denoiser(
 
     Adam on mini-batches of (noisy latent, level, condition, target noise).
     The returned model carries a ``train_report`` dict with held-out losses.
+    The 256-video held-out set is drawn after the last step, so no step holds
+    it: the trained net scores ``final_loss``, and an untrained net of the
+    same seed, whose weights are the ones training started from, scores
+    ``initial_loss``.
     """
-    model = ToyAttentionDenoiser(
-        dim=world.dim,
-        total_steps=sched.total_steps,
-        n_modes=world.modes,
-        seed=recipe.seed,
-    )
-    data_rng = np.random.default_rng(np.random.SeedSequence([recipe.seed, 1]))
-    held_rng = np.random.default_rng(np.random.SeedSequence([recipe.seed, 2]))
-    tfeat_table = model.time_features
-    held = _draw_training_batch(world, sched, held_rng, 256, tfeat_table)
-
-    def held_out_loss():
-        # Scored in stacks so the forward's activations stay a quarter of the
-        # set; one mean over the concatenated outputs keeps the loss's bits.
-        # The stack must differ from the training batch: the benchmark's
-        # tracer labels a forward on ``batch_size`` videos a training step.
-        z_t, tfeat, cond_idx, eps = held
-        stacks = [slice(i, i + _HELD_OUT_STACK) for i in range(0, len(z_t), _HELD_OUT_STACK)]
-        out = np.concatenate(
-            [_batched_forward(model, z_t[s], tfeat[s], cond_idx[s])[0] for s in stacks]
+    def untrained():
+        return ToyAttentionDenoiser(
+            dim=world.dim,
+            total_steps=sched.total_steps,
+            n_modes=world.modes,
+            seed=recipe.seed,
         )
-        out -= eps
-        out *= out
-        return float(np.mean(out))
+
+    model = untrained()
+    data_rng = np.random.default_rng(np.random.SeedSequence([recipe.seed, 1]))
+    tfeat_table = model.time_features
 
     def step_grads(step):
         # The batch, tape and residual die here, before the Adam update.
@@ -649,11 +646,6 @@ def train_toy_denoiser(
         dout = 2.0 * resid / resid.size
         return _batched_backward(model, z_t, tfeat, cond_idx, tape, dout)
 
-    initial = held_out_loss()
-    if recipe.steps == 0:
-        model.train_report = {"initial_loss": initial, "final_loss": initial}
-        return model
-
     m = {k: np.zeros_like(v) for k, v in model.params.items()}
     v2 = {k: np.zeros_like(v) for k, v in model.params.items()}
     beta1, beta2, eps_adam = 0.9, 0.999, 1e-8
@@ -667,8 +659,31 @@ def train_toy_denoiser(
                 mhat = m[name] / (1 - beta1**step)
                 vhat = v2[name] / (1 - beta2**step)
                 model.params[name] -= recipe.lr * mhat / (np.sqrt(vhat) + eps_adam)
+    # The Adam moments are freed before the held-out set is drawn, so the
+    # two never share the process's peak.
+    del m, v2
 
-    final = held_out_loss()
+    held_rng = np.random.default_rng(np.random.SeedSequence([recipe.seed, 2]))
+    z_t, tfeat, cond_idx, eps = _draw_training_batch(world, sched, held_rng, 256, tfeat_table)
+
+    def held_out_loss(net):
+        # Scored in stacks so the forward's activations stay a quarter of the
+        # set; one mean over all outputs keeps the loss's bits.  The stack
+        # must differ from the training batch: the benchmark's tracer labels
+        # a forward on ``batch_size`` videos a training step.
+        out = np.empty_like(eps)
+        for i in range(0, len(z_t), _HELD_OUT_STACK):
+            s = slice(i, i + _HELD_OUT_STACK)
+            out[s] = _batched_forward(net, z_t[s], tfeat[s], cond_idx[s])[0]
+        out -= eps
+        out *= out
+        return float(np.mean(out))
+
+    final = held_out_loss(model)
+    if recipe.steps == 0:
+        model.train_report = {"initial_loss": final, "final_loss": final}
+        return model
+    initial = held_out_loss(untrained())
     if not final < initial:
         raise TrainingError(
             f"training did not reduce held-out loss ({initial:.4f} -> {final:.4f})"

@@ -497,6 +497,24 @@ class TestReportAndTrain:
         assert "are evs runs with different configs" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize("bad_first", [False, True], ids=["bad-last", "bad-first"])
+    def test_report_checks_every_config_before_out(
+        self, small_dataset, tmp_path, capsys, bad_first
+    ):
+        """A config out of domain is refused wherever its manifest stands."""
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        assert run_cli("run", "t2i", "--dataset", small_dataset, "--out", good) == 0
+        assert run_cli("run", "t2v", "--dataset", small_dataset, "--out", bad) == 0
+        payload = evsio.read_json(bad / "run_manifest.json")
+        payload["config"]["pipeline"].update(t_T2V=99, rounds=0)
+        evsio.write_json(bad / "run_manifest.json", payload)
+        manifests = [good / "run_manifest.json", bad / "run_manifest.json"]
+        if bad_first:
+            manifests.reverse()
+        assert run_cli("report", *manifests, "--out", tmp_path / "rep") == 3
+        assert "t_T2V=99" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
     def test_report_pools_runs_that_differ_only_in_seed(self, small_dataset, tmp_path):
         manifests = []
         for seed in (0, 5):
@@ -633,7 +651,7 @@ class TestOutputDigest:
             )
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.splitlines())
-        assert len(digests[0]) == 64
+        assert len(digests[0]) == 68
         assert digests[0] == digests[1]
         assert not [line for line in digests[0] for out in outs if str(out) in line]
 

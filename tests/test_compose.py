@@ -13,9 +13,11 @@ from evs.compose import (
     run_t2i_only,
     run_t2v_only,
 )
+from evs.diffusion import ddim_sample, predict_clean
 from evs.errors import CapabilityError, ParameterError
 from evs.metrics import imaging_quality, motion_smoothness
 from evs.models import AnalyticDenoiser, Condition, ToyAttentionDenoiser, make_degraded_video
+from evs.schedule import forward_noise
 from evs.sfi import (
     ALL_LAYERS,
     DEEP_LAYERS,
@@ -258,8 +260,9 @@ class TestEncapsulatedPipeline:
 
     def test_block_at_start_with_identity_block_matches_t2i(self, lab, sfi_bundle):
         # Inserting the block before any spatial step, with the block pinned
-        # to exact reconstruction, must reduce to plain frame-wise refinement
-        # driven by the re-noising draw.
+        # to exact reconstruction, must reduce to frame-wise refinement of the
+        # one-shot spatial prediction at t_I: the first draw noises the input,
+        # the second re-noises the prediction.
         z0, c = degraded(lab, 7)
         cfg = PipelineConfig(
             t_I=20, t_T2V=20, t_V=4, n_V=4,
@@ -267,8 +270,14 @@ class TestEncapsulatedPipeline:
         )
         evs_result = run_evs(z0, cfg, sfi_bundle, c, seed=5)
         rng = np.random.default_rng(np.random.SeedSequence([0x45565321, 5]))
-        plain = run_t2i_only(z0, 20, sfi_bundle, c, rng)
-        np.testing.assert_allclose(evs_result.output, plain.output, rtol=1e-6, atol=1e-9)
+        spatial, sched = AnalyticDenoiser(lab.spatial_world, lab.sched_i), lab.sched_i
+        z = forward_noise(z0, 20, rng.standard_normal(z0.shape), sched)
+        bridge = predict_clean(z, 20, spatial.evaluate(z, 20, c), sched)
+        z = forward_noise(bridge, 20, rng.standard_normal(z0.shape), sched)
+        _, plain = ddim_sample(z, 20, 0, spatial, c, sched)
+        np.testing.assert_allclose(evs_result.output, plain, rtol=1e-6, atol=1e-9)
+        assert evs_result.nfe_t2i == 21
+        assert evs_result.stage_log[0] == ("t2i", (20, 20))
 
 
 class TestHyperparameterDirections:

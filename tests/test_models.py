@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from evs import models
 from evs.errors import ParameterError, ShapeError, TrainingError
 from evs.metrics import imaging_quality, motion_smoothness
 from evs.models import (
@@ -409,6 +410,24 @@ class TestTraining:
         finally:
             tracemalloc.stop()
         assert peak < 10 * held_out_array
+
+    def test_no_step_holds_a_held_out_sized_block(self, lab, monkeypatch):
+        world = lab.temporal_world
+        held_out_array = 256 * world.frames * world.dim * 8
+        largest = []
+
+        def backward(*args):
+            largest.append(max(trace.size for trace in tracemalloc.take_snapshot().traces))
+            return _batched_backward(*args)
+
+        monkeypatch.setattr(models, "_batched_backward", backward)
+        tracemalloc.start()
+        try:
+            train_toy_denoiser(world, lab.sched_v, TrainRecipe(steps=2))
+        finally:
+            tracemalloc.stop()
+        assert len(largest) == 2
+        assert max(largest) < held_out_array
 
     def test_weights_after_40_steps_are_pinned(self, lab, tmp_path):
         from evs.io import write_net
