@@ -127,11 +127,20 @@ def cmd_gen(cfg: dict, out_dir) -> Path:
 def load_dataset(dataset_dir) -> tuple[dict, list[tuple[int, np.ndarray]]]:
     dataset_dir = Path(dataset_dir)
     manifest = evsio.read_manifest(dataset_dir / DATASET_MANIFEST, "dataset")
-    videos = []
+    seen = set()
     for item in manifest["items"]:
         if not (isinstance(item, dict) and isinstance(item.get("file"), str)
-                and type(item.get("index")) is int):
-            raise ConfigError(f"{dataset_dir}: a dataset item needs a 'file' and an int 'index'")
+                and type(item.get("index")) is int and item["index"] >= 0):
+            raise ConfigError(
+                f"{dataset_dir}: a dataset item needs a 'file' and an int 'index' >= 0"
+            )
+        # The index seeds the item's noise and names its output file, so two
+        # items at one index would overwrite each other's output.
+        if item["index"] in seen:
+            raise ConfigError(f"{dataset_dir}: two dataset items have index {item['index']}")
+        seen.add(item["index"])
+    videos = []
+    for item in manifest["items"]:
         path = dataset_dir / item["file"]
         item_videos = evsio.read_latents(path)
         if len(item_videos) != 1:

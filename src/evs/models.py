@@ -370,8 +370,9 @@ def _net_body(model, z, tfeat, cond_idx, want_grads=False, t=None, injection=Non
     Token-wise projections run as one ``(B*F, E) @ (E, G)`` matmul and the
     per-video attention products as batched ``@``.  With ``want_grads`` the
     tape holds what ``_batched_backward`` reads: every block input ``h`` and
-    each block's ``q``, ``k``, ``v``, attention weights ``a`` and attention
-    output ``attn``; otherwise it is None.  ``capture`` is a
+    each block's ``q``, ``k``, ``v`` and attention weights ``a``; otherwise it
+    is None.  The attention output ``a @ v`` is not taped: the backward
+    recomputes it for one small batched matmul per block.  ``capture`` is a
     ``(FeatureCache, key)`` pair and ``injection`` a ``(FeatureCache,
     InjectionConfig)`` pair read at timestep ``t``; both take a one-video
     stack, whose ``(B*F, E)`` token arrays are the ``(F, E)`` cache entries.
@@ -390,7 +391,7 @@ def _net_body(model, z, tfeat, cond_idx, want_grads=False, t=None, injection=Non
         + p["cond_emb"][cond_idx][:, None, :]
         + p["b_in"]
     ).reshape(tokens, -1)
-    tape = {"h": [h], "q": [], "k": [], "v": [], "a": [], "attn": []} if want_grads else None
+    tape = {"h": [h], "q": [], "k": [], "v": [], "a": []} if want_grads else None
     cache, cfg = injection if injection is not None else (None, None)
     for layer in range(model.blocks):
         injected = cfg is not None and layer in cfg.layers
@@ -415,9 +416,13 @@ def _net_body(model, z, tfeat, cond_idx, want_grads=False, t=None, injection=Non
             q, k, v = (x.reshape(batch, frames, -1) for x in (q, k, v))
             a = softmax_rows((q @ k.transpose(0, 2, 1)) * scale)
             attn = (a @ v).reshape(tokens, -1)
-        h = f + attn @ p[f"w_o{layer}"] + p[f"b_o{layer}"]
+        # Built in place: IEEE addition commutes, so these are the bits of
+        # f + attn @ w_o + b_o without its two temporaries.
+        h = attn @ p[f"w_o{layer}"]
+        h += f
+        h += p[f"b_o{layer}"]
         if want_grads:
-            for name, val in (("q", q), ("k", k), ("v", v), ("a", a), ("attn", attn), ("h", h)):
+            for name, val in (("q", q), ("k", k), ("v", v), ("a", a), ("h", h)):
                 tape[name].append(val)
     out = h @ p["w_out"] + p["b_out"]
     return out.reshape(batch, frames, -1), tape
@@ -521,8 +526,12 @@ class ToyAttentionDenoiser(Denoiser):
 # ---------------------------------------------------------------------------
 
 
-# Videos per forward when scoring the 256-video held-out set.
-_HELD_OUT_STACK = 64
+# Videos per forward when scoring the 256-video held-out set.  At 16 the
+# held-out pass (both nets' stack activations and residuals) stays below a
+# training step's peak; at 64 it was the process's peak.  It must not equal
+# the benchmark's batch of 32: its tracer labels a forward on ``batch_size``
+# videos a training step, not a held-out one.
+_HELD_OUT_STACK = 16
 
 
 @dataclass(frozen=True)
@@ -549,7 +558,12 @@ def _batched_backward(model, z, tfeat, cond_idx, tape, dout):
     """Gradients of a scalar loss wrt every parameter, given d(loss)/d(output).
 
     Token-wise arrays are ``(B*F, E)``; a weight gradient is ``inputᵀ @ d(output)``
-    over all tokens at once.
+    over all tokens at once.  The backward reads ``tape`` and leaves it
+    whole; the caller frees it with the step.  Freeing each block's entries
+    as the backward passes them would lower the traced peak, but glibc's
+    malloc then hands the heap's top back to the system mid-step and the
+    next allocations fault those pages in again: more page faults per step
+    and no lower resident peak.
     """
     p = model.params
     scale = 1.0 / np.sqrt(model.embed)
@@ -561,9 +575,9 @@ def _batched_backward(model, z, tfeat, cond_idx, tape, dout):
     grads["b_out"] = dout.sum(0)
     dh = dout @ p["w_out"].T
     for layer in range(model.blocks - 1, -1, -1):
-        h_in = tape["h"][layer]
-        q, k, v, a = (tape[n][layer] for n in ("q", "k", "v", "a"))
-        grads[f"w_o{layer}"] = tape["attn"][layer].T @ dh
+        h_in, q, k, v, a = (tape[n][layer] for n in ("h", "q", "k", "v", "a"))
+        # The forward's own product, so the same bits as the attention it used.
+        grads[f"w_o{layer}"] = (a @ v).reshape(tokens, -1).T @ dh
         grads[f"b_o{layer}"] = dh.sum(0)
         dattn = (dh @ p[f"w_o{layer}"].T).reshape(batch, frames, -1)
         # The residual path f passes dh through unchanged: df = dh.
@@ -577,12 +591,12 @@ def _batched_backward(model, z, tfeat, cond_idx, tape, dout):
         grads[f"w_q{layer}"] = h_in.T @ dq
         grads[f"w_k{layer}"] = h_in.T @ dk
         grads[f"w_v{layer}"] = h_in.T @ dv
-        dh = (
-            dh @ p[f"w_f{layer}"].T
-            + dq @ p[f"w_q{layer}"].T
-            + dk @ p[f"w_k{layer}"].T
-            + dv @ p[f"w_v{layer}"].T
-        )
+        # Summed in place, in the order of
+        # dh @ w_fᵀ + dq @ w_qᵀ + dk @ w_kᵀ + dv @ w_vᵀ, so the same bits.
+        dh = dh @ p[f"w_f{layer}"].T
+        dh += dq @ p[f"w_q{layer}"].T
+        dh += dk @ p[f"w_k{layer}"].T
+        dh += dv @ p[f"w_v{layer}"].T
     grads["w_in"] = z.reshape(tokens, -1).T @ dh
     dh_video = dh.reshape(batch, frames, -1).sum(1)
     grads["w_time"] = tfeat.T @ dh_video
@@ -617,9 +631,9 @@ def train_toy_denoiser(
     Adam on mini-batches of (noisy latent, level, condition, target noise).
     The returned model carries a ``train_report`` dict with held-out losses.
     The 256-video held-out set is drawn after the last step, so no step holds
-    it: the trained net scores ``final_loss``, and an untrained net of the
-    same seed, whose weights are the ones training started from, scores
-    ``initial_loss``.
+    it, and scored in one pass over both nets: the trained net scores
+    ``final_loss``, and an untrained net of the same seed, whose weights are
+    the ones training started from, scores ``initial_loss``.
     """
     def untrained():
         return ToyAttentionDenoiser(
@@ -639,12 +653,16 @@ def train_toy_denoiser(
             world, sched, data_rng, recipe.batch_size, tfeat_table
         )
         out, tape = _batched_forward(model, z_t, tfeat, cond_idx, want_grads=True)
-        resid = out - eps
-        loss = float(np.mean(resid**2))
+        # out becomes the residual and then d(loss)/d(out) in place, with the
+        # bits of out - eps and 2 * resid / resid.size.
+        out -= eps
+        del eps
+        loss = float(np.mean(out**2))
         if not np.isfinite(loss):
             raise TrainingError(f"training loss became non-finite at step {step}")
-        dout = 2.0 * resid / resid.size
-        return _batched_backward(model, z_t, tfeat, cond_idx, tape, dout)
+        out *= 2.0
+        out /= out.size
+        return _batched_backward(model, z_t, tfeat, cond_idx, tape, out)
 
     m = {k: np.zeros_like(v) for k, v in model.params.items()}
     v2 = {k: np.zeros_like(v) for k, v in model.params.items()}
@@ -665,26 +683,20 @@ def train_toy_denoiser(
 
     held_rng = np.random.default_rng(np.random.SeedSequence([recipe.seed, 2]))
     z_t, tfeat, cond_idx, eps = _draw_training_batch(world, sched, held_rng, 256, tfeat_table)
-
-    def held_out_loss(net):
-        # Scored in stacks so the forward's activations stay a quarter of the
-        # set; one mean over all outputs keeps the loss's bits.  The stack
-        # must differ from the training batch: the benchmark's tracer labels
-        # a forward on ``batch_size`` videos a training step.
-        out = np.empty_like(eps)
-        for i in range(0, len(z_t), _HELD_OUT_STACK):
-            s = slice(i, i + _HELD_OUT_STACK)
-            out[s] = _batched_forward(net, z_t[s], tfeat[s], cond_idx[s])[0]
-        out -= eps
-        out *= out
-        return float(np.mean(out))
-
-    final = held_out_loss(model)
-    if recipe.steps == 0:
-        model.train_report = {"initial_loss": final, "final_loss": final}
-        return model
-    initial = held_out_loss(untrained())
-    if not final < initial:
+    start = untrained() if recipe.steps else model
+    # One pass scores both nets a stack at a time.  A stack's squared
+    # residuals overwrite its own z_t and eps slots, which nothing reads
+    # again, so one mean of each array keeps the bits of a one-stack loss.
+    for i in range(0, len(z_t), _HELD_OUT_STACK):
+        s = slice(i, i + _HELD_OUT_STACK)
+        final_sq = _batched_forward(model, z_t[s], tfeat[s], cond_idx[s])[0]
+        initial_sq = _batched_forward(start, z_t[s], tfeat[s], cond_idx[s])[0]
+        for sq in (final_sq, initial_sq):
+            sq -= eps[s]
+            sq *= sq
+        z_t[s], eps[s] = final_sq, initial_sq
+    final, initial = float(np.mean(z_t)), float(np.mean(eps))
+    if recipe.steps and not final < initial:
         raise TrainingError(
             f"training did not reduce held-out loss ({initial:.4f} -> {final:.4f})"
         )

@@ -637,6 +637,24 @@ def test_failed_check_leaves_no_out_directory(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spoil", ["negative", "duplicate"])
+@pytest.mark.parametrize("command", [
+    ["run", "t2i"], ["sweep", "t_V", "--grid", "2,4"], ["frontier", "--set", "train.steps=1"],
+], ids=["run", "sweep", "frontier"])
+def test_bad_item_index_leaves_no_out_directory(styled_dataset, tmp_path, spoil, command):
+    """An item index seeds the item and names its output file, so a negative
+    or repeated one is a config error before ``--out`` exists."""
+    dataset = tmp_path / "ds"
+    shutil.copytree(styled_dataset, dataset)
+    manifest = dataset / "dataset_manifest.json"
+    payload = evsio.read_json(manifest)
+    payload["items"][1]["index"] = -1 if spoil == "negative" else payload["items"][0]["index"]
+    evsio.write_json(manifest, payload)
+    out = tmp_path / "out"
+    assert run_cli(*command, "--dataset", dataset, "--out", out) == 3
+    assert not out.exists()
+
+
 class TestOutputDigest:
     def test_digest_is_independent_of_the_output_path(self, tmp_path):
         """``scripts/output_digest.py`` is the byte-identity check for refactors:

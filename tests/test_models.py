@@ -409,7 +409,7 @@ class TestTraining:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * held_out_array
+        assert peak < 5 * held_out_array
 
     def test_no_step_holds_a_held_out_sized_block(self, lab, monkeypatch):
         world = lab.temporal_world
