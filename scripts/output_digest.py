@@ -3,7 +3,8 @@
 that two source trees can be compared for byte-identical outputs with `diff`.
 
 The set: `gen` plain and `--styled`; all six pipelines; `evs` with the sdedit
-block; `evs` at the corner `t_T2V = t_I = 20`; `run --from-manifest` over the
+block; `evs` at the corner `t_T2V = t_I = 20`; `iterated` at three rounds,
+whose odd round count adds a trailing spatial stage; `run --from-manifest` over the
 `evs` run; `sweep t_T2V`; `train` at 20 steps; `frontier` with those weights,
 and again training its own net at 20 steps; `sweep gamma` with the trained
 weights; and `report` over the six pipeline runs.  Wall-clock values are
@@ -47,6 +48,8 @@ def commands(out: Path, count: int, seed: int) -> list[list]:
          "--set", "pipeline.block_mode=sdedit", "--set", "pipeline.injection=null", *common],
         ["run", "evs", "--dataset", ds, "--out", out / "run_evs_corner",
          "--set", "pipeline.t_T2V=20", *common],
+        ["run", "iterated", "--dataset", ds, "--out", out / "run_iterated_3",
+         "--set", "pipeline.rounds=3", *common],
         ["run", "--from-manifest", out / "run_evs" / "run_manifest.json",
          "--out", out / "rerun_evs"],
         ["sweep", "t_T2V", "--grid", "5,10,15,20", "--dataset", ds, "--out", out / "sweep", *common],

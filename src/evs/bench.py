@@ -23,6 +23,7 @@ from .compose import (
     run_iterated_baseline,
     run_t2i_only,
     run_t2v_only,
+    stage_nfe,
 )
 from .config import (
     Lab,
@@ -32,7 +33,7 @@ from .config import (
     resolve_config,
     style_vector,
 )
-from .errors import ConfigError, ParameterError, UsageError
+from .errors import ConfigError, ParameterError, ShapeError, UsageError
 from .metrics import METRICS, motion_smoothness, psnr, score_video
 from .models import (
     ToyAttentionDenoiser,
@@ -124,7 +125,9 @@ def cmd_gen(cfg: dict, out_dir) -> Path:
     )
 
 
-def load_dataset(dataset_dir) -> tuple[dict, list[tuple[int, np.ndarray]]]:
+def load_dataset(dataset_dir, cfg: dict | None = None) -> tuple[dict, list[tuple[int, np.ndarray]]]:
+    """The dataset manifest and its ``(index, video)`` items; with ``cfg``,
+    each video must have the config's ``(frames, dim)`` shape."""
     dataset_dir = Path(dataset_dir)
     manifest = evsio.read_manifest(dataset_dir / DATASET_MANIFEST, "dataset")
     seen = set()
@@ -145,6 +148,11 @@ def load_dataset(dataset_dir) -> tuple[dict, list[tuple[int, np.ndarray]]]:
         item_videos = evsio.read_latents(path)
         if len(item_videos) != 1:
             raise ConfigError(f"{path} holds {len(item_videos)} videos; a dataset item holds one")
+        if cfg is not None and item_videos[0].shape != (cfg["frames"], cfg["dim"]):
+            raise ShapeError(
+                f"{path} holds a video of shape {item_videos[0].shape}; the config's "
+                f"(frames, dim) is {(cfg['frames'], cfg['dim'])}"
+            )
         videos.append((item["index"], item_videos[0]))
     return manifest, videos
 
@@ -223,7 +231,7 @@ def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir) -> Path:
     if pipeline not in PIPELINES:
         raise UsageError(f"unknown pipeline {pipeline!r} (choose from {', '.join(PIPELINES)})")
     lab = build_lab(cfg, temporal_override=_temporal_model_for(cfg, pipeline))
-    _, videos = load_dataset(dataset_dir)
+    _, videos = load_dataset(dataset_dir, cfg)
     out = _out_dir(out_dir)
 
     rows = []
@@ -318,7 +326,7 @@ def cmd_sweep(axis: str, grid, cfg: dict, dataset_dir, out_dir) -> Path:
         raise UsageError(f"unknown sweep axis {axis!r} (choose from {', '.join(SWEEP_AXES)})")
     if not grid:
         raise ParameterError("sweep grid must be nonempty")
-    _, videos = load_dataset(dataset_dir)
+    _, videos = load_dataset(dataset_dir, cfg)
     # No sweep axis changes the block mode, so one lab serves every grid point.
     lab = build_lab(cfg, temporal_override=_temporal_model_for(cfg, "evs"))
     pcfgs = [_sweep_point(lab.pipeline_config, axis, value, lab) for value in grid]
@@ -389,7 +397,7 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
     injection arm uses the tapped net (trained here unless weights are
     provided).  Points are (motion smoothness, fidelity-to-input) means.
     """
-    ds_manifest, videos = load_dataset(dataset_dir)
+    ds_manifest, videos = load_dataset(dataset_dir, cfg)
     if ds_manifest.get("style") is None:
         raise ConfigError("frontier requires a styled dataset (gen --styled)")
     lab = build_lab(cfg)
@@ -488,7 +496,7 @@ def cmd_report(manifest_paths, out_dir) -> Path:
         baseline_nfe = float(np.mean(summary["iterated"]["nfe_total"]))
     else:
         p = lab.pipeline_config
-        baseline_nfe = float(sum(t for _, t in iterated_stages(p.rounds, p.t_I, p.t_V)))
+        baseline_nfe = float(sum(stage_nfe(iterated_stages(p.rounds, p.t_I, p.t_V))))
 
     table = []
     for name in sorted(summary):

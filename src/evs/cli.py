@@ -107,6 +107,15 @@ def main(argv=None) -> int:
         if args.command == "report":
             path = bench.cmd_report(args.manifests, args.out)
         elif args.command == "run" and args.from_manifest:
+            given = [flag for flag, value in (
+                ("a pipeline name", args.pipeline), ("--config", args.config), ("--set", args.set),
+                ("--seed", args.seed is not None), ("--dataset", args.dataset),
+            ) if value]
+            if given:
+                raise UsageError(
+                    f"run --from-manifest takes its pipeline, config and dataset from the "
+                    f"manifest; drop {', '.join(given)}"
+                )
             path = bench.rerun_from_manifest(args.from_manifest, args.out)
         elif args.command == "run" and not (args.pipeline and args.dataset):
             raise UsageError("run needs a pipeline and --dataset (or --from-manifest)")

@@ -2,8 +2,10 @@
 
 The only latent ever handed from one model's domain to the other is a
 predicted clean latent: noisy latents are meaningless under the other
-schedule.  Pipelines record a stage log and exact per-model evaluation
-counts; the encapsulated pipeline runs its temporal block exactly once.
+schedule.  Every pipeline is a list of stages run by one loop,
+``_refine_stages``, and ``stage_nfe`` prices such a plan before it runs.
+The six entry points, each one call into the loop, stay because the
+benchmark's tracer wraps them by name (until ROADMAP direction 2).
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import ddim_sample, predict_clean, sdedit_refine
+from .diffusion import sdedit_refine
 from .errors import CapabilityError, InjectionError, ParameterError
 from .models import Condition, Denoiser
-from .schedule import NoiseSchedule, forward_noise
+from .schedule import NoiseSchedule
 from .sfi import (
     DEEP_LAYERS,
     InjectionConfig,
@@ -102,142 +104,110 @@ class PipelineResult:
     stage_log: tuple
 
 
-class _Run:
-    """Tracks counters, wall time, and the stage log for one pipeline run."""
+def _refine_stages(z, stages, models: ModelBundle, c, rng, injection=None) -> PipelineResult:
+    """Run the plan ``stages`` on ``z``, one stage after another.
 
-    def __init__(self, models: ModelBundle):
-        self.models = models
-        self._start = time.perf_counter()
-        self._evals0 = (models.spatial.num_evals, models.temporal.num_evals)
-        self.stages: list[tuple[str, tuple[int, int]]] = []
-
-    def log(self, name: str, t_from: int, t_to: int):
-        self.stages.append((name, (t_from, t_to)))
-
-    def finish(self, output: np.ndarray) -> PipelineResult:
-        return PipelineResult(
-            output=output,
-            nfe_t2i=self.models.spatial.num_evals - self._evals0[0],
-            nfe_t2v=self.models.temporal.num_evals - self._evals0[1],
-            wall_time=time.perf_counter() - self._start,
-            stage_log=tuple(self.stages),
-        )
-
-
-def _refine_stages(z, stages, models: ModelBundle, c, rng) -> PipelineResult:
-    """One pipeline run of full-depth stages: each ``("t2i" | "t2v", t_noise)``, in
-    order, noises its input to ``t_noise`` on its model's schedule and denoises to clean."""
-    run = _Run(models)
-    for name, t_noise in stages:
-        if name == "t2i":
-            model, sched = models.spatial, models.spatial_schedule
+    A stage ``(name, t_noise, t_end)`` maps a clean latent to a clean latent:
+    one draw noises it to ``t_noise`` on the schedule of ``name``'s model
+    (``t2i`` / ``t2v``), and ``sdedit_refine`` walks down to ``t_end``.  The
+    other kind, ``t2v:sfi``, inverts to ``t_noise`` and walks back with injection.
+    """
+    start = time.perf_counter()
+    evals0 = (models.spatial.num_evals, models.temporal.num_evals)
+    sched_v = models.temporal_schedule
+    for name, t_noise, t_end in stages:
+        if name == "t2v:sfi":
+            if not getattr(models.temporal, "has_taps", False):
+                raise CapabilityError("inversion+sfi block requires a temporal model with taps")
+            n_v = t_noise - t_end
+            # The cache stores only the features the one injection walk below reads.
+            keep = injection_keys(t_noise, n_v, injection)
+            z, cache = invert_with_capture(z, t_noise, models.temporal, c, sched_v, keep=keep)
+            _, z = denoise_with_injection(z, t_noise, n_v, models.temporal, c, sched_v, cache, injection)
+        elif name.startswith("t2i"):
+            _, z = sdedit_refine(z, t_noise, t_end, models.spatial, c, models.spatial_schedule, rng)
         else:
-            model, sched = models.temporal, models.temporal_schedule
-        _, z = sdedit_refine(z, t_noise, 0, model, c, sched, rng)
-        run.log(name, t_noise, 0)
-    return run.finish(z)
+            _, z = sdedit_refine(z, t_noise, t_end, models.temporal, c, sched_v, rng)
+    return PipelineResult(
+        output=z,
+        nfe_t2i=models.spatial.num_evals - evals0[0],
+        nfe_t2v=models.temporal.num_evals - evals0[1],
+        wall_time=time.perf_counter() - start,
+        stage_log=tuple((name, (t_noise, t_end)) for name, t_noise, t_end in stages),
+    )
 
 
-def _nonzero(*stages):
-    return [stage for stage in stages if stage[1] > 0]
+def stage_nfe(stages) -> tuple[int, int]:
+    """The ``(spatial, temporal)`` evaluations that the plan ``stages`` costs.
+
+    A walk takes ``t_noise - t_end`` steps, and at least one; ``t2v:sfi``
+    also inverts through ``t_noise`` levels.
+    """
+    nfe = {"t2i": 0, "t2v": 0}
+    for name, t_noise, t_end in stages:
+        nfe[name[:3]] += max(t_noise - t_end, 1) + (t_noise if name == "t2v:sfi" else 0)
+    return nfe["t2i"], nfe["t2v"]
 
 
 def run_t2i_only(
     z0, t_i: int, models: ModelBundle, c: Condition | None, rng: np.random.Generator
 ) -> PipelineResult:
     """Frame-wise refinement: noise to ``t_i`` on the spatial schedule, denoise to 0."""
-    return _refine_stages(z0, [("t2i", t_i)], models, c, rng)
+    return _refine_stages(z0, [("t2i", t_i, 0)], models, c, rng)
 
 
 def run_t2v_only(
     z0, t_v: int, models: ModelBundle, c: Condition | None, rng: np.random.Generator
 ) -> PipelineResult:
     """Sequence-wise refinement on the temporal schedule."""
-    return _refine_stages(z0, [("t2v", t_v)], models, c, rng)
+    return _refine_stages(z0, [("t2v", t_v, 0)], models, c, rng)
 
 
 def compose_vi(
     z0, t_v: int, t_i: int, models: ModelBundle, c, rng: np.random.Generator
 ) -> PipelineResult:
-    """Temporal refinement to clean, then frame-wise refinement (zero stages omitted)."""
-    return _refine_stages(z0, _nonzero(("t2v", t_v), ("t2i", t_i)), models, c, rng)
+    """Temporal refinement to clean, then frame-wise refinement."""
+    return _refine_stages(z0, [("t2v", t_v, 0), ("t2i", t_i, 0)], models, c, rng)
 
 
 def compose_iv(
     z0, t_i: int, t_v: int, models: ModelBundle, c, rng: np.random.Generator
 ) -> PipelineResult:
-    """Frame-wise refinement to clean, then temporal refinement (zero stages omitted)."""
-    return _refine_stages(z0, _nonzero(("t2i", t_i), ("t2v", t_v)), models, c, rng)
-
-
-def _temporal_block(bridge, cfg: PipelineConfig, models: ModelBundle, c, rng, run: _Run):
-    """One encapsulated temporal stage acting on a clean bridge latent."""
-    sched_v = models.temporal_schedule
-    if cfg.block_mode == BLOCK_SDEDIT:
-        _, clean = sdedit_refine(bridge, cfg.t_V, cfg.t_V - cfg.n_V, models.temporal, c, sched_v, rng)
-        run.log("t2v:sdedit", cfg.t_V, cfg.t_V - cfg.n_V)
-        return clean
-    if not getattr(models.temporal, "has_taps", False):
-        raise CapabilityError("inversion+sfi block requires a temporal model with taps")
-    # The cache stores only the features the one injection walk below reads.
-    keep = injection_keys(cfg.t_V, cfg.n_V, cfg.injection)
-    z_tv, cache = invert_with_capture(bridge, cfg.t_V, models.temporal, c, sched_v, keep=keep)
-    run.log("t2v:invert", 0, cfg.t_V)
-    _, clean = denoise_with_injection(
-        z_tv, cfg.t_V, cfg.n_V, models.temporal, c, sched_v, cache, cfg.injection
-    )
-    run.log("t2v:inject", cfg.t_V, cfg.t_V - cfg.n_V)
-    return clean
+    """Frame-wise refinement to clean, then temporal refinement."""
+    return _refine_stages(z0, [("t2i", t_i, 0), ("t2v", t_v, 0)], models, c, rng)
 
 
 def run_evs(
     z0, cfg: PipelineConfig, models: ModelBundle, c: Condition | None, seed: int
 ) -> PipelineResult:
-    """The encapsulated pipeline: spatial refinement with one temporal block inside.
-
-    Noise to ``t_I``; reverse spatial steps down to ``t_T2V``; hand the
-    predicted clean latent to the temporal block; re-noise the block output
-    to ``t_T2V`` with a fresh draw; finish the spatial reverse steps.  When
-    ``t_T2V == t_I`` the leading walk is empty, and the block receives the
-    one-shot spatial prediction at ``t_I`` instead, so the temporal model
-    never sees the raw input.  ``seed`` keys the noise draws.
+    """The encapsulated pipeline: spatial steps from ``t_I`` down to ``t_T2V``,
+    one temporal block of ``n_V`` steps from ``t_V``, then the spatial walk
+    from ``t_T2V``, whose draw re-noises the block output.  At ``t_T2V == t_I``
+    the leading stage takes one step, so the block receives the one-shot
+    spatial prediction at ``t_I``.  ``seed`` keys the noise draws.
     """
     cfg.validate(models)
     rng = np.random.default_rng(np.random.SeedSequence([0x45565321, seed]))
-    sched_i = models.spatial_schedule
-    run = _Run(models)
-
-    z = forward_noise(z0, cfg.t_I, rng.standard_normal(np.shape(z0)), sched_i)
-    if cfg.t_T2V < cfg.t_I:
-        _, bridge = ddim_sample(z, cfg.t_I, cfg.t_T2V, models.spatial, c, sched_i)
-    else:
-        bridge = predict_clean(z, cfg.t_I, models.spatial.evaluate(z, cfg.t_I, c), sched_i)
-    run.log("t2i", cfg.t_I, cfg.t_T2V)
-
-    block_clean = _temporal_block(bridge, cfg, models, c, rng, run)
-
-    z = forward_noise(block_clean, cfg.t_T2V, rng.standard_normal(np.shape(z0)), sched_i)
-    run.log("renoise", cfg.t_T2V, cfg.t_T2V)
-    _, clean = ddim_sample(z, cfg.t_T2V, 0, models.spatial, c, sched_i)
-    run.log("t2i", cfg.t_T2V, 0)
-    return run.finish(clean)
+    block = "t2v:sdedit" if cfg.block_mode == BLOCK_SDEDIT else "t2v:sfi"
+    stages = [("t2i", cfg.t_I, cfg.t_T2V), (block, cfg.t_V, cfg.t_V - cfg.n_V), ("t2i", cfg.t_T2V, 0)]
+    return _refine_stages(z0, stages, models, c, rng, cfg.injection)
 
 
-def iterated_stages(rounds: int, t_i: int, t_v: int) -> list[tuple[str, int]]:
-    """The iterated baseline's full-depth stages, ``(model, t_noise)`` in order.
+def iterated_stages(rounds: int, t_i: int, t_v: int) -> list[tuple[str, int, int]]:
+    """The iterated baseline's plan of full-depth stages.
 
     Stages alternate spatial-then-temporal and temporal-then-spatial rounds;
     an odd round count gets a trailing full spatial stage so the sequence
-    always ends frame-refined.  A stage costs ``t_noise`` evaluations, so the
-    baseline costs rounds*(t_i+t_v), plus t_i when rounds is odd.
+    always ends frame-refined.  It costs rounds*(t_i+t_v), plus t_i when
+    rounds is odd (see ``stage_nfe``).
     """
     if rounds < 1:
         raise ParameterError(f"rounds must be >= 1, got {rounds}")
-    iv = _nonzero(("t2i", t_i), ("t2v", t_v))
-    vi = _nonzero(("t2v", t_v), ("t2i", t_i))
+    iv = [("t2i", t_i, 0), ("t2v", t_v, 0)]
+    vi = [("t2v", t_v, 0), ("t2i", t_i, 0)]
     stages = [stage for r in range(rounds) for stage in (vi if r % 2 else iv)]
     if rounds % 2 == 1:
-        stages.append(("t2i", t_i))
+        stages.append(("t2i", t_i, 0))
     return stages
 
 

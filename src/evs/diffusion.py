@@ -86,11 +86,14 @@ def sdedit_refine(
     """Noise a clean latent to ``t_noise`` with a fresh draw, then denoise to ``t_end``.
 
     Pulls out-of-distribution inputs toward the model's prior; the refinement
-    strength is ``t_noise / total_steps``.
+    strength is ``t_noise / total_steps``.  The walk takes at least one step:
+    at ``t_end == t_noise`` it is the one step ``(t_noise, t_noise)``, whose
+    clean prediction is ``predict_clean``'s.
     """
     t_noise = sched.check_timestep(t_noise, minimum=1)
-    if not 0 <= t_end < t_noise:
-        raise ParameterError(f"need 0 <= t_end < t_noise, got {t_end}, {t_noise}")
+    if not 0 <= t_end <= t_noise:
+        raise ParameterError(f"need 0 <= t_end <= t_noise, got {t_end}, {t_noise}")
     eps = rng.standard_normal(np.shape(z0))
     z_noisy = forward_noise(z0, t_noise, eps, sched)
-    return ddim_sample(z_noisy, t_noise, t_end, model, c, sched)
+    steps = [(t, t - 1) for t in range(t_noise, t_end, -1)] or [(t_noise, t_noise)]
+    return _walk(z_noisy, steps, lambda z, t: model.evaluate(z, t, c), sched)

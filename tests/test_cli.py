@@ -133,6 +133,22 @@ class TestRun:
         assert run_cli("run", "--from-manifest", first / "run_manifest.json", "--out", again) == 3
         assert not again.exists()
 
+    @pytest.mark.parametrize("extra", [
+        ["--set", "pipeline.t_I=5", "--seed", "9"], ["--seed", "0"], ["--config", "CONFIG"],
+        ["--dataset", "SMALL"], ["t2i", "--dataset", "SMALL"], ["t2i"],
+    ], ids=["set-seed", "seed-0", "config", "dataset", "pipeline-dataset", "pipeline"])
+    def test_rerun_refuses_flags_it_would_ignore(self, small_dataset, tmp_path, capsys, extra):
+        """A rerun takes its pipeline, config and dataset from the manifest."""
+        first = tmp_path / "first"
+        assert run_cli("run", "t2i", "--dataset", small_dataset, "--out", first) == 0
+        evsio.write_json(tmp_path / "config.json", {})
+        places = {"SMALL": small_dataset, "CONFIG": tmp_path / "config.json"}
+        again = tmp_path / "again"
+        argv = ["run", "--from-manifest", first / "run_manifest.json", "--out", again]
+        assert run_cli(*argv, *(places.get(a, a) for a in extra)) == 2
+        assert "drop" in capsys.readouterr().err
+        assert not again.exists()
+
     def test_rerun_rechecks_manifest_config(self, small_dataset, tmp_path):
         first = tmp_path / "first"
         assert run_cli("run", "t2i", "--dataset", small_dataset, "--out", first) == 0
@@ -590,6 +606,26 @@ class TestReportAndTrain:
         assert "config error" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def off_shape_datasets(tmp_path_factory):
+    """One-item datasets made under another (frames, dim) than the default config's."""
+    root = tmp_path_factory.mktemp("off_shape")
+    places = {}
+    for name, sets in (("FRAMES8", ["frames=8"]), ("DIM32", ["dim=32"]),
+                       ("STYLED_FRAMES8", ["frames=8", "dataset.styled=true"])):
+        places[name] = root / name
+        sets = [arg for s in ("dataset.count=1", *sets) for arg in ("--set", s)]
+        assert run_cli("gen", "--out", places[name], *sets) == 0
+    return places
+
+
+def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsys):
+    assert run_cli("run", "t2i", "--dataset", off_shape_datasets["FRAMES8"],
+                   "--out", tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert "(8, 64)" in err and "(16, 64)" in err
+
+
 @pytest.mark.parametrize("argv, code", [
     (["train", "--set", "train.lr=0"], 3),
     (["run", "t2i", "--dataset", "SMALL", "--set", "pipeline.t_T2V=40"], 3),
@@ -615,6 +651,11 @@ class TestReportAndTrain:
         "metrics.tau=0", "metrics.tau=-1", "metrics.iq_scale=0", "metrics.psnr_peak=0",
         "metrics.ranges.ms=[1,0]", "metrics.ranges.ms=[0.5]",
     )),
+    # Videos whose (frames, dim) is not the config's, which some pipelines never read.
+    *((["run", pipeline, "--dataset", dataset], 3)
+      for dataset in ("FRAMES8", "DIM32") for pipeline in bench.PIPELINES),
+    (["sweep", "t_T2V", "--grid", "5,10", "--dataset", "FRAMES8"], 3),
+    (["frontier", "--dataset", "STYLED_FRAMES8", "--set", "train.steps=1"], 3),
 ], ids=[
     "train-lr", "run-t_T2V", "frontier-plain", "run-missing-dataset", "run-train-lr",
     "gen-t_T2V", "gen-flicker", "train-t_T2V", "run-evs-layers", "sweep-layers", "frontier-t_V",
@@ -622,13 +663,16 @@ class TestReportAndTrain:
     "gamma-sdedit", "gamma-null", "gamma-no-kv", "gamma-no-layers",
     "metrics-tau-0", "metrics-tau-neg", "metrics-iq_scale", "metrics-psnr_peak",
     "metrics-range-order", "metrics-range-pair",
+    *(f"{name}-{pipeline}" for name in ("frames8", "dim32") for pipeline in bench.PIPELINES),
+    "sweep-frames8", "frontier-frames8",
 ])
 def test_failed_check_leaves_no_out_directory(
-    small_dataset, styled_dataset, tmp_path, argv, code
+    small_dataset, styled_dataset, off_shape_datasets, tmp_path, argv, code
 ):
     """Every command checks every config section, and its grid, dataset and weights,
     before it creates ``--out``, also a section the command does not read."""
-    places = {"SMALL": small_dataset, "STYLED": styled_dataset, "MISSING": tmp_path / "missing"}
+    places = {"SMALL": small_dataset, "STYLED": styled_dataset, "MISSING": tmp_path / "missing",
+              **off_shape_datasets}
     for blocks in (2, 6):  # nets whose blocks are not the frontier's layers 0..3
         places[f"NET{blocks}"] = tmp_path / f"net{blocks}.evsnet"
         evsio.write_net(places[f"NET{blocks}"], ToyAttentionDenoiser(blocks=blocks))
@@ -669,7 +713,7 @@ class TestOutputDigest:
             )
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.splitlines())
-        assert len(digests[0]) == 68
+        assert len(digests[0]) == 72
         assert digests[0] == digests[1]
         assert not [line for line in digests[0] for out in outs if str(out) in line]
 
@@ -748,3 +792,17 @@ class TestTracerBindings:
             )
             rows = evsio.read_metric_csv(tmp_path / pipeline / "runs.csv")
             assert evals == sum(int(r["nfe_t2i"]) + int(r["nfe_t2v"]) for r in rows), pipeline
+
+    def test_each_pipeline_entry_point_is_one_span_per_item(self, tmp_path):
+        """The tracer times a pipeline through its compose entry point, so each of
+        the six records one ``compose.pipeline`` span per item, called from
+        ``bench._execute`` and wrapping no other."""
+        ds = tmp_path / "ds"
+        assert run_cli("gen", "--out", ds, "--set", "dataset.count=2") == 0
+        commands = [["run", p, "--dataset", str(ds), "--out", str(tmp_path / p)] for p in bench.PIPELINES]
+        spans = self._traced_spans(tmp_path, commands)
+        pipeline_spans = [s for s in spans if s[0] == "compose.pipeline"]
+        assert sorted(s[4] for s in pipeline_spans) == sorted(
+            f"{p}:{i}" for p in bench.PIPELINES for i in (0, 1)
+        )
+        assert all(spans[s[3]][0] == "bench.execute" for s in pipeline_spans)

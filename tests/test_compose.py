@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 
 from evs import compose
+from evs.bench import PIPELINES, _execute
 from evs.compose import (
+    BLOCK_INVERSION_SFI,
     BLOCK_SDEDIT,
     ModelBundle,
     PipelineConfig,
     compose_iv,
     compose_vi,
+    iterated_stages,
     run_evs,
     run_iterated_baseline,
     run_t2i_only,
     run_t2v_only,
+    stage_nfe,
 )
+from evs.config import build_lab
 from evs.diffusion import ddim_sample, predict_clean
 from evs.errors import CapabilityError, ParameterError
 from evs.metrics import imaging_quality, motion_smoothness
@@ -106,17 +111,13 @@ class TestSinglePipelines:
 
 
 class TestBasicCompositions:
-    def test_vi_with_zero_spatial_stage_equals_t2v(self, lab, bundle):
+    def test_zero_depth_stage_is_rejected(self, lab, bundle):
+        # A stage noises to t_noise >= 1; zero-depth stages are not dropped.
         z0, c = degraded(lab, 1)
-        a = compose_vi(z0, 4, 0, bundle, c, rng_for(6))
-        b = run_t2v_only(z0, 4, bundle, c, rng_for(6))
-        assert np.array_equal(a.output, b.output)
-
-    def test_iv_with_zero_temporal_stage_equals_t2i(self, lab, bundle):
-        z0, c = degraded(lab, 1)
-        a = compose_iv(z0, 20, 0, bundle, c, rng_for(7))
-        b = run_t2i_only(z0, 20, bundle, c, rng_for(7))
-        assert np.array_equal(a.output, b.output)
+        with pytest.raises(ParameterError):
+            compose_vi(z0, 4, 0, bundle, c, rng_for(6))
+        with pytest.raises(ParameterError):
+            compose_iv(z0, 20, 0, bundle, c, rng_for(7))
 
     def test_nfe_totals(self, lab, bundle):
         z0, c = degraded(lab, 2)
@@ -240,10 +241,8 @@ class TestEncapsulatedPipeline:
     def test_stage_log_structure(self, lab, sfi_bundle):
         z0, c = degraded(lab, 5)
         result = run_evs(z0, PipelineConfig(), sfi_bundle, c, seed=1)
-        names = [name for name, _ in result.stage_log]
-        assert names == ["t2i", "t2v:invert", "t2v:inject", "renoise", "t2i"]
-        assert result.stage_log[0][1] == (20, 10)
-        assert result.stage_log[-1][1] == (10, 0)
+        # The trailing t2i stage's own draw re-noises the block output to t_T2V.
+        assert result.stage_log == (("t2i", (20, 10)), ("t2v:sfi", (4, 2)), ("t2i", (10, 0)))
 
     def test_deterministic_given_seed(self, lab):
         z0, c = degraded(lab, 6)
@@ -347,3 +346,47 @@ class TestIteratedBaseline:
         enc_nfe = enc.nfe_t2i + enc.nfe_t2v
         assert base_nfe == 48 and enc_nfe == 26
         assert base_nfe / enc_nfe == pytest.approx(48 / 26)
+
+
+class TestPlannedCost:
+    """Each run's NFE is known from its plan before it runs."""
+
+    @staticmethod
+    def plan(pipeline, p):
+        return {
+            "t2i": [("t2i", p.t_I, 0)],
+            "t2v": [("t2v", p.t_V, 0)],
+            "iv": [("t2i", p.t_I, 0), ("t2v", p.t_V, 0)],
+            "vi": [("t2v", p.t_V, 0), ("t2i", p.t_I, 0)],
+            "evs": [
+                ("t2i", p.t_I, p.t_T2V),
+                ("t2v:sdedit" if p.block_mode == BLOCK_SDEDIT else "t2v:sfi", p.t_V, p.t_V - p.n_V),
+                ("t2i", p.t_T2V, 0),
+            ],
+            "iterated": iterated_stages(p.rounds, p.t_I, p.t_V),
+        }[pipeline]
+
+    def test_default_plans_cost_26_and_48(self):
+        assert stage_nfe(self.plan("evs", PipelineConfig())) == (20, 6)
+        assert stage_nfe(self.plan("iterated", PipelineConfig())) == (40, 8)
+
+    def test_plan_cost_and_log_equal_the_run(self, base_config, lab):
+        # Every pipeline through the CLI's dispatch, on every legal t_T2V at the
+        # default t_I, several (t_V, n_V) pairs, rounds 1..3 and both block modes.
+        sfi_lab = build_lab(base_config, temporal_override=ToyAttentionDenoiser(seed=11))
+        z0, c = degraded(lab, 3)
+        pcfgs = [
+            PipelineConfig(t_V=t_v, n_V=n_v, rounds=rounds)
+            for t_v, n_v in ((1, 1), (4, 2), (4, 4), (8, 3)) for rounds in (1, 2, 3)
+        ]
+        cases = [(pipeline, lab, p) for pipeline in PIPELINES if pipeline != "evs" for p in pcfgs]
+        for mode, mode_lab in ((BLOCK_SDEDIT, lab), (BLOCK_INVERSION_SFI, sfi_lab)):
+            cases += [
+                ("evs", mode_lab, PipelineConfig(t_T2V=t_t2v, t_V=p.t_V, n_V=p.n_V, block_mode=mode))
+                for t_t2v in range(1, 21) for p in pcfgs if p.rounds == 1
+            ]
+        for pipeline, run_lab, p in cases:
+            result = _execute(pipeline, run_lab, base_config, p, 0, z0, c)
+            plan = self.plan(pipeline, p)
+            assert (result.nfe_t2i, result.nfe_t2v) == stage_nfe(plan), (pipeline, p)
+            assert result.stage_log == tuple((name, (a, b)) for name, a, b in plan), (pipeline, p)
