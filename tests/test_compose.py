@@ -111,11 +111,14 @@ class TestSinglePipelines:
 
 
 class TestBasicCompositions:
-    def test_zero_depth_stage_is_rejected(self, lab, bundle):
-        # A stage noises to t_noise >= 1; zero-depth stages are not dropped.
+    # A stage noises to t_noise >= 1; zero-depth stages are not dropped.
+    def test_vi_with_zero_spatial_stage_is_rejected(self, lab, bundle):
         z0, c = degraded(lab, 1)
         with pytest.raises(ParameterError):
             compose_vi(z0, 4, 0, bundle, c, rng_for(6))
+
+    def test_iv_with_zero_temporal_stage_is_rejected(self, lab, bundle):
+        z0, c = degraded(lab, 1)
         with pytest.raises(ParameterError):
             compose_iv(z0, 20, 0, bundle, c, rng_for(7))
 
