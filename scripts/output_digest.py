@@ -2,16 +2,16 @@
 """Run one fixed set of evs commands and print a sha256 per output file, so
 that two source trees can be compared for byte-identical outputs with `diff`.
 
-The set: `gen` plain and `--styled`; all six pipelines; `evs` with the sdedit
-block; `evs` at the corner `t_T2V = t_I = 20`; `iterated` at three rounds,
-whose odd round count adds a trailing spatial stage; `run --from-manifest` over the
-`evs` run; `sweep t_T2V`; `train` at 20 steps; `frontier` with those weights,
-and again training its own net at 20 steps; `sweep gamma` with the trained
-weights; and `report` over the six pipeline runs.  Wall-clock values are
-dropped before hashing (the `wall_time` CSV column and JSON key), the output
-directory is written as `OUT` wherever a manifest records a path, and an SVG
-is hashed without its `<metadata>` element, which holds the sha256 of a
-manifest that carries both.
+The set: `gen` plain and styled (`--set dataset.styled=true`); all six
+pipelines; `evs` with the sdedit block; `evs` at the corner
+`t_T2V = t_I = 20`; `iterated` at three rounds, whose odd round count adds a
+trailing spatial stage; `rerun` of the `evs` run; `sweep t_T2V`; `train` at
+20 steps; `frontier` and `sweep gamma` with those weights (`--set
+net.weights=...`); and `report` over the six pipeline runs.  Wall-clock
+values are dropped before hashing (the `wall_time` CSV column and JSON key),
+the output directory is written as `OUT` wherever a manifest records a path,
+and an SVG is hashed without its `<metadata>` element, which holds the
+sha256 of a manifest that carries both.
 
 Usage:
   python scripts/output_digest.py --out DIR [--count 4] [--seed 0] > digest.txt
@@ -38,9 +38,11 @@ def run(argv):
 def commands(out: Path, count: int, seed: int) -> list[list]:
     ds, styled = out / "dataset", out / "styled"
     common = ["--seed", seed]
+    weights = ["--set", f"net.weights={out / 'train' / 'net.evsnet'}"]
     cmds = [
         ["gen", "--out", ds, "--set", f"dataset.count={count}", *common],
-        ["gen", "--styled", "--out", styled, "--set", f"dataset.count={count}", *common],
+        ["gen", "--out", styled, "--set", f"dataset.count={count}",
+         "--set", "dataset.styled=true", *common],
     ]
     cmds += [["run", p, "--dataset", ds, "--out", out / f"run_{p}", *common] for p in PIPELINES]
     cmds += [
@@ -50,16 +52,12 @@ def commands(out: Path, count: int, seed: int) -> list[list]:
          "--set", "pipeline.t_T2V=20", *common],
         ["run", "iterated", "--dataset", ds, "--out", out / "run_iterated_3",
          "--set", "pipeline.rounds=3", *common],
-        ["run", "--from-manifest", out / "run_evs" / "run_manifest.json",
-         "--out", out / "rerun_evs"],
+        ["rerun", out / "run_evs" / "run_manifest.json", "--out", out / "rerun_evs"],
         ["sweep", "t_T2V", "--grid", "5,10,15,20", "--dataset", ds, "--out", out / "sweep", *common],
         ["train", "--out", out / "train", "--set", "train.steps=20", *common],
-        ["frontier", "--dataset", styled, "--out", out / "frontier",
-         "--net", out / "train" / "net.evsnet", *common],
-        ["frontier", "--dataset", styled, "--out", out / "frontier_trained",
-         "--set", "train.steps=20", *common],
+        ["frontier", "--dataset", styled, "--out", out / "frontier", *weights, *common],
         ["sweep", "gamma", "--grid", "0.0,0.5,1.0", "--dataset", ds, "--out", out / "sweep_gamma",
-         "--set", f"net.weights={out / 'train' / 'net.evsnet'}", *common],
+         *weights, *common],
         ["report", *(out / f"run_{p}" / "run_manifest.json" for p in PIPELINES),
          "--out", out / "report"],
     ]

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Refinement-mode frontier on styled off-prior inputs: noising-denoising
 strengths versus selective feature injection operating points, plus the
-dominance statistic.
+dominance statistic.  The injection arm's net is trained with `evs train`
+first, unless `--net` names existing weights.
 
 Usage:
-  python scripts/run_frontier.py --out results/frontier [--count 10] [--seed 0]
+  python scripts/run_frontier.py --out results/frontier [--count 10] [--seed 0] [--net W]
 """
 
 import argparse
@@ -29,13 +30,14 @@ def main():
     args = parser.parse_args()
     out = Path(args.out)
 
-    run(["gen", "--styled", "--out", out / "dataset", "--seed", args.seed,
-         "--set", f"dataset.count={args.count}"])
-    argv = ["frontier", "--dataset", out / "dataset", "--out", out / "frontier",
-            "--seed", args.seed]
-    if args.net:
-        argv += ["--net", args.net]
-    run(argv)
+    run(["gen", "--out", out / "dataset", "--seed", args.seed,
+         "--set", f"dataset.count={args.count}", "--set", "dataset.styled=true"])
+    net = args.net
+    if not net:
+        run(["train", "--out", out / "net", "--seed", args.seed])
+        net = out / "net" / "net.evsnet"
+    run(["frontier", "--dataset", out / "dataset", "--out", out / "frontier",
+         "--seed", args.seed, "--set", f"net.weights={net}"])
     print(f"frontier artifacts under {out / 'frontier'}")
 
 

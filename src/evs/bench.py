@@ -170,11 +170,20 @@ def _evs_item_seed(cfg: dict, index: int) -> int:
     return int(np.random.SeedSequence([cfg["seed"], index]).generate_state(1)[0])
 
 
+def _reads_net(cfg: dict, pipeline: str) -> bool:
+    """Whether ``pipeline``'s temporal block needs the tapped net's taps."""
+    return pipeline == "evs" and cfg["pipeline"]["block_mode"] == BLOCK_INVERSION_SFI
+
+
 def _temporal_model_for(cfg: dict, pipeline: str):
     """The tapped net when the temporal block needs taps, else the analytic model."""
-    if pipeline == "evs" and cfg["pipeline"]["block_mode"] == BLOCK_INVERSION_SFI:
-        return load_or_init_net(cfg)
-    return None
+    return load_or_init_net(cfg) if _reads_net(cfg, pipeline) else None
+
+
+def _weights_record(cfg: dict, pipeline: str) -> dict:
+    """``weights_sha256`` of the ``net.weights`` file a run loads; empty when it loads none."""
+    weights = cfg["net"]["weights"]
+    return {"weights_sha256": evsio.file_sha256(weights)} if weights and _reads_net(cfg, pipeline) else {}
 
 
 def load_or_init_net(cfg: dict) -> ToyAttentionDenoiser:
@@ -231,6 +240,7 @@ def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir) -> Path:
     if pipeline not in PIPELINES:
         raise UsageError(f"unknown pipeline {pipeline!r} (choose from {', '.join(PIPELINES)})")
     lab = build_lab(cfg, temporal_override=_temporal_model_for(cfg, pipeline))
+    weights = _weights_record(cfg, pipeline)
     _, videos = load_dataset(dataset_dir, cfg)
     out = _out_dir(out_dir)
 
@@ -263,6 +273,7 @@ def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir) -> Path:
         out / RUN_MANIFEST, cfg, "run",
         pipeline=pipeline,
         dataset=_dataset_record(dataset_dir),
+        **weights,
         schedules={
             "spatial_alpha_bar": [float(x) for x in lab.sched_i.alpha_bar],
             "temporal_alpha_bar": [float(x) for x in lab.sched_v.alpha_bar],
@@ -281,15 +292,18 @@ def _read_run(path) -> tuple[dict, dict]:
         raise ConfigError(
             f"{path}: unknown pipeline {manifest['pipeline']!r} (choose from {', '.join(PIPELINES)})"
         )
-    return manifest, resolve_config(manifest["config"], seed_env=False)
+    return manifest, resolve_config(manifest["config"])
 
 
 def rerun_from_manifest(manifest_path, out_dir) -> Path:
-    """Re-execute a recorded run: its embedded config, checked again, on its unchanged dataset."""
+    """Re-execute a recorded run: its embedded config, checked again, on its
+    unchanged dataset and, when the run loads ``net.weights``, unchanged weights."""
     manifest, cfg = _read_run(manifest_path)
     dataset = manifest["dataset"]
     if evsio.file_sha256(Path(dataset["path"]) / DATASET_MANIFEST) != dataset["manifest_sha256"]:
         raise ConfigError(f"dataset {dataset['path']} changed since {manifest_path} was written")
+    if _weights_record(cfg, manifest["pipeline"]).get("weights_sha256") != manifest.get("weights_sha256"):
+        raise ConfigError(f"net.weights do not match the weights_sha256 in {manifest_path}")
     return cmd_run(manifest["pipeline"], cfg, dataset["path"], out_dir)
 
 
@@ -394,25 +408,25 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
     """Sweep both temporal-block modes on styled inputs and compare frontiers.
 
     The noising-denoising arm uses the analytic temporal denoiser; the
-    injection arm uses the tapped net (trained here unless weights are
-    provided).  Points are (motion smoothness, fidelity-to-input) means.
+    injection arm uses the tapped net at ``net.weights``, which ``evs train``
+    writes; without weights the frontier is refused.  Points are (motion
+    smoothness, fidelity-to-input) means.
     """
     ds_manifest, videos = load_dataset(dataset_dir, cfg)
     if ds_manifest.get("style") is None:
-        raise ConfigError("frontier requires a styled dataset (gen --styled)")
+        raise ConfigError("frontier requires a styled dataset (gen --set dataset.styled=true)")
     lab = build_lab(cfg)
     mcfg = lab.metric_config
     net_file = cfg["net"]["weights"]
-    net = load_or_init_net(cfg) if net_file else None
-    if net is not None and set(range(net.blocks)) != ALL_LAYERS:
+    if not net_file:
+        raise ConfigError("frontier needs net.weights: train a net with `evs train` and pass "
+                          "--set net.weights=DIR/net.evsnet")
+    net = load_or_init_net(cfg)
+    if set(range(net.blocks)) != ALL_LAYERS:
         raise ConfigError(
             f"{net_file}: net has {net.blocks} blocks; the frontier's layer sets need {len(ALL_LAYERS)}"
         )
     out = _out_dir(out_dir)
-    if net is None:
-        net_file = "net.evsnet"
-        net = train_toy_denoiser(lab.temporal_world, lab.sched_v, lab.recipe)
-        evsio.write_net(out / net_file, net)
 
     t_v = lab.pipeline_config.t_V
     # Each refined output's (smoothness, fidelity) pair, per (method, label) point.
@@ -445,7 +459,6 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
     manifest_path = _write_manifest(
         out / "frontier_manifest.json", cfg, "frontier",
         dataset=_dataset_record(dataset_dir),
-        net_file=str(net_file),
         rows=rows,
         dominance=dominance,
         csv="frontier.csv",

@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: gen, run, sweep, frontier, report, train.  Exit codes:
+Subcommands: gen, run, rerun, sweep, frontier, report, train.  Each input
+has one spelling: a config key (``--config``, ``--set``, ``--seed``) or an
+argument of its subcommand.  Exit codes:
 
 * 0 success;
 * 2 usage (``UsageError``);
@@ -72,24 +74,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate an input dataset")
+    p = sub.add_parser("gen", help="generate an input dataset (styled with --set dataset.styled=true)")
     _add_common(p)
-    p.add_argument("--styled", action="store_true", help="styled off-prior inputs instead of degraded ones")
 
     p = sub.add_parser("run", help="run one pipeline over a dataset")
-    p.add_argument("pipeline", nargs="?", choices=bench.PIPELINES, help="pipeline name")
-    _add_common(p, dataset=False)
-    p.add_argument("--dataset", help="dataset directory from `evs gen`")
-    p.add_argument("--from-manifest", help="re-execute a recorded run manifest")
+    p.add_argument("pipeline", choices=bench.PIPELINES, help="pipeline name")
+    _add_common(p, dataset=True)
+
+    p = sub.add_parser("rerun", help="re-execute a recorded run on its unchanged dataset and weights")
+    p.add_argument("manifest", help="run manifest JSON file")
+    p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("sweep", help="sweep one hyperparameter of the encapsulated pipeline")
     p.add_argument("axis", choices=bench.SWEEP_AXES)
     p.add_argument("--grid", required=True, help="comma-separated grid, e.g. 5,10,15,20")
     _add_common(p, dataset=True)
 
-    p = sub.add_parser("frontier", help="compare temporal-block modes on styled inputs")
+    p = sub.add_parser("frontier", help="compare temporal-block modes on styled inputs, given net.weights")
     _add_common(p, dataset=True)
-    p.add_argument("--net", help="pre-trained net weights (.evsnet); trains one when omitted")
 
     p = sub.add_parser("report", help="aggregate run manifests into a summary table")
     p.add_argument("manifests", nargs="+", help="run manifest JSON files")
@@ -106,24 +108,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             path = bench.cmd_report(args.manifests, args.out)
-        elif args.command == "run" and args.from_manifest:
-            given = [flag for flag, value in (
-                ("a pipeline name", args.pipeline), ("--config", args.config), ("--set", args.set),
-                ("--seed", args.seed is not None), ("--dataset", args.dataset),
-            ) if value]
-            if given:
-                raise UsageError(
-                    f"run --from-manifest takes its pipeline, config and dataset from the "
-                    f"manifest; drop {', '.join(given)}"
-                )
-            path = bench.rerun_from_manifest(args.from_manifest, args.out)
-        elif args.command == "run" and not (args.pipeline and args.dataset):
-            raise UsageError("run needs a pipeline and --dataset (or --from-manifest)")
+        elif args.command == "rerun":
+            path = bench.rerun_from_manifest(args.manifest, args.out)
         else:  # the commands that take a config: gen, run, sweep, frontier, train
             cfg = _load_config(args)
             if args.command == "gen":
-                if args.styled:
-                    cfg["dataset"]["styled"] = True
                 path = bench.cmd_gen(cfg, args.out)
             elif args.command == "run":
                 path = bench.cmd_run(args.pipeline, cfg, args.dataset, args.out)
@@ -131,8 +120,6 @@ def main(argv=None) -> int:
                 grid = [_grid_value(x) for x in args.grid.split(",") if x]
                 path = bench.cmd_sweep(args.axis, grid, cfg, args.dataset, args.out)
             elif args.command == "frontier":
-                if args.net:
-                    cfg["net"]["weights"] = args.net
                 path = bench.cmd_frontier(cfg, args.dataset, args.out)
             else:
                 path = bench.cmd_train(cfg, args.out)

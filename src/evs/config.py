@@ -1,8 +1,8 @@
 """Run configuration: one versioned JSON schema, one resolver, one lab builder.
 
 The resolved config dict is the single source of truth recorded in every
-manifest; CLI flags and ``--set`` overrides are applied before resolution and
-the ``EVS_SEED`` environment variable takes precedence over the config seed.
+manifest; ``--config``, ``--set`` and ``--seed`` are applied before resolution,
+and nothing else (no environment variable) changes it.
 
 A section's keys are the parameters of the object it builds: ``world`` goes
 to ``models.default_worlds``, ``pipeline`` to ``compose.PipelineConfig``,
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import copy
 import json
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -106,17 +105,12 @@ def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
     return out
 
 
-def resolve_config(overrides: dict | None = None, seed_env: bool = True) -> dict:
-    """Defaults merged with overrides; EVS_SEED wins over the config seed."""
+def resolve_config(overrides: dict | None = None) -> dict:
+    """Defaults merged with overrides; the version and the seeds are checked."""
     cfg = DEFAULT_CONFIG if overrides is None else _deep_merge(DEFAULT_CONFIG, overrides)
     cfg = copy.deepcopy(cfg)
     if cfg.get("version") != CONFIG_VERSION:
         raise ConfigError(f"config version {cfg.get('version')!r} not supported")
-    if seed_env and os.environ.get("EVS_SEED"):
-        try:
-            cfg["seed"] = int(os.environ["EVS_SEED"])
-        except ValueError as exc:
-            raise ConfigError(f"EVS_SEED must be an integer: {exc}") from exc
     seeds = {"seed": cfg["seed"], "world.seed": cfg["world"]["seed"],
              "net.seed": cfg["net"]["seed"], "train.seed": cfg["train"]["seed"]}
     for key, value in seeds.items():

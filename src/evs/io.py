@@ -298,10 +298,10 @@ def svg_line_plot(path, title, x_label, y_label, series: dict, manifest_hash: st
         for x, y in zip(px, py):
             body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="{color}"/>')
         if error_bars and name in error_bars:
-            for x, y, e in zip(xs, ys, error_bars[name]):
-                sx = _scale([x], xlo, xhi, _MARGIN, _SVG_W - _MARGIN)[0]
-                sy0 = _scale([y - e], ylo, yhi, _SVG_H - _MARGIN, _MARGIN)[0]
-                sy1 = _scale([y + e], ylo, yhi, _SVG_H - _MARGIN, _MARGIN)[0]
+            errs = error_bars[name]
+            lows = _scale([y - e for y, e in zip(ys, errs)], ylo, yhi, _SVG_H - _MARGIN, _MARGIN)
+            highs = _scale([y + e for y, e in zip(ys, errs)], ylo, yhi, _SVG_H - _MARGIN, _MARGIN)
+            for sx, sy0, sy1 in zip(px, lows, highs):
                 body.append(
                     f'<line x1="{_fmt(sx)}" y1="{_fmt(sy0)}" x2="{_fmt(sx)}" y2="{_fmt(sy1)}" '
                     f'stroke="{color}" stroke-width="1"/>'
@@ -325,9 +325,9 @@ def svg_scatter(path, title, x_label, y_label, series: dict, manifest_hash: str)
     body = _axes(x_label, y_label, xlo, xhi, ylo, yhi)
     for i, (name, pts) in enumerate(sorted(series.items())):
         color = _COLORS[i % len(_COLORS)]
-        for x, y in pts:
-            sx = _scale([x], xlo, xhi, _MARGIN, _SVG_W - _MARGIN)[0]
-            sy = _scale([y], ylo, yhi, _SVG_H - _MARGIN, _MARGIN)[0]
+        px = _scale([x for x, _ in pts], xlo, xhi, _MARGIN, _SVG_W - _MARGIN)
+        py = _scale([y for _, y in pts], ylo, yhi, _SVG_H - _MARGIN, _MARGIN)
+        for sx, sy in zip(px, py):
             body.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="4" fill="{color}" fill-opacity="0.7"/>')
         body.append(
             f'<text x="{_SVG_W - _MARGIN}" y="{_MARGIN + 16 * i}" text-anchor="end" '

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from evs.config import build_lab, resolve_config
@@ -6,7 +5,7 @@ from evs.config import build_lab, resolve_config
 
 @pytest.fixture(scope="session")
 def base_config():
-    return resolve_config(seed_env=False)
+    return resolve_config()
 
 
 @pytest.fixture(scope="session")
@@ -25,7 +24,3 @@ def degraded_videos(lab):
         z0 = make_degraded_video(lab.temporal_world, c, 0.2, 1000 + seed)
         items.append((z0, c))
     return items
-
-
-def rng_for(*key):
-    return np.random.default_rng(np.random.SeedSequence(list(key)))

@@ -322,7 +322,7 @@ def test_trained_temporal_net_quality(lab, trained_net):
 
 
 def test_criterion_8_frontier_dominance(lab, trained_net, tmp_path):
-    cfg = resolve_config({"dataset": {"count": 10, "styled": True}}, seed_env=False)
+    cfg = resolve_config({"dataset": {"count": 10, "styled": True}})
     ds = tmp_path / "styled"
     cmd_gen(cfg, ds)
     net_path = tmp_path / "net.evsnet"
@@ -339,7 +339,7 @@ def test_criterion_8_frontier_dominance(lab, trained_net, tmp_path):
 
 
 def test_criterion_9_manifest_determinism(tmp_path):
-    cfg = resolve_config({"dataset": {"count": 3}}, seed_env=False)
+    cfg = resolve_config({"dataset": {"count": 3}})
     ds_a, ds_b = tmp_path / "ds_a", tmp_path / "ds_b"
     cmd_gen(cfg, ds_a)
     cmd_gen(cfg, ds_b)

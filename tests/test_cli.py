@@ -30,6 +30,18 @@ def _dir_bytes(path, suffix):
     return {p.name: p.read_bytes() for p in sorted(Path(path).glob(f"*{suffix}"))}
 
 
+# The frontier needs net.weights; a 4-block net fits its layer sets.
+NET4 = ["--set", "net.weights=NET4"]
+
+
+def _placed(arg, places):
+    """``arg`` with a place name, alone or as the value of a ``--set``, replaced by its path."""
+    key, eq, value = arg.rpartition("=")
+    if eq and value in places:
+        return f"{key}={places[value]}"
+    return places.get(arg, arg)
+
+
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("ds")
@@ -64,15 +76,6 @@ class TestGen:
         assert run_cli("gen", "--out", a, "--set", "dataset.count=1") == 0
         assert run_cli("gen", "--out", b, "--set", "dataset.count=1", "--seed", "5") == 0
         assert _dir_bytes(a, ".evslat") != _dir_bytes(b, ".evslat")
-
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("EVS_SEED", "5")
-        assert run_cli("gen", "--out", a, "--set", "dataset.count=1") == 0
-        monkeypatch.delenv("EVS_SEED")
-        assert run_cli("gen", "--out", b, "--set", "dataset.count=1", "--seed", "5") == 0
-        assert _dir_bytes(a, ".evslat") == _dir_bytes(b, ".evslat")
-        assert evsio.read_json(a / "dataset_manifest.json")["config"]["seed"] == 5
 
     def test_main_builds_one_parser_per_process(self, tmp_path):
         from evs import cli
@@ -111,7 +114,7 @@ class TestRun:
         first = tmp_path / "first"
         again = tmp_path / "again"
         assert run_cli("run", "evs", "--dataset", small_dataset, "--out", first) == 0
-        assert run_cli("run", "--from-manifest", first / "run_manifest.json", "--out", again) == 0
+        assert run_cli("rerun", first / "run_manifest.json", "--out", again) == 0
         assert evsio.csv_without_wall_time(first / "runs.csv") == evsio.csv_without_wall_time(again / "runs.csv")
         assert _dir_bytes(first, ".evslat") == _dir_bytes(again, ".evslat")
 
@@ -122,7 +125,7 @@ class TestRun:
         manifest = evsio.read_json(first / "run_manifest.json")
         manifest["single_thread"] = True
         evsio.write_json(first / "run_manifest.json", manifest)
-        assert run_cli("run", "--from-manifest", first / "run_manifest.json", "--out", again) == 0
+        assert run_cli("rerun", first / "run_manifest.json", "--out", again) == 0
         assert _dir_bytes(first, ".evslat") == _dir_bytes(again, ".evslat")
 
     def test_rerun_after_dataset_change_is_config_error(self, tmp_path):
@@ -130,7 +133,7 @@ class TestRun:
         assert run_cli("gen", "--out", dataset, "--set", "dataset.count=1") == 0
         assert run_cli("run", "t2i", "--dataset", dataset, "--out", first) == 0
         assert run_cli("gen", "--out", dataset, "--set", "dataset.count=1", "--seed", "5") == 0
-        assert run_cli("run", "--from-manifest", first / "run_manifest.json", "--out", again) == 3
+        assert run_cli("rerun", first / "run_manifest.json", "--out", again) == 3
         assert not again.exists()
 
     @pytest.mark.parametrize("extra", [
@@ -144,10 +147,39 @@ class TestRun:
         evsio.write_json(tmp_path / "config.json", {})
         places = {"SMALL": small_dataset, "CONFIG": tmp_path / "config.json"}
         again = tmp_path / "again"
-        argv = ["run", "--from-manifest", first / "run_manifest.json", "--out", again]
-        assert run_cli(*argv, *(places.get(a, a) for a in extra)) == 2
-        assert "drop" in capsys.readouterr().err
+        argv = ["rerun", first / "run_manifest.json", "--out", again]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, *(places.get(a, a) for a in extra))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not again.exists()
+
+    def test_rerun_after_weights_change_is_config_error(self, small_dataset, tmp_path, capsys):
+        """A run that loads net.weights records their sha256, and a rerun refuses other weights."""
+        weights, first, again = tmp_path / "net.evsnet", tmp_path / "first", tmp_path / "again"
+        evsio.write_net(weights, ToyAttentionDenoiser(seed=1))
+        assert run_cli("run", "evs", "--dataset", small_dataset, "--out", first,
+                       "--set", f"net.weights={weights}") == 0
+        manifest = evsio.read_json(first / "run_manifest.json")
+        assert manifest["weights_sha256"] == evsio.file_sha256(weights)
+        assert run_cli("rerun", first / "run_manifest.json", "--out", again) == 0
+        assert _dir_bytes(first, ".evslat") == _dir_bytes(again, ".evslat")
+        evsio.write_net(weights, ToyAttentionDenoiser(seed=5))
+        assert run_cli("rerun", first / "run_manifest.json", "--out", tmp_path / "third") == 3
+        assert "net.weights do not match" in capsys.readouterr().err
+        assert not (tmp_path / "third").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "t2i", "--dataset", "SMALL", "--set", "net.weights=NET"],
+        ["run", "evs", "--dataset", "SMALL"],
+        ["run", "evs", "--dataset", "SMALL", "--set", "net.weights=NET",
+         "--set", "pipeline.block_mode=sdedit", "--set", "pipeline.injection=null"],
+    ], ids=["t2i-with-weights", "evs-random-init", "evs-sdedit-with-weights"])
+    def test_only_a_run_that_loads_weights_records_their_hash(self, small_dataset, tmp_path, argv):
+        evsio.write_net(tmp_path / "net.evsnet", ToyAttentionDenoiser())
+        places = {"SMALL": small_dataset, "NET": tmp_path / "net.evsnet"}
+        assert run_cli(*(_placed(a, places) for a in argv), "--out", tmp_path / "out") == 0
+        assert "weights_sha256" not in evsio.read_json(tmp_path / "out" / "run_manifest.json")
 
     def test_rerun_rechecks_manifest_config(self, small_dataset, tmp_path):
         first = tmp_path / "first"
@@ -156,7 +188,7 @@ class TestRun:
         manifest["config"]["seed"] = "a"
         evsio.write_json(first / "run_manifest.json", manifest)
         again = tmp_path / "again"
-        assert run_cli("run", "--from-manifest", first / "run_manifest.json", "--out", again) == 3
+        assert run_cli("rerun", first / "run_manifest.json", "--out", again) == 3
 
     def test_trajectories_flag_is_usage_error(self, small_dataset, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -169,7 +201,35 @@ class TestRun:
         assert exc.value.code == 2
 
     def test_run_without_pipeline_is_usage_error(self, small_dataset, tmp_path):
-        assert run_cli("run", "--dataset", small_dataset, "--out", tmp_path) == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--dataset", small_dataset, "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--styled", "--set", "dataset.count=1"],
+        ["frontier", "--dataset", "STYLED", "--net", "NET"],
+        ["run", "--from-manifest", "MANIFEST"],
+    ], ids=["gen-styled", "frontier-net", "run-from-manifest"])
+    def test_removed_spellings_are_usage_errors(self, styled_dataset, tmp_path, argv):
+        """Each input has one spelling: ``--set dataset.styled=true``,
+        ``--set net.weights=PATH`` and ``evs rerun MANIFEST``."""
+        evsio.write_net(tmp_path / "net.evsnet", ToyAttentionDenoiser())
+        places = {"STYLED": styled_dataset, "NET": tmp_path / "net.evsnet",
+                  "MANIFEST": tmp_path / "run_manifest.json"}
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*(places.get(a, a) for a in argv), "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_evs_seed_environment_variable_has_no_effect(self, tmp_path, monkeypatch):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli("gen", "--out", a, "--set", "dataset.count=1") == 0
+        for value in ("5", "-1", "x"):
+            monkeypatch.setenv("EVS_SEED", value)
+            assert run_cli("gen", "--out", b, "--set", "dataset.count=1") == 0
+            assert _dir_bytes(a, ".evslat") == _dir_bytes(b, ".evslat")
+            assert evsio.read_json(b / "dataset_manifest.json")["config"]["seed"] == 0
 
     def test_unknown_config_key_is_config_error(self, small_dataset, tmp_path):
         code = run_cli(
@@ -361,25 +421,35 @@ class TestSweep:
 @pytest.fixture(scope="module")
 def styled_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("styled")
-    assert run_cli("gen", "--styled", "--out", out, "--set", "dataset.count=3") == 0
+    assert run_cli("gen", "--out", out, "--set", "dataset.count=3", "--set", "dataset.styled=true") == 0
     return out
 
 
 class TestFrontier:
     def test_trivial_rows_and_outputs(self, styled_dataset, tmp_path):
+        # The all-layers anchor reconstructs its input for any weights.
+        weights = tmp_path / "net.evsnet"
+        evsio.write_net(weights, ToyAttentionDenoiser())
+        out = tmp_path / "out"
         assert run_cli(
-            "frontier", "--dataset", styled_dataset, "--out", tmp_path,
-            "--set", "train.steps=60",
+            "frontier", "--dataset", styled_dataset, "--out", out, "--set", f"net.weights={weights}",
         ) == 0
-        manifest = evsio.read_json(tmp_path / "frontier_manifest.json")
+        manifest = evsio.read_json(out / "frontier_manifest.json")
         rows = {(r["method"], r["param"]): r for r in manifest["rows"]}
         input_ms = rows[("sdedit", "t=0")]["ms"]
         assert rows[("sdedit", "t=0")]["psnr"] == 99.0
         anchor = rows[("sfi", "all,g=1.0,f")]
         assert anchor["psnr"] == 99.0
         assert anchor["ms"] == pytest.approx(input_ms, abs=1e-6)
-        assert (tmp_path / "frontier.svg").exists()
-        assert (tmp_path / "net.evsnet").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "frontier.csv", "frontier.svg", "frontier_manifest.json",
+        ]
+        assert "net_file" not in manifest
+
+    def test_frontier_without_weights_is_config_error(self, styled_dataset, tmp_path, capsys):
+        assert run_cli("frontier", "--dataset", styled_dataset, "--out", tmp_path / "o") == 3
+        assert "evs train" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_frontier_dominance(self):
         # Smoothness ranges that do not overlap share no grid: A is not beaten.
@@ -395,7 +465,8 @@ class TestFrontier:
     def test_weights_for_another_schedule_are_config_error(self, styled_dataset, tmp_path, capsys):
         weights = tmp_path / "net.evsnet"
         evsio.write_net(weights, ToyAttentionDenoiser(total_steps=12))
-        code = run_cli("frontier", "--dataset", styled_dataset, "--out", tmp_path / "o", "--net", weights)
+        code = run_cli("frontier", "--dataset", styled_dataset, "--out", tmp_path / "o",
+                       "--set", f"net.weights={weights}")
         assert code == 3
         assert "config schedule_v.steps=8" in capsys.readouterr().err
 
@@ -471,7 +542,7 @@ class TestReportAndTrain:
         payload["dataset"] = {}
         evsio.write_json(run_dir / "run_manifest.json", payload)
         again = tmp_path / "again"
-        assert run_cli("run", "--from-manifest", run_dir / "run_manifest.json", "--out", again) == 3
+        assert run_cli("rerun", run_dir / "run_manifest.json", "--out", again) == 3
         assert "dataset record needs 'path' as a str" in capsys.readouterr().err
         assert not again.exists()
 
@@ -485,7 +556,7 @@ class TestReportAndTrain:
     def test_run_manifest_is_checked_before_out(
         self, small_dataset, tmp_path, capsys, command, keys, value
     ):
-        """``report`` and ``run --from-manifest`` read a run manifest one way:
+        """``report`` and ``rerun`` read a run manifest one way:
         its pipeline must be known and its config must resolve and build."""
         run_dir, out = tmp_path / "run", tmp_path / "out"
         assert run_cli("run", "t2i", "--dataset", small_dataset, "--out", run_dir) == 0
@@ -496,7 +567,7 @@ class TestReportAndTrain:
         node[keys[-1]] = value
         evsio.write_json(run_dir / "run_manifest.json", payload)
         manifest = run_dir / "run_manifest.json"
-        argv = ["report", manifest] if command == "report" else ["run", "--from-manifest", manifest]
+        argv = [command, manifest]
         assert run_cli(*argv, "--out", out) == 3
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
@@ -590,19 +661,11 @@ class TestReportAndTrain:
         assert "RuntimeWarning" not in proc.stderr
 
     @pytest.mark.parametrize("setting", [
-        "seed=-1", "world.seed=-1", "net.seed=-1", "train.seed=-1", "EVS_SEED=-1",
+        "seed=-1", "world.seed=-1", "net.seed=-1", "train.seed=-1",
         "world.modes=0", "dim=0", "train.batch_size=0", "train.steps=-1",
     ])
-    def test_out_of_domain_config_value_is_config_error(
-        self, tmp_path, monkeypatch, capsys, setting
-    ):
-        argv = ["train", "--out", tmp_path, "--set", "train.steps=2"]
-        key, value = setting.split("=")
-        if key == "EVS_SEED":
-            monkeypatch.setenv(key, value)
-        else:
-            argv += ["--set", setting]
-        assert run_cli(*argv) == 3
+    def test_out_of_domain_config_value_is_config_error(self, tmp_path, capsys, setting):
+        assert run_cli("train", "--out", tmp_path, "--set", "train.steps=2", "--set", setting) == 3
         assert "config error" in capsys.readouterr().err
 
 
@@ -629,7 +692,7 @@ def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsy
 @pytest.mark.parametrize("argv, code", [
     (["train", "--set", "train.lr=0"], 3),
     (["run", "t2i", "--dataset", "SMALL", "--set", "pipeline.t_T2V=40"], 3),
-    (["frontier", "--dataset", "SMALL"], 3),
+    (["frontier", "--dataset", "SMALL", *NET4], 3),
     (["run", "t2i", "--dataset", "MISSING"], 4),
     (["run", "t2i", "--dataset", "SMALL", "--set", "train.lr=0"], 3),
     (["gen", "--set", "pipeline.t_T2V=40"], 3),
@@ -638,9 +701,9 @@ def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsy
     (["run", "evs", "--dataset", "SMALL", "--set", "pipeline.injection.layers=[7]"], 3),
     (["sweep", "t_V", "--grid", "2,4", "--dataset", "SMALL",
       "--set", "pipeline.injection.layers=[7]"], 3),
-    (["frontier", "--dataset", "STYLED", "--set", "pipeline.t_V=99", "--set", "train.steps=30"], 3),
-    (["frontier", "--dataset", "STYLED", "--net", "NET2"], 3),
-    (["frontier", "--dataset", "STYLED", "--net", "NET6"], 3),
+    (["frontier", "--dataset", "STYLED", "--set", "pipeline.t_V=99", *NET4], 3),
+    (["frontier", "--dataset", "STYLED", "--set", "net.weights=NET2"], 3),
+    (["frontier", "--dataset", "STYLED", "--set", "net.weights=NET6"], 3),
     *((["sweep", "gamma", "--grid", "0.0,1.0", "--dataset", "SMALL", *sets], 3) for sets in (
         ["--set", "pipeline.block_mode=sdedit"],
         ["--set", "pipeline.block_mode=sdedit", "--set", "pipeline.injection=null"],
@@ -655,7 +718,7 @@ def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsy
     *((["run", pipeline, "--dataset", dataset], 3)
       for dataset in ("FRAMES8", "DIM32") for pipeline in bench.PIPELINES),
     (["sweep", "t_T2V", "--grid", "5,10", "--dataset", "FRAMES8"], 3),
-    (["frontier", "--dataset", "STYLED_FRAMES8", "--set", "train.steps=1"], 3),
+    (["frontier", "--dataset", "STYLED_FRAMES8", *NET4], 3),
 ], ids=[
     "train-lr", "run-t_T2V", "frontier-plain", "run-missing-dataset", "run-train-lr",
     "gen-t_T2V", "gen-flicker", "train-t_T2V", "run-evs-layers", "sweep-layers", "frontier-t_V",
@@ -673,17 +736,17 @@ def test_failed_check_leaves_no_out_directory(
     before it creates ``--out``, also a section the command does not read."""
     places = {"SMALL": small_dataset, "STYLED": styled_dataset, "MISSING": tmp_path / "missing",
               **off_shape_datasets}
-    for blocks in (2, 6):  # nets whose blocks are not the frontier's layers 0..3
+    for blocks in (2, 4, 6):  # the frontier's layers are 0..3, so only NET4 fits it
         places[f"NET{blocks}"] = tmp_path / f"net{blocks}.evsnet"
         evsio.write_net(places[f"NET{blocks}"], ToyAttentionDenoiser(blocks=blocks))
     out = tmp_path / "out"
-    assert run_cli(*(places.get(a, a) for a in argv), "--out", out) == code
+    assert run_cli(*(_placed(a, places) for a in argv), "--out", out) == code
     assert not out.exists()
 
 
 @pytest.mark.parametrize("spoil", ["negative", "duplicate"])
 @pytest.mark.parametrize("command", [
-    ["run", "t2i"], ["sweep", "t_V", "--grid", "2,4"], ["frontier", "--set", "train.steps=1"],
+    ["run", "t2i"], ["sweep", "t_V", "--grid", "2,4"], ["frontier", *NET4],
 ], ids=["run", "sweep", "frontier"])
 def test_bad_item_index_leaves_no_out_directory(styled_dataset, tmp_path, spoil, command):
     """An item index seeds the item and names its output file, so a negative
@@ -694,8 +757,11 @@ def test_bad_item_index_leaves_no_out_directory(styled_dataset, tmp_path, spoil,
     payload = evsio.read_json(manifest)
     payload["items"][1]["index"] = -1 if spoil == "negative" else payload["items"][0]["index"]
     evsio.write_json(manifest, payload)
+    weights = tmp_path / "net.evsnet"
+    evsio.write_net(weights, ToyAttentionDenoiser())
     out = tmp_path / "out"
-    assert run_cli(*command, "--dataset", dataset, "--out", out) == 3
+    assert run_cli(*(_placed(a, {"NET4": weights}) for a in command),
+                   "--dataset", dataset, "--out", out) == 3
     assert not out.exists()
 
 
@@ -713,7 +779,7 @@ class TestOutputDigest:
             )
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.splitlines())
-        assert len(digests[0]) == 72
+        assert len(digests[0]) == 68
         assert digests[0] == digests[1]
         assert not [line for line in digests[0] for out in outs if str(out) in line]
 
