@@ -13,12 +13,13 @@ from pathlib import Path
 import numpy as np
 
 from . import io as evsio
-from .compose import (
+from .compose import (  # PIPELINES is read here by the CLI, the scripts and the tests
     BLOCK_INVERSION_SFI,
+    PIPELINES,
+    PLANS,
     PipelineConfig,
     compose_iv,
     compose_vi,
-    iterated_stages,
     run_evs,
     run_iterated_baseline,
     run_t2i_only,
@@ -50,7 +51,6 @@ from .sfi import (
     invert_with_capture,
 )
 
-PIPELINES = ("t2i", "t2v", "iv", "vi", "evs", "iterated")
 SWEEP_AXES = ("t_T2V", "t_V", "n_V", "gamma")
 # The columns of runs.csv, which are also the keys of each run manifest row.
 RUN_CSV_COLUMNS = ("pipeline", "seed", *METRICS, "nfe_t2i", "nfe_t2v", "wall_time")
@@ -162,12 +162,13 @@ def load_dataset(dataset_dir, cfg: dict | None = None) -> tuple[dict, list[tuple
 # ---------------------------------------------------------------------------
 
 
-def _pipeline_noise_rng(cfg: dict, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([cfg["seed"], index, 7]))
-
-
-def _evs_item_seed(cfg: dict, index: int) -> int:
-    return int(np.random.SeedSequence([cfg["seed"], index]).generate_state(1)[0])
+def _item_rng(cfg: dict, pipeline: str, index: int) -> np.random.Generator:
+    """The generator of one item's noise draws; ``evs`` keys a stream of its own."""
+    if pipeline == "evs":
+        key = [0x45565321, int(np.random.SeedSequence([cfg["seed"], index]).generate_state(1)[0])]
+    else:
+        key = [cfg["seed"], index, 7]
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 def _reads_net(cfg: dict, pipeline: str) -> bool:
@@ -206,21 +207,11 @@ def load_or_init_net(cfg: dict) -> ToyAttentionDenoiser:
 
 
 def _execute(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, index, video, cond):
-    """Run one pipeline on one item."""
-    if pipeline == "evs":  # seeds its own generator
-        return run_evs(video, pcfg, lab.models, cond, _evs_item_seed(cfg, index))
-    rng = _pipeline_noise_rng(cfg, index)
-    if pipeline == "t2i":
-        return run_t2i_only(video, pcfg.t_I, lab.models, cond, rng)
-    if pipeline == "t2v":
-        return run_t2v_only(video, pcfg.t_V, lab.models, cond, rng)
-    if pipeline == "iv":
-        return compose_iv(video, pcfg.t_I, pcfg.t_V, lab.models, cond, rng)
-    if pipeline == "vi":
-        return compose_vi(video, pcfg.t_V, pcfg.t_I, lab.models, cond, rng)
-    if pipeline == "iterated":
-        return run_iterated_baseline(video, pcfg.rounds, pcfg.t_I, pcfg.t_V, lab.models, cond, rng)
-    raise UsageError(f"unknown pipeline {pipeline!r} (choose from {', '.join(PIPELINES)})")
+    """Run one pipeline on one item.  The entry point is looked up at each
+    call, so a tracer that rebinds this module's names sees it."""
+    entry = {"t2i": run_t2i_only, "t2v": run_t2v_only, "iv": compose_iv, "vi": compose_vi,
+             "evs": run_evs, "iterated": run_iterated_baseline}[pipeline]
+    return entry(video, pcfg, lab.models, cond, _item_rng(cfg, pipeline, index))
 
 
 def _scored_items(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, videos):
@@ -373,13 +364,8 @@ def cmd_sweep(axis: str, grid, cfg: dict, dataset_dir, out_dir) -> Path:
     xs = [float(s["value"]) for s in point_stats]
     for m in METRICS:
         evsio.svg_line_plot(
-            out / f"sweep_{m}.svg",
-            f"{m} vs {axis}",
-            axis,
-            m,
-            {m: (xs, [s[f"{m}_mean"] for s in point_stats])},
-            mhash,
-            error_bars={m: [s[f"{m}_stderr"] for s in point_stats]},
+            out / f"sweep_{m}.svg", f"{m} vs {axis}", axis, m, xs,
+            [s[f"{m}_mean"] for s in point_stats], [s[f"{m}_stderr"] for s in point_stats], mhash,
         )
     return manifest_path
 
@@ -428,7 +414,7 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
         )
     out = _out_dir(out_dir)
 
-    t_v = lab.pipeline_config.t_V
+    p = lab.pipeline_config
     # Each refined output's (smoothness, fidelity) pair, per (method, label) point.
     scores = {}
     for index, video in videos:
@@ -436,12 +422,13 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
         outputs = {("sdedit", "t=0"): video}
         for t in range(1, lab.sched_v.total_steps + 1):
             rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], index, t]))
-            outputs["sdedit", f"t={t}"] = run_t2v_only(video, t, lab.models, c, rng).output
+            outputs["sdedit", f"t={t}"] = run_t2v_only(
+                video, replace(p, t_V=t), lab.models, c, rng).output
         # Each video is inverted once; its cache serves every operating point.
-        z, cache = invert_with_capture(video, t_v, net, c, lab.sched_v)
+        z, cache = invert_with_capture(video, p.t_V, net, c, lab.sched_v)
         for label, icfg in _FRONTIER_SFI.items():
             _, outputs["sfi", label] = denoise_with_injection(
-                z, t_v, t_v, net, c, lab.sched_v, cache, icfg
+                z, p.t_V, p.t_V, net, c, lab.sched_v, cache, icfg
             )
         for key, refined in outputs.items():
             scores.setdefault(key, []).append(
@@ -508,8 +495,7 @@ def cmd_report(manifest_paths, out_dir) -> Path:
     if "iterated" in summary:
         baseline_nfe = float(np.mean(summary["iterated"]["nfe_total"]))
     else:
-        p = lab.pipeline_config
-        baseline_nfe = float(sum(stage_nfe(iterated_stages(p.rounds, p.t_I, p.t_V))))
+        baseline_nfe = float(sum(stage_nfe(PLANS["iterated"](lab.pipeline_config))))
 
     table = []
     for name in sorted(summary):

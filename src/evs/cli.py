@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from pathlib import Path
 
 from . import bench
 from .config import apply_set_overrides, resolve_config
@@ -61,7 +62,10 @@ def _load_config(args) -> dict:
     overrides = apply_set_overrides(overrides, args.set)
     if args.seed is not None:
         overrides["seed"] = args.seed
-    return resolve_config(overrides)
+    cfg = resolve_config(overrides)
+    if cfg["net"]["weights"]:  # recorded as the dataset path is, so a rerun finds it from anywhere
+        cfg["net"]["weights"] = str(Path(cfg["net"]["weights"]).resolve())
+    return cfg
 
 
 @functools.cache

@@ -2,10 +2,11 @@
 
 The only latent ever handed from one model's domain to the other is a
 predicted clean latent: noisy latents are meaningless under the other
-schedule.  Every pipeline is a list of stages run by one loop,
-``_refine_stages``, and ``stage_nfe`` prices such a plan before it runs.
-The six entry points, each one call into the loop, stay because the
-benchmark's tracer wraps them by name (until ROADMAP direction 2).
+schedule.  Every pipeline is a plan, a list of stages that ``PLANS`` builds
+from a ``PipelineConfig``; one loop, ``_refine_stages``, runs a plan and
+``stage_nfe`` prices it before it runs.  The six entry points share one
+signature ``(z0, p, models, c, rng)`` and are each one call into the loop;
+they stay separate functions because the benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -149,70 +150,71 @@ def stage_nfe(stages) -> tuple[int, int]:
     return nfe["t2i"], nfe["t2v"]
 
 
-def run_t2i_only(
-    z0, t_i: int, models: ModelBundle, c: Condition | None, rng: np.random.Generator
-) -> PipelineResult:
-    """Frame-wise refinement: noise to ``t_i`` on the spatial schedule, denoise to 0."""
-    return _refine_stages(z0, [("t2i", t_i, 0)], models, c, rng)
+def _iterated_plan(p: PipelineConfig) -> list[tuple[str, int, int]]:
+    """The iterated baseline's full-depth stages: spatial-then-temporal and
+    temporal-then-spatial rounds alternate, and an odd round count gets a
+    trailing spatial stage so the sequence always ends frame-refined.  It
+    costs rounds*(t_I+t_V), plus t_I when rounds is odd (see ``stage_nfe``).
+    """
+    if p.rounds < 1:
+        raise ParameterError(f"rounds must be >= 1, got {p.rounds}")
+    iv = [("t2i", p.t_I, 0), ("t2v", p.t_V, 0)]
+    return [stage for r in range(p.rounds) for stage in (iv[::-1] if r % 2 else iv)] + iv[:p.rounds % 2]
 
 
-def run_t2v_only(
-    z0, t_v: int, models: ModelBundle, c: Condition | None, rng: np.random.Generator
-) -> PipelineResult:
-    """Sequence-wise refinement on the temporal schedule."""
-    return _refine_stages(z0, [("t2v", t_v, 0)], models, c, rng)
+# Each pipeline's plan of stages, by name.  At ``t_T2V == t_I`` the leading
+# stage of ``evs`` takes one step, so its block receives the one-shot spatial
+# prediction at ``t_I``; its trailing spatial stage's draw re-noises the block output.
+PLANS = {
+    "t2i": lambda p: [("t2i", p.t_I, 0)],
+    "t2v": lambda p: [("t2v", p.t_V, 0)],
+    "iv": lambda p: [("t2i", p.t_I, 0), ("t2v", p.t_V, 0)],
+    "vi": lambda p: [("t2v", p.t_V, 0), ("t2i", p.t_I, 0)],
+    "evs": lambda p: [
+        ("t2i", p.t_I, p.t_T2V),
+        ("t2v:sdedit" if p.block_mode == BLOCK_SDEDIT else "t2v:sfi", p.t_V, p.t_V - p.n_V),
+        ("t2i", p.t_T2V, 0),
+    ],
+    "iterated": _iterated_plan,
+}
+PIPELINES = tuple(PLANS)
 
 
-def compose_vi(
-    z0, t_v: int, t_i: int, models: ModelBundle, c, rng: np.random.Generator
-) -> PipelineResult:
-    """Temporal refinement to clean, then frame-wise refinement."""
-    return _refine_stages(z0, [("t2v", t_v, 0), ("t2i", t_i, 0)], models, c, rng)
+def run_t2i_only(z0, p: PipelineConfig, models: ModelBundle, c: Condition | None,
+                 rng: np.random.Generator) -> PipelineResult:
+    """Frame-wise refinement: noise to ``t_I`` on the spatial schedule, denoise to 0."""
+    return _refine_stages(z0, PLANS["t2i"](p), models, c, rng)
 
 
-def compose_iv(
-    z0, t_i: int, t_v: int, models: ModelBundle, c, rng: np.random.Generator
-) -> PipelineResult:
+def run_t2v_only(z0, p: PipelineConfig, models: ModelBundle, c: Condition | None,
+                 rng: np.random.Generator) -> PipelineResult:
+    """Sequence-wise refinement from ``t_V`` on the temporal schedule."""
+    return _refine_stages(z0, PLANS["t2v"](p), models, c, rng)
+
+
+def compose_iv(z0, p: PipelineConfig, models: ModelBundle, c: Condition | None,
+               rng: np.random.Generator) -> PipelineResult:
     """Frame-wise refinement to clean, then temporal refinement."""
-    return _refine_stages(z0, [("t2i", t_i, 0), ("t2v", t_v, 0)], models, c, rng)
+    return _refine_stages(z0, PLANS["iv"](p), models, c, rng)
 
 
-def run_evs(
-    z0, cfg: PipelineConfig, models: ModelBundle, c: Condition | None, seed: int
-) -> PipelineResult:
+def compose_vi(z0, p: PipelineConfig, models: ModelBundle, c: Condition | None,
+               rng: np.random.Generator) -> PipelineResult:
+    """Temporal refinement to clean, then frame-wise refinement."""
+    return _refine_stages(z0, PLANS["vi"](p), models, c, rng)
+
+
+def run_evs(z0, p: PipelineConfig, models: ModelBundle, c: Condition | None,
+            rng: np.random.Generator) -> PipelineResult:
     """The encapsulated pipeline: spatial steps from ``t_I`` down to ``t_T2V``,
     one temporal block of ``n_V`` steps from ``t_V``, then the spatial walk
-    from ``t_T2V``, whose draw re-noises the block output.  At ``t_T2V == t_I``
-    the leading stage takes one step, so the block receives the one-shot
-    spatial prediction at ``t_I``.  ``seed`` keys the noise draws.
+    from ``t_T2V``; every key is checked first.
     """
-    cfg.validate(models)
-    rng = np.random.default_rng(np.random.SeedSequence([0x45565321, seed]))
-    block = "t2v:sdedit" if cfg.block_mode == BLOCK_SDEDIT else "t2v:sfi"
-    stages = [("t2i", cfg.t_I, cfg.t_T2V), (block, cfg.t_V, cfg.t_V - cfg.n_V), ("t2i", cfg.t_T2V, 0)]
-    return _refine_stages(z0, stages, models, c, rng, cfg.injection)
+    p.validate(models)
+    return _refine_stages(z0, PLANS["evs"](p), models, c, rng, p.injection)
 
 
-def iterated_stages(rounds: int, t_i: int, t_v: int) -> list[tuple[str, int, int]]:
-    """The iterated baseline's plan of full-depth stages.
-
-    Stages alternate spatial-then-temporal and temporal-then-spatial rounds;
-    an odd round count gets a trailing full spatial stage so the sequence
-    always ends frame-refined.  It costs rounds*(t_i+t_v), plus t_i when
-    rounds is odd (see ``stage_nfe``).
-    """
-    if rounds < 1:
-        raise ParameterError(f"rounds must be >= 1, got {rounds}")
-    iv = [("t2i", t_i, 0), ("t2v", t_v, 0)]
-    vi = [("t2v", t_v, 0), ("t2i", t_i, 0)]
-    stages = [stage for r in range(rounds) for stage in (vi if r % 2 else iv)]
-    if rounds % 2 == 1:
-        stages.append(("t2i", t_i, 0))
-    return stages
-
-
-def run_iterated_baseline(
-    z0, rounds: int, t_i: int, t_v: int, models: ModelBundle, c, rng: np.random.Generator
-) -> PipelineResult:
+def run_iterated_baseline(z0, p: PipelineConfig, models: ModelBundle, c: Condition | None,
+                          rng: np.random.Generator) -> PipelineResult:
     """Full-depth alternation baseline used as the inference-cost denominator."""
-    return _refine_stages(z0, iterated_stages(rounds, t_i, t_v), models, c, rng)
+    return _refine_stages(z0, PLANS["iterated"](p), models, c, rng)

@@ -71,14 +71,14 @@ def _check_type(path: str, default, value):
     """Reject a value whose JSON type differs from the default's.
 
     An integer may stand for a float, a bool never for a number; ``net.weights``
-    takes a file path or null, and only ``pipeline.injection`` of the sections
+    takes a nonempty file path or null, and only ``pipeline.injection`` of the sections
     takes null (no injection).  List items are checked against the default's
     first item.
     """
     if value is None:
         ok = default is None or path == "pipeline.injection"
     elif default is None:
-        ok = isinstance(value, str)
+        ok = isinstance(value, str) and value != ""
     elif isinstance(default, float) and not isinstance(value, bool):
         ok = isinstance(value, (int, float))
     else:
@@ -169,6 +169,8 @@ def build_lab(cfg: dict, temporal_override=None) -> Lab:
     for key, least in (("count", 1), ("flicker_sigma", 0)):
         if cfg["dataset"][key] < least:
             raise ConfigError(f"dataset.{key} must be at least {least}, got {cfg['dataset'][key]}")
+    if cfg["frames"] < 3:  # motion smoothness compares three consecutive frames
+        raise ConfigError(f"frames must be at least 3, got {cfg['frames']}")
     spatial_world, temporal_world = models.default_worlds(
         dim=cfg["dim"], frames=cfg["frames"], **cfg["world"]
     )

@@ -275,53 +275,46 @@ def _axes(x_label: str, y_label: str, xlo, xhi, ylo, yhi) -> list[str]:
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
-def svg_line_plot(path, title, x_label, y_label, series: dict, manifest_hash: str,
-                  error_bars: dict | None = None) -> None:
-    """Line plot with optional per-point error bars; series maps name -> (xs, ys)."""
-    all_x = [x for xs, _ in series.values() for x in xs]
-    all_y = [y for _, ys in series.values() for y in ys]
-    if error_bars:
-        for name, errs in error_bars.items():
-            xs, ys = series[name]
-            all_y += [y + e for y, e in zip(ys, errs)] + [y - e for y, e in zip(ys, errs)]
-    xlo, xhi = min(all_x), max(all_x)
-    ylo, yhi = min(all_y), max(all_y)
-    if yhi == ylo:
-        ylo, yhi = ylo - 1.0, yhi + 1.0
+def _span(values) -> tuple[float, float]:
+    """The axis range of ``values``, widened by 1 each way when it is one point."""
+    lo, hi = min(values), max(values)
+    return (lo - 1.0, hi + 1.0) if hi == lo else (lo, hi)
+
+
+def _legend(i: int, name: str, color: str) -> str:
+    return (f'<text x="{_SVG_W - _MARGIN}" y="{_MARGIN + 16 * i}" text-anchor="end" '
+            f'font-size="12" fill="{color}">{name}</text>')
+
+
+def svg_line_plot(path, title, x_label, y_label, xs, ys, errs, manifest_hash: str) -> None:
+    """Line plot of ``ys`` against ``xs`` with error bars of half-length ``errs``,
+    its one series named ``y_label``."""
+    lows = [y - e for y, e in zip(ys, errs)]
+    highs = [y + e for y, e in zip(ys, errs)]
+    xlo, xhi = min(xs), max(xs)
+    ylo, yhi = _span([*ys, *highs, *lows])
     body = _axes(x_label, y_label, xlo, xhi, ylo, yhi)
-    for i, (name, (xs, ys)) in enumerate(sorted(series.items())):
-        color = _COLORS[i % len(_COLORS)]
-        px = _scale(xs, xlo, xhi, _MARGIN, _SVG_W - _MARGIN)
-        py = _scale(ys, ylo, yhi, _SVG_H - _MARGIN, _MARGIN)
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(px, py))
-        body.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>')
-        for x, y in zip(px, py):
-            body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="{color}"/>')
-        if error_bars and name in error_bars:
-            errs = error_bars[name]
-            lows = _scale([y - e for y, e in zip(ys, errs)], ylo, yhi, _SVG_H - _MARGIN, _MARGIN)
-            highs = _scale([y + e for y, e in zip(ys, errs)], ylo, yhi, _SVG_H - _MARGIN, _MARGIN)
-            for sx, sy0, sy1 in zip(px, lows, highs):
-                body.append(
-                    f'<line x1="{_fmt(sx)}" y1="{_fmt(sy0)}" x2="{_fmt(sx)}" y2="{_fmt(sy1)}" '
-                    f'stroke="{color}" stroke-width="1"/>'
-                )
+    color = _COLORS[0]
+    px = _scale(xs, xlo, xhi, _MARGIN, _SVG_W - _MARGIN)
+    py, py_lo, py_hi = (_scale(v, ylo, yhi, _SVG_H - _MARGIN, _MARGIN) for v in (ys, lows, highs))
+    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(px, py))
+    body.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>')
+    for x, y in zip(px, py):
+        body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="{color}"/>')
+    for sx, sy0, sy1 in zip(px, py_lo, py_hi):
         body.append(
-            f'<text x="{_SVG_W - _MARGIN}" y="{_MARGIN + 16 * i}" text-anchor="end" '
-            f'font-size="12" fill="{color}">{name}</text>'
+            f'<line x1="{_fmt(sx)}" y1="{_fmt(sy0)}" x2="{_fmt(sx)}" y2="{_fmt(sy1)}" '
+            f'stroke="{color}" stroke-width="1"/>'
         )
+    body.append(_legend(0, y_label, color))
     Path(path).write_text(_svg_document(body, title, manifest_hash))
 
 
 def svg_scatter(path, title, x_label, y_label, series: dict, manifest_hash: str) -> None:
     """Scatter plot; series maps name -> list of (x, y) points."""
     all_pts = [p for pts in series.values() for p in pts]
-    xlo, xhi = min(p[0] for p in all_pts), max(p[0] for p in all_pts)
-    ylo, yhi = min(p[1] for p in all_pts), max(p[1] for p in all_pts)
-    if xhi == xlo:
-        xlo, xhi = xlo - 1.0, xhi + 1.0
-    if yhi == ylo:
-        ylo, yhi = ylo - 1.0, yhi + 1.0
+    xlo, xhi = _span([p[0] for p in all_pts])
+    ylo, yhi = _span([p[1] for p in all_pts])
     body = _axes(x_label, y_label, xlo, xhi, ylo, yhi)
     for i, (name, pts) in enumerate(sorted(series.items())):
         color = _COLORS[i % len(_COLORS)]
@@ -329,10 +322,7 @@ def svg_scatter(path, title, x_label, y_label, series: dict, manifest_hash: str)
         py = _scale([y for _, y in pts], ylo, yhi, _SVG_H - _MARGIN, _MARGIN)
         for sx, sy in zip(px, py):
             body.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="4" fill="{color}" fill-opacity="0.7"/>')
-        body.append(
-            f'<text x="{_SVG_W - _MARGIN}" y="{_MARGIN + 16 * i}" text-anchor="end" '
-            f'font-size="12" fill="{color}">{name}</text>'
-        )
+        body.append(_legend(i, name, color))
     Path(path).write_text(_svg_document(body, title, manifest_hash))
 
 

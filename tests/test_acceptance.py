@@ -4,6 +4,8 @@ Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line per
 criterion.  The suite is fixed-seed and single-threaded throughout.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,12 @@ def fresh_bundle(lab):
 
 def rng_for(*key):
     return np.random.default_rng(np.random.SeedSequence(list(key)))
+
+
+# The first word of the key of an evs item's generator in ``bench._item_rng``.
+EVS_KEY = 0x45565321
+# The default noising levels, spelled out: t_I spatial and t_V temporal steps.
+P = PipelineConfig(t_I=20, t_V=4)
 
 
 @pytest.fixture(scope="module")
@@ -218,11 +226,12 @@ def test_criterion_5_ablation_ordering(lab, degraded_videos):
     for i, (z0, c) in enumerate(degraded_videos):
         bundle = fresh_bundle(lab)
         runs = {
-            "t2i": run_t2i_only(z0, 20, bundle, c, rng_for(500, i)),
-            "t2v": run_t2v_only(z0, 4, bundle, c, rng_for(501, i)),
-            "iv": compose_iv(z0, 20, 4, bundle, c, rng_for(502, i)),
-            "vi": compose_vi(z0, 4, 20, bundle, c, rng_for(503, i)),
-            "evs": run_evs(z0, PipelineConfig(block_mode=BLOCK_SDEDIT, injection=None), bundle, c, seed=i),
+            "t2i": run_t2i_only(z0, P, bundle, c, rng_for(500, i)),
+            "t2v": run_t2v_only(z0, P, bundle, c, rng_for(501, i)),
+            "iv": compose_iv(z0, P, bundle, c, rng_for(502, i)),
+            "vi": compose_vi(z0, P, bundle, c, rng_for(503, i)),
+            "evs": run_evs(z0, PipelineConfig(block_mode=BLOCK_SDEDIT, injection=None), bundle, c,
+                           rng_for(EVS_KEY, i)),
         }
         for name, result in runs.items():
             stats[name].append(_pipeline_metrics(lab, result.output, c))
@@ -248,7 +257,7 @@ def _sweep_means(lab, degraded_videos, **cfg_kwargs):
     for i, (z0, c) in enumerate(degraded_videos):
         bundle = fresh_bundle(lab)
         cfg = PipelineConfig(block_mode=BLOCK_SDEDIT, injection=None, **cfg_kwargs)
-        out = run_evs(z0, cfg, bundle, c, seed=i).output
+        out = run_evs(z0, cfg, bundle, c, rng_for(EVS_KEY, i)).output
         ms_vals.append(motion_smoothness(out, lab.metric_config.tau))
         iq_vals.append(imaging_quality(out, lab.spatial_world, c,
                                        lab.metric_config.iq_offset, lab.metric_config.iq_scale))
@@ -282,7 +291,7 @@ def test_criterion_6c_block_strength_ms_trend(lab, degraded_videos):
 def test_criterion_7_speedup_by_counting(lab, degraded_videos):
     z0, c = degraded_videos[0]
     bundle = fresh_bundle(lab)
-    base = run_iterated_baseline(z0, 2, 20, 4, bundle, c, rng_for(700))
+    base = run_iterated_baseline(z0, replace(P, rounds=2), bundle, c, rng_for(700))
     base_nfe = base.nfe_t2i + base.nfe_t2v
     sfi_bundle = ModelBundle(
         spatial=AnalyticDenoiser(lab.spatial_world, lab.sched_i),
@@ -290,7 +299,7 @@ def test_criterion_7_speedup_by_counting(lab, degraded_videos):
         spatial_schedule=lab.sched_i,
         temporal_schedule=lab.sched_v,
     )
-    enc = run_evs(z0, PipelineConfig(), sfi_bundle, c, seed=0)
+    enc = run_evs(z0, PipelineConfig(), sfi_bundle, c, rng_for(EVS_KEY, 0))
     enc_nfe = enc.nfe_t2i + enc.nfe_t2v
     ratio = base_nfe / enc_nfe
     ok = base_nfe == 48 and enc_nfe == 26 and ratio >= 1.6

@@ -169,6 +169,20 @@ class TestRun:
         assert "net.weights do not match" in capsys.readouterr().err
         assert not (tmp_path / "third").exists()
 
+    def test_relative_weights_path_is_recorded_absolute(self, small_dataset, tmp_path, monkeypatch):
+        """A rerun finds weights given by a relative path from any directory."""
+        (tmp_path / "w2").mkdir()
+        evsio.write_net(tmp_path / "w2" / "net.evsnet", ToyAttentionDenoiser(seed=1))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", "evs", "--dataset", small_dataset, "--out", "first",
+                       "--set", "net.weights=w2/net.evsnet") == 0
+        manifest = evsio.read_json(tmp_path / "first" / "run_manifest.json")
+        assert manifest["config"]["net"]["weights"] == str((tmp_path / "w2" / "net.evsnet").resolve())
+        monkeypatch.chdir(tmp_path.parent)
+        again = tmp_path / "again"
+        assert run_cli("rerun", tmp_path / "first" / "run_manifest.json", "--out", again) == 0
+        assert _dir_bytes(tmp_path / "first", ".evslat") == _dir_bytes(again, ".evslat")
+
     @pytest.mark.parametrize("argv", [
         ["run", "t2i", "--dataset", "SMALL", "--set", "net.weights=NET"],
         ["run", "evs", "--dataset", "SMALL"],
@@ -679,6 +693,11 @@ def off_shape_datasets(tmp_path_factory):
         places[name] = root / name
         sets = [arg for s in ("dataset.count=1", *sets) for arg in ("--set", s)]
         assert run_cli("gen", "--out", places[name], *sets) == 0
+    # gen refuses frames=2, so this one is FRAMES8 cut to its first two frames.
+    places["FRAMES2"] = root / "FRAMES2"
+    shutil.copytree(places["FRAMES8"], places["FRAMES2"])
+    for item in places["FRAMES2"].glob("*.evslat"):
+        evsio.write_latents(item, [evsio.read_latents(item)[0][:2]])
     return places
 
 
@@ -697,6 +716,10 @@ def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsy
     (["run", "t2i", "--dataset", "SMALL", "--set", "train.lr=0"], 3),
     (["gen", "--set", "pipeline.t_T2V=40"], 3),
     (["gen", "--set", "dataset.flicker_sigma=-1"], 3),
+    (["gen", "--set", "frames=2"], 3),
+    (["run", "t2i", "--dataset", "FRAMES2", "--set", "frames=2"], 3),
+    (["sweep", "t_T2V", "--grid", "5,10", "--dataset", "FRAMES2", "--set", "frames=2"], 3),
+    (["run", "evs", "--dataset", "SMALL", "--set", "net.weights="], 3),
     (["train", "--set", "pipeline.t_T2V=40"], 3),
     (["run", "evs", "--dataset", "SMALL", "--set", "pipeline.injection.layers=[7]"], 3),
     (["sweep", "t_V", "--grid", "2,4", "--dataset", "SMALL",
@@ -721,7 +744,8 @@ def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsy
     (["frontier", "--dataset", "STYLED_FRAMES8", *NET4], 3),
 ], ids=[
     "train-lr", "run-t_T2V", "frontier-plain", "run-missing-dataset", "run-train-lr",
-    "gen-t_T2V", "gen-flicker", "train-t_T2V", "run-evs-layers", "sweep-layers", "frontier-t_V",
+    "gen-t_T2V", "gen-flicker", "gen-frames2", "run-frames2", "sweep-frames2", "run-empty-weights",
+    "train-t_T2V", "run-evs-layers", "sweep-layers", "frontier-t_V",
     "frontier-2-blocks", "frontier-6-blocks",
     "gamma-sdedit", "gamma-null", "gamma-no-kv", "gamma-no-layers",
     "metrics-tau-0", "metrics-tau-neg", "metrics-iq_scale", "metrics-psnr_peak",

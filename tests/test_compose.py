@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,11 @@ from evs.bench import PIPELINES, _execute
 from evs.compose import (
     BLOCK_INVERSION_SFI,
     BLOCK_SDEDIT,
+    PLANS,
     ModelBundle,
     PipelineConfig,
     compose_iv,
     compose_vi,
-    iterated_stages,
     run_evs,
     run_iterated_baseline,
     run_t2i_only,
@@ -63,13 +65,19 @@ def rng_for(*key):
     return np.random.default_rng(np.random.SeedSequence(list(key)))
 
 
+# The first word of the key of an evs item's generator in ``bench._item_rng``.
+EVS_KEY = 0x45565321
+# The default noising levels, spelled out: t_I spatial and t_V temporal steps.
+P = PipelineConfig(t_I=20, t_V=4)
+
+
 SDEDIT_CFG = dict(block_mode=BLOCK_SDEDIT, injection=None)
 
 
 class TestSinglePipelines:
     def test_t2i_counting_at_default_strength(self, lab, bundle):
         z0, c = degraded(lab, 0)
-        result = run_t2i_only(z0, 20, bundle, c, rng_for(1))
+        result = run_t2i_only(z0, P, bundle, c, rng_for(1))
         assert result.nfe_t2i == 20
         assert result.nfe_t2v == 0
         assert bundle.spatial.num_evals == 20
@@ -77,12 +85,12 @@ class TestSinglePipelines:
     def test_t2i_rejects_zero(self, lab, bundle):
         z0, c = degraded(lab, 0)
         with pytest.raises(ParameterError):
-            run_t2i_only(z0, 0, bundle, c, rng_for(1))
+            run_t2i_only(z0, replace(P, t_I=0), bundle, c, rng_for(1))
 
     def test_t2i_improves_imaging_quality(self, lab, bundle, degraded_videos):
         gains = []
         for i, (z0, c) in enumerate(degraded_videos[:10]):
-            out = run_t2i_only(z0, 20, bundle, c, rng_for(2, i)).output
+            out = run_t2i_only(z0, P, bundle, c, rng_for(2, i)).output
             gains.append(
                 imaging_quality(out, lab.spatial_world, c)
                 - imaging_quality(z0, lab.spatial_world, c)
@@ -91,22 +99,22 @@ class TestSinglePipelines:
 
     def test_t2v_counting(self, lab, bundle):
         z0, c = degraded(lab, 0)
-        result = run_t2v_only(z0, 4, bundle, c, rng_for(3))
+        result = run_t2v_only(z0, P, bundle, c, rng_for(3))
         assert result.nfe_t2v == 4
         assert result.nfe_t2i == 0
 
     def test_t2v_improves_motion_smoothness(self, lab, bundle, degraded_videos):
         gains = []
         for i, (z0, c) in enumerate(degraded_videos[:10]):
-            out = run_t2v_only(z0, 4, bundle, c, rng_for(4, i)).output
+            out = run_t2v_only(z0, P, bundle, c, rng_for(4, i)).output
             gains.append(motion_smoothness(out) - motion_smoothness(z0))
         assert np.mean(gains) > 0
 
     def test_t2v_output_couples_frames(self, lab, bundle):
         z0, c = degraded(lab, 0)
         perm = np.roll(np.arange(z0.shape[0]), 5)
-        out = run_t2v_only(z0, 4, bundle, c, rng_for(5)).output
-        out_perm = run_t2v_only(z0[perm], 4, bundle, c, rng_for(5)).output
+        out = run_t2v_only(z0, P, bundle, c, rng_for(5)).output
+        out_perm = run_t2v_only(z0[perm], P, bundle, c, rng_for(5)).output
         assert not np.allclose(out_perm, out[perm], atol=1e-8)
 
 
@@ -115,32 +123,32 @@ class TestBasicCompositions:
     def test_vi_with_zero_spatial_stage_is_rejected(self, lab, bundle):
         z0, c = degraded(lab, 1)
         with pytest.raises(ParameterError):
-            compose_vi(z0, 4, 0, bundle, c, rng_for(6))
+            compose_vi(z0, replace(P, t_I=0), bundle, c, rng_for(6))
 
     def test_iv_with_zero_temporal_stage_is_rejected(self, lab, bundle):
         z0, c = degraded(lab, 1)
         with pytest.raises(ParameterError):
-            compose_iv(z0, 20, 0, bundle, c, rng_for(7))
+            compose_iv(z0, replace(P, t_V=0), bundle, c, rng_for(7))
 
     def test_nfe_totals(self, lab, bundle):
         z0, c = degraded(lab, 2)
-        vi = compose_vi(z0, 4, 20, bundle, c, rng_for(8))
+        vi = compose_vi(z0, P, bundle, c, rng_for(8))
         assert vi.nfe_t2v == 4 and vi.nfe_t2i == 20
-        iv = compose_iv(z0, 20, 4, bundle, c, rng_for(9))
+        iv = compose_iv(z0, P, bundle, c, rng_for(9))
         assert iv.nfe_t2i == 20 and iv.nfe_t2v == 4
 
     def test_trailing_spatial_stage_reintroduces_flicker(self, lab, bundle, degraded_videos):
         vi_ms, t2v_ms = [], []
         for i, (z0, c) in enumerate(degraded_videos[:10]):
-            vi_ms.append(motion_smoothness(compose_vi(z0, 4, 20, bundle, c, rng_for(10, i)).output))
-            t2v_ms.append(motion_smoothness(run_t2v_only(z0, 4, bundle, c, rng_for(11, i)).output))
+            vi_ms.append(motion_smoothness(compose_vi(z0, P, bundle, c, rng_for(10, i)).output))
+            t2v_ms.append(motion_smoothness(run_t2v_only(z0, P, bundle, c, rng_for(11, i)).output))
         assert np.mean(vi_ms) < np.mean(t2v_ms)
 
     def test_trailing_temporal_stage_costs_imaging_quality(self, lab, bundle, degraded_videos):
         iv_iq, vi_iq = [], []
         for i, (z0, c) in enumerate(degraded_videos[:10]):
-            iv_iq.append(imaging_quality(compose_iv(z0, 20, 4, bundle, c, rng_for(12, i)).output, lab.spatial_world, c))
-            vi_iq.append(imaging_quality(compose_vi(z0, 4, 20, bundle, c, rng_for(12, i)).output, lab.spatial_world, c))
+            iv_iq.append(imaging_quality(compose_iv(z0, P, bundle, c, rng_for(12, i)).output, lab.spatial_world, c))
+            vi_iq.append(imaging_quality(compose_vi(z0, P, bundle, c, rng_for(12, i)).output, lab.spatial_world, c))
         assert np.mean(iv_iq) < np.mean(vi_iq)
 
 
@@ -148,7 +156,7 @@ class TestEncapsulatedPipeline:
     def test_default_sdedit_counting(self, lab, bundle):
         z0, c = degraded(lab, 3)
         cfg = PipelineConfig(**SDEDIT_CFG)
-        result = run_evs(z0, cfg, bundle, c, seed=0)
+        result = run_evs(z0, cfg, bundle, c, rng_for(EVS_KEY, 0))
         assert result.nfe_t2i == 20
         assert result.nfe_t2v == cfg.n_V == 2
         assert bundle.spatial.num_evals == result.nfe_t2i
@@ -157,7 +165,7 @@ class TestEncapsulatedPipeline:
     def test_default_sfi_counting(self, lab, sfi_bundle):
         z0, c = degraded(lab, 3)
         cfg = PipelineConfig()  # inversion+sfi, deep layers, gamma 0.8
-        result = run_evs(z0, cfg, sfi_bundle, c, seed=0)
+        result = run_evs(z0, cfg, sfi_bundle, c, rng_for(EVS_KEY, 0))
         assert result.nfe_t2i == 20
         assert result.nfe_t2v == cfg.t_V + cfg.n_V == 6
         assert result.nfe_t2i + result.nfe_t2v == 26
@@ -183,7 +191,7 @@ class TestEncapsulatedPipeline:
         monkeypatch.setattr(compose, "denoise_with_injection", spy_denoise)
         z0, c = degraded(lab, 3)
         cfg = PipelineConfig()
-        run_evs(z0, cfg, sfi_bundle, c, seed=0)
+        run_evs(z0, cfg, sfi_bundle, c, rng_for(EVS_KEY, 0))
         assert len(puts) == len(set(puts)) == cfg.t_V * sfi_bundle.temporal.blocks * 4 == 64
         (cache,) = caches
         expected = injection_keys(cfg.t_V, cfg.n_V, cfg.injection)
@@ -210,13 +218,13 @@ class TestEncapsulatedPipeline:
                 spatial_schedule=lab.sched_i,
                 temporal_schedule=lab.sched_v,
             )
-            outs.append(run_evs(z0, cfg, bundle, c, seed=2).output)
+            outs.append(run_evs(z0, cfg, bundle, c, rng_for(EVS_KEY, 2)).output)
         assert np.array_equal(outs[0], outs[1])
 
     def test_sfi_mode_requires_taps(self, lab, bundle):
         z0, c = degraded(lab, 3)
         with pytest.raises(CapabilityError):
-            run_evs(z0, PipelineConfig(), bundle, c, seed=0)
+            run_evs(z0, PipelineConfig(), bundle, c, rng_for(EVS_KEY, 0))
 
     def test_config_invariants(self, lab, bundle):
         z0, c = degraded(lab, 4)
@@ -231,11 +239,11 @@ class TestEncapsulatedPipeline:
             dict(rounds=0),
         ):
             with pytest.raises(ParameterError):
-                run_evs(z0, PipelineConfig(**{**SDEDIT_CFG, **bad}), bundle, c, seed=0)
+                run_evs(z0, PipelineConfig(**{**SDEDIT_CFG, **bad}), bundle, c, rng_for(EVS_KEY, 0))
 
     def test_single_temporal_stage(self, lab, bundle):
         z0, c = degraded(lab, 5)
-        result = run_evs(z0, PipelineConfig(**SDEDIT_CFG), bundle, c, seed=1)
+        result = run_evs(z0, PipelineConfig(**SDEDIT_CFG), bundle, c, rng_for(EVS_KEY, 1))
         temporal_stages = [i for i, (name, _) in enumerate(result.stage_log) if name.startswith("t2v")]
         assert len(temporal_stages) == 1
         # temporal work is contiguous in the log
@@ -243,7 +251,7 @@ class TestEncapsulatedPipeline:
 
     def test_stage_log_structure(self, lab, sfi_bundle):
         z0, c = degraded(lab, 5)
-        result = run_evs(z0, PipelineConfig(), sfi_bundle, c, seed=1)
+        result = run_evs(z0, PipelineConfig(), sfi_bundle, c, rng_for(EVS_KEY, 1))
         # The trailing t2i stage's own draw re-noises the block output to t_T2V.
         assert result.stage_log == (("t2i", (20, 10)), ("t2v:sfi", (4, 2)), ("t2i", (10, 0)))
 
@@ -257,7 +265,7 @@ class TestEncapsulatedPipeline:
                 spatial_schedule=lab.sched_i,
                 temporal_schedule=lab.sched_v,
             )
-            outs.append(run_evs(z0, PipelineConfig(**SDEDIT_CFG), bundle, c, seed=77).output)
+            outs.append(run_evs(z0, PipelineConfig(**SDEDIT_CFG), bundle, c, rng_for(EVS_KEY, 77)).output)
         assert np.array_equal(outs[0], outs[1])
 
     def test_block_at_start_with_identity_block_matches_t2i(self, lab, sfi_bundle):
@@ -270,8 +278,8 @@ class TestEncapsulatedPipeline:
             t_I=20, t_T2V=20, t_V=4, n_V=4,
             injection=InjectionConfig(layers=ALL_LAYERS, gamma=1.0, inject_f=True, inject_kv=True),
         )
-        evs_result = run_evs(z0, cfg, sfi_bundle, c, seed=5)
-        rng = np.random.default_rng(np.random.SeedSequence([0x45565321, 5]))
+        evs_result = run_evs(z0, cfg, sfi_bundle, c, rng_for(EVS_KEY, 5))
+        rng = rng_for(EVS_KEY, 5)
         spatial, sched = AnalyticDenoiser(lab.spatial_world, lab.sched_i), lab.sched_i
         z = forward_noise(z0, 20, rng.standard_normal(z0.shape), sched)
         bridge = predict_clean(z, 20, spatial.evaluate(z, 20, c), sched)
@@ -295,7 +303,7 @@ class TestHyperparameterDirections:
                 temporal_schedule=lab.sched_v,
             )
             cfg = PipelineConfig(block_mode=BLOCK_SDEDIT, injection=None, **kwargs)
-            out = run_evs(z0, cfg, bundle, c, seed=i).output
+            out = run_evs(z0, cfg, bundle, c, rng_for(EVS_KEY, i)).output
             ms_vals.append(motion_smoothness(out))
             iq_vals.append(imaging_quality(out, lab.spatial_world, c))
         return np.mean(ms_vals), np.mean(iq_vals)
@@ -316,22 +324,22 @@ class TestHyperparameterDirections:
 class TestIteratedBaseline:
     def test_rounds_one_counting(self, lab, bundle):
         z0, c = degraded(lab, 8)
-        result = run_iterated_baseline(z0, 1, 20, 4, bundle, c, rng_for(20))
+        result = run_iterated_baseline(z0, replace(P, rounds=1), bundle, c, rng_for(20))
         assert result.nfe_t2i + result.nfe_t2v == 20 + 4 + 20
 
     def test_rounds_two_counting(self, lab, bundle):
         z0, c = degraded(lab, 8)
-        result = run_iterated_baseline(z0, 2, 20, 4, bundle, c, rng_for(21))
+        result = run_iterated_baseline(z0, replace(P, rounds=2), bundle, c, rng_for(21))
         assert result.nfe_t2i + result.nfe_t2v == 2 * (20 + 4) == 48
 
     def test_three_rounds_chain_the_two_compositions(self, lab, bundle):
         z0, c = degraded(lab, 8)
-        result = run_iterated_baseline(z0, 3, 20, 4, bundle, c, rng_for(24))
+        result = run_iterated_baseline(z0, replace(P, rounds=3), bundle, c, rng_for(24))
         rng = rng_for(24)
-        z = compose_iv(z0, 20, 4, bundle, c, rng).output
-        z = compose_vi(z, 4, 20, bundle, c, rng).output
-        z = compose_iv(z, 20, 4, bundle, c, rng).output
-        z = run_t2i_only(z, 20, bundle, c, rng).output
+        z = compose_iv(z0, P, bundle, c, rng).output
+        z = compose_vi(z, P, bundle, c, rng).output
+        z = compose_iv(z, P, bundle, c, rng).output
+        z = run_t2i_only(z, P, bundle, c, rng).output
         assert np.array_equal(result.output, z)
         assert [name for name, _ in result.stage_log] == ["t2i", "t2v", "t2v", "t2i", "t2i", "t2v", "t2i"]
         assert result.nfe_t2i + result.nfe_t2v == 92
@@ -339,12 +347,12 @@ class TestIteratedBaseline:
     def test_rounds_zero_rejected(self, lab, bundle):
         z0, c = degraded(lab, 8)
         with pytest.raises(ParameterError):
-            run_iterated_baseline(z0, 0, 20, 4, bundle, c, rng_for(22))
+            run_iterated_baseline(z0, replace(P, rounds=0), bundle, c, rng_for(22))
 
     def test_speedup_ratio_vs_default_pipeline(self, lab, bundle, sfi_bundle):
         z0, c = degraded(lab, 9)
-        base = run_iterated_baseline(z0, 2, 20, 4, bundle, c, rng_for(23))
-        enc = run_evs(z0, PipelineConfig(), sfi_bundle, c, seed=0)
+        base = run_iterated_baseline(z0, replace(P, rounds=2), bundle, c, rng_for(23))
+        enc = run_evs(z0, PipelineConfig(), sfi_bundle, c, rng_for(EVS_KEY, 0))
         base_nfe = base.nfe_t2i + base.nfe_t2v
         enc_nfe = enc.nfe_t2i + enc.nfe_t2v
         assert base_nfe == 48 and enc_nfe == 26
@@ -356,6 +364,9 @@ class TestPlannedCost:
 
     @staticmethod
     def plan(pipeline, p):
+        """The oracle: each pipeline's stages, written out apart from ``compose.PLANS``."""
+        iv = [("t2i", p.t_I, 0), ("t2v", p.t_V, 0)]
+        vi = [("t2v", p.t_V, 0), ("t2i", p.t_I, 0)]
         return {
             "t2i": [("t2i", p.t_I, 0)],
             "t2v": [("t2v", p.t_V, 0)],
@@ -366,10 +377,13 @@ class TestPlannedCost:
                 ("t2v:sdedit" if p.block_mode == BLOCK_SDEDIT else "t2v:sfi", p.t_V, p.t_V - p.n_V),
                 ("t2i", p.t_T2V, 0),
             ],
-            "iterated": iterated_stages(p.rounds, p.t_I, p.t_V),
+            # Rounds alternate iv and vi; an odd count ends with a full spatial stage.
+            "iterated": (iv + vi) * (p.rounds // 2) + (iv + [("t2i", p.t_I, 0)]) * (p.rounds % 2),
         }[pipeline]
 
     def test_default_plans_cost_26_and_48(self):
+        for pipeline in PIPELINES:
+            assert PLANS[pipeline](PipelineConfig()) == self.plan(pipeline, PipelineConfig())
         assert stage_nfe(self.plan("evs", PipelineConfig())) == (20, 6)
         assert stage_nfe(self.plan("iterated", PipelineConfig())) == (40, 8)
 
@@ -391,5 +405,6 @@ class TestPlannedCost:
         for pipeline, run_lab, p in cases:
             result = _execute(pipeline, run_lab, base_config, p, 0, z0, c)
             plan = self.plan(pipeline, p)
+            assert PLANS[pipeline](p) == plan, (pipeline, p)
             assert (result.nfe_t2i, result.nfe_t2v) == stage_nfe(plan), (pipeline, p)
             assert result.stage_log == tuple((name, (a, b)) for name, a, b in plan), (pipeline, p)

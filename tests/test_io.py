@@ -192,10 +192,10 @@ class TestCsv:
 
 class TestSvg:
     def test_embeds_manifest_hash_and_is_deterministic(self, tmp_path):
-        series = {"ms": ([1.0, 2.0, 3.0], [0.5, 0.7, 0.6])}
+        points = ([1.0, 2.0, 3.0], [0.5, 0.7, 0.6], [0.1, 0.0, 0.2])
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-        evsio.svg_line_plot(p1, "t", "x", "y", series, "cafe1234")
-        evsio.svg_line_plot(p2, "t", "x", "y", series, "cafe1234")
+        evsio.svg_line_plot(p1, "t", "x", "ms", *points, "cafe1234")
+        evsio.svg_line_plot(p2, "t", "x", "ms", *points, "cafe1234")
         content = p1.read_text()
         assert "manifest-sha256:cafe1234" in content
         assert p1.read_bytes() == p2.read_bytes()
