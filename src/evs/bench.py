@@ -56,6 +56,7 @@ SWEEP_AXES = ("t_T2V", "t_V", "n_V", "gamma")
 RUN_CSV_COLUMNS = ("pipeline", "seed", *METRICS, "nfe_t2i", "nfe_t2v", "wall_time")
 
 DATASET_MANIFEST = "dataset_manifest.json"
+DATASET_LATENTS = "videos.evslat"
 RUN_MANIFEST = "run_manifest.json"
 
 # The frontier's injection operating points, by label: the selective points
@@ -101,60 +102,46 @@ def _write_manifest(path, cfg: dict, kind: str, **fields) -> Path:
 
 
 def cmd_gen(cfg: dict, out_dir) -> Path:
-    """Write the input dataset: degraded videos, or styled off-prior ones."""
+    """Write the input dataset, degraded videos or styled off-prior ones: its
+    ``dataset.count`` videos in one EVSLAT file, item ``i`` at position ``i``,
+    and a manifest that records the file's sha256."""
     lab = build_lab(cfg)
     styled = bool(cfg["dataset"]["styled"])
     style = style_vector(cfg) if styled else None
     out = _out_dir(out_dir)
-    items = []
+    videos = []
     for i in range(cfg["dataset"]["count"]):
         cond = item_condition(cfg, i, style)
         rng = np.random.default_rng(item_seed(cfg["seed"], i))
-        if styled:
-            video = sample_world(lab.spatial_world, cond, rng)
-        else:
-            video = make_degraded_video(
-                lab.temporal_world, cond, cfg["dataset"]["flicker_sigma"], rng
-            )
-        name = f"item_{i:04d}.evslat"
-        evsio.write_latents(out / name, [video])
-        items.append({"file": name, "index": i, "mode_id": cond.mode_id, "styled": styled})
+        videos.append(sample_world(lab.spatial_world, cond, rng) if styled else
+                      make_degraded_video(lab.temporal_world, cond, cfg["dataset"]["flicker_sigma"], rng))
+    evsio.write_latents(out / DATASET_LATENTS, videos)
     return _write_manifest(
         out / DATASET_MANIFEST, cfg, "dataset",
-        items=items, style=None if style is None else [float(x) for x in style],
+        latents_sha256=evsio.file_sha256(out / DATASET_LATENTS),
+        style=None if style is None else [float(x) for x in style],
     )
 
 
 def load_dataset(dataset_dir, cfg: dict | None = None) -> tuple[dict, list[tuple[int, np.ndarray]]]:
-    """The dataset manifest and its ``(index, video)`` items; with ``cfg``,
-    each video must have the config's ``(frames, dim)`` shape."""
+    """The dataset manifest and its ``(index, video)`` items, a video's index
+    being its position in the file.  The file must match the manifest's
+    ``latents_sha256`` and hold one or more videos; with ``cfg``, the videos
+    must have the config's ``(frames, dim)`` shape."""
     dataset_dir = Path(dataset_dir)
     manifest = evsio.read_manifest(dataset_dir / DATASET_MANIFEST, "dataset")
-    seen = set()
-    for item in manifest["items"]:
-        if not (isinstance(item, dict) and isinstance(item.get("file"), str)
-                and type(item.get("index")) is int and item["index"] >= 0):
-            raise ConfigError(
-                f"{dataset_dir}: a dataset item needs a 'file' and an int 'index' >= 0"
-            )
-        # The index seeds the item's noise and names its output file, so two
-        # items at one index would overwrite each other's output.
-        if item["index"] in seen:
-            raise ConfigError(f"{dataset_dir}: two dataset items have index {item['index']}")
-        seen.add(item["index"])
-    videos = []
-    for item in manifest["items"]:
-        path = dataset_dir / item["file"]
-        item_videos = evsio.read_latents(path)
-        if len(item_videos) != 1:
-            raise ConfigError(f"{path} holds {len(item_videos)} videos; a dataset item holds one")
-        if cfg is not None and item_videos[0].shape != (cfg["frames"], cfg["dim"]):
-            raise ShapeError(
-                f"{path} holds a video of shape {item_videos[0].shape}; the config's "
-                f"(frames, dim) is {(cfg['frames'], cfg['dim'])}"
-            )
-        videos.append((item["index"], item_videos[0]))
-    return manifest, videos
+    path = dataset_dir / DATASET_LATENTS
+    if evsio.file_sha256(path) != manifest["latents_sha256"]:
+        raise ConfigError(f"{path} does not match the latents_sha256 of its dataset manifest")
+    videos = evsio.read_latents(path)
+    if not videos:
+        raise ConfigError(f"{path} holds no video; a dataset holds one or more")
+    if cfg is not None and videos[0].shape != (cfg["frames"], cfg["dim"]):
+        raise ShapeError(
+            f"{path} holds videos of shape {videos[0].shape}; the config's "
+            f"(frames, dim) is {(cfg['frames'], cfg['dim'])}"
+        )
+    return manifest, list(enumerate(videos))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ import csv
 import hashlib
 import io as _io
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -41,11 +42,11 @@ MAGIC_NET = b"EVSNET"
 _HEADER = struct.Struct("<6s2xIII4x")
 assert _HEADER.size == 24
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 TOOL_VERSION = "0.1.0"
 # The top-level keys, with their JSON types, that the readers of each kind use.
 _MANIFEST_KEYS = {
-    "dataset": {"items": list},
+    "dataset": {"latents_sha256": str},
     "run": {"config": dict, "pipeline": str, "dataset": dict, "rows": list},
 }
 # The keys one level down that the readers of a run manifest use: the
@@ -64,19 +65,18 @@ def _write_header(fh, magic: bytes, a: int, b: int, count: int):
     fh.write(_HEADER.pack(magic, a, b, count))
 
 
-def _read_file(path, expect_magic: bytes):
-    """The header fields ``(a, b, count)`` and the float64 payload of one file."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        payload = fh.read()
+def _read_header(fh, path, expect_magic: bytes):
+    """The header fields ``(a, b, count)`` of ``fh`` and the number of float64 values after them."""
+    raw = fh.read(_HEADER.size)
     if len(raw) != _HEADER.size:
         raise ConfigError("truncated binary header")
     magic, a, b, count = _HEADER.unpack(raw)
     if magic != expect_magic:
         raise ConfigError(f"bad magic {magic!r}, expected {expect_magic!r}")
-    if len(payload) % 8:
-        raise ConfigError(f"{path}: payload of {len(payload)} bytes is not whole float64 values")
-    return a, b, count, np.frombuffer(payload, dtype="<f8")
+    payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+    if payload % 8:
+        raise ConfigError(f"{path}: payload of {payload} bytes is not whole float64 values")
+    return a, b, count, payload // 8
 
 
 def write_latents(path, videos) -> None:
@@ -94,10 +94,15 @@ def write_latents(path, videos) -> None:
 
 
 def read_latents(path) -> list[np.ndarray]:
-    f, d, count, data = _read_file(path, MAGIC_LATENT)
-    if data.size != count * f * d:
-        raise ConfigError(f"latent payload has {data.size} values, expected {count * f * d}")
-    return [data[i * f * d : (i + 1) * f * d].reshape(f, d).copy() for i in range(count)]
+    """The videos of an EVSLAT file, read one at a time into their own arrays."""
+    with open(path, "rb") as fh:
+        f, d, count, values = _read_header(fh, path, MAGIC_LATENT)
+        if values != count * f * d:
+            raise ConfigError(f"latent payload has {values} values, expected {count * f * d}")
+        videos = [np.empty((f, d), dtype="<f8") for _ in range(count)]
+        for video in videos:
+            fh.readinto(video)
+    return videos
 
 
 def write_net(path, model: ToyAttentionDenoiser) -> None:
@@ -110,7 +115,9 @@ def write_net(path, model: ToyAttentionDenoiser) -> None:
 
 
 def read_net(path) -> ToyAttentionDenoiser:
-    dim, embed, count, data = _read_file(path, MAGIC_NET)
+    with open(path, "rb") as fh:
+        dim, embed, count, _ = _read_header(fh, path, MAGIC_NET)
+        data = np.frombuffer(fh.read(), dtype="<f8")
     if data.size != count or count < 4:
         raise ConfigError("net payload size mismatch")
     head = data[:4]
@@ -163,18 +170,18 @@ def read_manifest(path, kind: str) -> dict:
     if manifest.get("manifest_version") != MANIFEST_VERSION:
         raise ConfigError(
             f"{path}: manifest_version {manifest.get('manifest_version')!r} "
-            f"not supported (want {MANIFEST_VERSION})"
+            f"not supported (want {MANIFEST_VERSION}); "
+            f"write it again with `evs {'gen' if kind == 'dataset' else kind}`"
         )
     if manifest.get("kind") != kind:
         raise ConfigError(f"{path} is not a {kind} manifest")
     for key, json_type in _MANIFEST_KEYS[kind].items():
         if not isinstance(manifest.get(key), json_type):
             raise ConfigError(f"{path}: a {kind} manifest needs {key!r} as a {json_type.__name__}")
-    # A report over no rows is a row of nan, and a run over no items writes no rows.
-    entries = "rows" if kind == "run" else "items"
-    if not manifest[entries]:
-        raise ConfigError(f"{path}: a {kind} manifest needs at least one entry in {entries!r}")
     if kind == "run":
+        # A report over no rows is a row of nan, and a run over no items writes no rows.
+        if not manifest["rows"]:
+            raise ConfigError(f"{path}: a run manifest needs at least one entry in 'rows'")
         _check_keys(path, "its dataset record", manifest["dataset"], _RUN_DATASET_KEYS)
         for n, row in enumerate(manifest["rows"]):
             _check_keys(path, f"row {n}", row, _RUN_ROW_KEYS)
@@ -189,7 +196,12 @@ def _check_keys(path, what: str, record, types: dict):
 
 
 def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The sha256 of ``path``, hashed in 64 KiB chunks, not from one buffer of the whole file."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_metric_csv(path, rows, columns) -> None:

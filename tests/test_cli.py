@@ -34,6 +34,23 @@ def _dir_bytes(path, suffix):
 NET4 = ["--set", "net.weights=NET4"]
 
 
+def _record_videos_sha256(dataset):
+    """Record the sha256 of ``dataset``'s video file in its manifest, as ``evs gen``
+    does, so an edited file reaches the checks after the sha256 check."""
+    manifest = evsio.read_json(dataset / bench.DATASET_MANIFEST)
+    manifest["latents_sha256"] = evsio.file_sha256(dataset / bench.DATASET_LATENTS)
+    evsio.write_json(dataset / bench.DATASET_MANIFEST, manifest)
+
+
+def _empty_videos(dataset):
+    """Cut ``dataset``'s video file to its header, with the header's video count set to 0."""
+    path = dataset / bench.DATASET_LATENTS
+    header = bytearray(path.read_bytes()[:24])
+    header[16:20] = bytes(4)
+    path.write_bytes(bytes(header))
+    _record_videos_sha256(dataset)
+
+
 def _placed(arg, places):
     """``arg`` with a place name, alone or as the value of a ``--set``, replaced by its path."""
     key, eq, value = arg.rpartition("=")
@@ -55,9 +72,11 @@ class TestGen:
 
     def test_single_item(self, tmp_path):
         assert run_cli("gen", "--out", tmp_path, "--set", "dataset.count=1") == 0
-        assert sorted(p.name for p in tmp_path.glob("*.evslat")) == ["item_0000.evslat"]
+        assert sorted(p.name for p in tmp_path.glob("*.evslat")) == ["videos.evslat"]
+        assert len(evsio.read_latents(tmp_path / "videos.evslat")) == 1
         manifest = evsio.read_json(tmp_path / "dataset_manifest.json")
-        assert len(manifest["items"]) == 1
+        assert manifest["latents_sha256"] == evsio.file_sha256(tmp_path / "videos.evslat")
+        assert "items" not in manifest
 
     def test_empty_dataset_is_config_error(self, tmp_path, capsys):
         assert run_cli("gen", "--out", tmp_path / "ds", "--set", "dataset.count=0") == 3
@@ -87,9 +106,9 @@ class TestGen:
         assert cli.build_parser() is parser
         assert cli.build_parser.cache_info().misses == 1
         # The first call's --set list does not reach the second call.
-        styled = [[item["styled"] for item in evsio.read_json(d / "dataset_manifest.json")["items"]]
-                  for d in (a, b)]
-        assert styled == [[True], [False, False]]
+        styled = [evsio.read_json(d / "dataset_manifest.json")["style"] is not None for d in (a, b)]
+        assert styled == [True, False]
+        assert [len(evsio.read_latents(d / "videos.evslat")) for d in (a, b)] == [1, 2]
         assert parser.parse_args(["train", "--out", "x"]).set == []
 
 
@@ -135,6 +154,42 @@ class TestRun:
         assert run_cli("gen", "--out", dataset, "--set", "dataset.count=1", "--seed", "5") == 0
         assert run_cli("rerun", first / "run_manifest.json", "--out", again) == 3
         assert not again.exists()
+
+    @pytest.mark.parametrize("recorded, refusal", [
+        (False, "does not match the latents_sha256"), (True, "changed since"),
+    ], ids=["video", "video-and-sha256"])
+    def test_rerun_after_video_change_is_config_error(
+        self, small_dataset, tmp_path, capsys, recorded, refusal
+    ):
+        """The dataset manifest records its video file's sha256, so a video changed
+        after the run is refused: by the file's sha256, or, when that is recorded
+        again, by the manifest's."""
+        dataset, first, again = tmp_path / "ds", tmp_path / "first", tmp_path / "again"
+        shutil.copytree(small_dataset, dataset)
+        assert run_cli("run", "t2i", "--dataset", dataset, "--out", first) == 0
+        videos = evsio.read_latents(dataset / bench.DATASET_LATENTS)
+        videos[1] = videos[1] + 1e-9
+        evsio.write_latents(dataset / bench.DATASET_LATENTS, videos)
+        if recorded:
+            _record_videos_sha256(dataset)
+        assert run_cli("rerun", first / "run_manifest.json", "--out", again) == 3
+        assert refusal in capsys.readouterr().err
+        assert not again.exists()
+
+    def test_per_item_dataset_of_version_1_is_config_error(self, tmp_path, capsys):
+        """A dataset of one file per item, from before one file held them all, is
+        refused with the command that writes it again."""
+        dataset = tmp_path / "ds"
+        dataset.mkdir()
+        evsio.write_latents(dataset / "item_0000.evslat", [np.zeros((16, 64))])
+        evsio.write_json(dataset / "dataset_manifest.json", {
+            "manifest_version": 1, "tool_version": "0.1.0", "kind": "dataset",
+            "config": DEFAULT_CONFIG, "style": None,
+            "items": [{"file": "item_0000.evslat", "index": 0, "mode_id": 0, "styled": False}],
+        })
+        assert run_cli("run", "t2i", "--dataset", dataset, "--out", tmp_path / "out") == 3
+        assert "`evs gen`" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("extra", [
         ["--set", "pipeline.t_I=5", "--seed", "9"], ["--seed", "0"], ["--config", "CONFIG"],
@@ -276,16 +331,18 @@ class TestRun:
         assert "requires an injection config" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_truncated_item_is_config_error(self, tmp_path):
+    def test_truncated_item_is_config_error(self, tmp_path, capsys):
         dataset = tmp_path / "ds"
         assert run_cli("gen", "--out", dataset, "--set", "dataset.count=1") == 0
-        item = dataset / "item_0000.evslat"
-        item.write_bytes(item.read_bytes()[:-3])
+        videos = dataset / "videos.evslat"
+        videos.write_bytes(videos.read_bytes()[:-3])
+        _record_videos_sha256(dataset)
         assert run_cli("run", "t2i", "--dataset", dataset, "--out", tmp_path / "o") == 3
+        assert "is not whole float64 values" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "spoil", ["empty_manifest", "non_utf8_manifest", "list_config", "run_manifest_as_dataset",
-                  "item_without_file", "dataset_without_items", "two_videos_per_item"],
+                  "dataset_without_items"],
     )
     def test_unreadable_input_is_config_error(self, small_dataset, tmp_path, spoil):
         dataset = tmp_path / "ds"
@@ -302,17 +359,8 @@ class TestRun:
         elif spoil == "run_manifest_as_dataset":
             assert run_cli("run", "t2i", "--dataset", dataset, "--out", tmp_path / "run") == 0
             shutil.copy(tmp_path / "run" / "run_manifest.json", manifest)
-        elif spoil == "item_without_file":
-            payload = evsio.read_json(manifest)
-            del payload["items"][1]["file"]
-            evsio.write_json(manifest, payload)
-        elif spoil == "dataset_without_items":
-            payload = evsio.read_json(manifest)
-            payload["items"] = []
-            evsio.write_json(manifest, payload)
         else:
-            item = dataset / "item_0000.evslat"
-            evsio.write_latents(item, evsio.read_latents(item) * 2)
+            _empty_videos(dataset)
         assert run_cli("run", "t2i", "--dataset", dataset, "--out", tmp_path / "o", *extra) == 3
 
     def test_weights_for_another_config_are_config_error(self, small_dataset, tmp_path, capsys):
@@ -696,8 +744,9 @@ def off_shape_datasets(tmp_path_factory):
     # gen refuses frames=2, so this one is FRAMES8 cut to its first two frames.
     places["FRAMES2"] = root / "FRAMES2"
     shutil.copytree(places["FRAMES8"], places["FRAMES2"])
-    for item in places["FRAMES2"].glob("*.evslat"):
-        evsio.write_latents(item, [evsio.read_latents(item)[0][:2]])
+    videos = places["FRAMES2"] / bench.DATASET_LATENTS
+    evsio.write_latents(videos, [video[:2] for video in evsio.read_latents(videos)])
+    _record_videos_sha256(places["FRAMES2"])
     return places
 
 
@@ -768,24 +817,27 @@ def test_failed_check_leaves_no_out_directory(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("spoil", ["negative", "duplicate"])
+@pytest.mark.parametrize("spoil", ["changed_video", "no_video"])
 @pytest.mark.parametrize("command", [
     ["run", "t2i"], ["sweep", "t_V", "--grid", "2,4"], ["frontier", *NET4],
 ], ids=["run", "sweep", "frontier"])
-def test_bad_item_index_leaves_no_out_directory(styled_dataset, tmp_path, spoil, command):
-    """An item index seeds the item and names its output file, so a negative
-    or repeated one is a config error before ``--out`` exists."""
+def test_spoiled_dataset_leaves_no_out_directory(styled_dataset, tmp_path, spoil, command, capsys):
+    """A video file changed since ``evs gen`` recorded its sha256, or one that holds
+    no video, is a config error before ``--out`` exists."""
     dataset = tmp_path / "ds"
     shutil.copytree(styled_dataset, dataset)
-    manifest = dataset / "dataset_manifest.json"
-    payload = evsio.read_json(manifest)
-    payload["items"][1]["index"] = -1 if spoil == "negative" else payload["items"][0]["index"]
-    evsio.write_json(manifest, payload)
+    videos = dataset / bench.DATASET_LATENTS
+    if spoil == "changed_video":
+        evsio.write_latents(videos, [v * 2 for v in evsio.read_latents(videos)])
+    else:
+        _empty_videos(dataset)
     weights = tmp_path / "net.evsnet"
     evsio.write_net(weights, ToyAttentionDenoiser())
     out = tmp_path / "out"
     assert run_cli(*(_placed(a, {"NET4": weights}) for a in command),
                    "--dataset", dataset, "--out", out) == 3
+    assert ("does not match the latents_sha256" if spoil == "changed_video" else "holds no video"
+            ) in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -803,9 +855,34 @@ class TestOutputDigest:
             )
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.splitlines())
-        assert len(digests[0]) == 68
+        assert len(digests[0]) == 66
         assert digests[0] == digests[1]
         assert not [line for line in digests[0] for out in outs if str(out) in line]
+
+
+class TestScripts:
+    """The experiment scripts start with ``evs gen`` and run on what it writes.
+    ``run_sweeps.py`` trains a net at the default 3,500 steps, so it has no test."""
+
+    def _run(self, script, *argv):
+        path = Path(__file__).resolve().parents[1] / "scripts" / script
+        proc = subprocess.run([sys.executable, str(path), *map(str, argv)],
+                              capture_output=True, text=True, env=_src_env(), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_run_ablation(self, tmp_path):
+        self._run("run_ablation.py", "--out", tmp_path, "--count", "2")
+        summary = evsio.read_metric_csv(tmp_path / "report" / "summary.csv")
+        assert sorted(row["pipeline"] for row in summary) == sorted(bench.PIPELINES)
+
+    def test_run_frontier_with_given_weights(self, tmp_path):
+        weights = tmp_path / "net.evsnet"
+        evsio.write_net(weights, ToyAttentionDenoiser(blocks=4))
+        self._run("run_frontier.py", "--out", tmp_path / "f", "--count", "2", "--net", weights)
+        rows = evsio.read_metric_csv(tmp_path / "f" / "frontier" / "frontier.csv")
+        # sdedit at t = 0..8 and the 11 injection operating points; no net is trained.
+        assert len(rows) == 9 + 11
+        assert not (tmp_path / "f" / "net").exists()
 
 
 class TestTracerBindings:

@@ -106,7 +106,7 @@ class TestManifests:
 def _write_dataset_manifest(path):
     evsio.write_json(path, {
         "manifest_version": evsio.MANIFEST_VERSION, "kind": "dataset", "config": {"seed": 0},
-        "items": [{"file": "item_0000.evslat", "index": 0, "mode_id": 0, "styled": False}],
+        "latents_sha256": "0" * 64,
         "style": None,
     })
 
