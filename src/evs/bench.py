@@ -26,14 +26,7 @@ from .compose import (  # PIPELINES is read here by the CLI, the scripts and the
     run_t2v_only,
     stage_nfe,
 )
-from .config import (
-    Lab,
-    build_lab,
-    item_condition,
-    item_seed,
-    resolve_config,
-    style_vector,
-)
+from .config import Lab, build_lab, resolve_config
 from .errors import ConfigError, ParameterError, ShapeError, UsageError
 from .metrics import METRICS, motion_smoothness, psnr, score_video
 from .models import (
@@ -97,24 +90,50 @@ def _write_manifest(path, cfg: dict, kind: str, **fields) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# gen
+# gen, and each item's mode, style and generators
 # ---------------------------------------------------------------------------
 
 
+def item_seed(base_seed: int, index: int) -> np.random.SeedSequence:
+    """The seed of item ``index``'s video in ``gen``; ``evs`` runs key their draws from it."""
+    return np.random.SeedSequence([base_seed, index])
+
+
+def item_condition(cfg: dict, index: int) -> int:
+    """The mode item ``index`` is drawn from and conditioned on, ``index % world.modes``."""
+    return index % cfg["world"]["modes"]
+
+
+def style_vector(cfg: dict) -> np.ndarray:
+    """Fixed off-support offset that ``gen`` adds to every frame of a styled dataset."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0x5EED]))
+    v = rng.standard_normal(cfg["dim"])
+    return v / np.linalg.norm(v) * cfg["dataset"]["style_scale"]
+
+
+def _item_rng(cfg: dict, pipeline: str, index: int) -> np.random.Generator:
+    """The generator of one item's noise draws; ``evs`` keys a stream of its own."""
+    if pipeline == "evs":
+        key = [0x45565321, int(item_seed(cfg["seed"], index).generate_state(1)[0])]
+    else:
+        key = [cfg["seed"], index, 7]
+    return np.random.default_rng(np.random.SeedSequence(key))
+
+
 def cmd_gen(cfg: dict, out_dir) -> Path:
-    """Write the input dataset, degraded videos or styled off-prior ones: its
-    ``dataset.count`` videos in one EVSLAT file, item ``i`` at position ``i``,
-    and a manifest that records the file's sha256."""
+    """Write the input dataset, degraded videos or styled off-prior ones
+    (spatial-world samples plus ``style_vector``): its ``dataset.count``
+    videos in one EVSLAT file, item ``i`` at position ``i``, and a manifest
+    that records the file's sha256."""
     lab = build_lab(cfg)
-    styled = bool(cfg["dataset"]["styled"])
-    style = style_vector(cfg) if styled else None
+    style = style_vector(cfg) if cfg["dataset"]["styled"] else None
     out = _out_dir(out_dir)
     videos = []
     for i in range(cfg["dataset"]["count"]):
-        cond = item_condition(cfg, i, style)
+        mode = item_condition(cfg, i)
         rng = np.random.default_rng(item_seed(cfg["seed"], i))
-        videos.append(sample_world(lab.spatial_world, cond, rng) if styled else
-                      make_degraded_video(lab.temporal_world, cond, cfg["dataset"]["flicker_sigma"], rng))
+        videos.append(make_degraded_video(lab.temporal_world, mode, cfg["dataset"]["flicker_sigma"], rng)
+                      if style is None else sample_world(lab.spatial_world, mode, rng) + style)
     evsio.write_latents(out / DATASET_LATENTS, videos)
     return _write_manifest(
         out / DATASET_MANIFEST, cfg, "dataset",
@@ -147,15 +166,6 @@ def load_dataset(dataset_dir, cfg: dict | None = None) -> tuple[dict, list[tuple
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
-
-
-def _item_rng(cfg: dict, pipeline: str, index: int) -> np.random.Generator:
-    """The generator of one item's noise draws; ``evs`` keys a stream of its own."""
-    if pipeline == "evs":
-        key = [0x45565321, int(np.random.SeedSequence([cfg["seed"], index]).generate_state(1)[0])]
-    else:
-        key = [cfg["seed"], index, 7]
-    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 def _reads_net(cfg: dict, pipeline: str) -> bool:
@@ -297,12 +307,12 @@ def _sweep_point(base: PipelineConfig, axis: str, value, lab: Lab) -> PipelineCo
             if not float(value).is_integer():
                 raise ParameterError(f"{axis} must be an integer")
             pcfg = replace(base, **{axis: int(value)})
-        elif (base.block_mode != BLOCK_INVERSION_SFI or base.injection is None
-              or not base.injection.inject_kv or not base.injection.layers):
-            # Only a key/value injection at some layer reads gamma.
+        elif base.block_mode != BLOCK_INVERSION_SFI or not base.injection.inject_kv:
+            # Only a key/value injection reads gamma; build_lab has already
+            # refused an inversion+sfi block whose injection is null or has no layers.
             raise ConfigError(
                 "sweep axis gamma needs pipeline.block_mode inversion+sfi and a "
-                "pipeline.injection with inject_kv true and one or more layers"
+                "pipeline.injection with inject_kv true"
             )
         else:
             pcfg = replace(base, injection=replace(base.injection, gamma=float(value)))

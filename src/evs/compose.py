@@ -18,7 +18,7 @@ import numpy as np
 
 from .diffusion import sdedit_refine
 from .errors import CapabilityError, InjectionError, ParameterError
-from .models import Condition, Denoiser
+from .models import Denoiser
 from .schedule import NoiseSchedule
 from .sfi import (
     DEEP_LAYERS,
@@ -89,6 +89,10 @@ class PipelineConfig:
             return
         if self.injection is None:
             raise ParameterError("block_mode inversion+sfi requires an injection config")
+        if not self.injection.layers or not (self.injection.inject_f or self.injection.inject_kv):
+            # Such a block would inject nothing and ignore gamma.
+            raise ParameterError("block_mode inversion+sfi requires an injection that reads a "
+                                 "feature: one or more layers, and inject_f or inject_kv true")
         unknown = sorted(set(self.injection.layers) - set(range(models.temporal.blocks)))
         if unknown:
             raise InjectionError(
@@ -180,31 +184,31 @@ PLANS = {
 PIPELINES = tuple(PLANS)
 
 
-def run_t2i_only(z0, p: PipelineConfig, models: ModelBundle, c: Condition | None,
+def run_t2i_only(z0, p: PipelineConfig, models: ModelBundle, c: int | None,
                  rng: np.random.Generator) -> PipelineResult:
     """Frame-wise refinement: noise to ``t_I`` on the spatial schedule, denoise to 0."""
     return _refine_stages(z0, PLANS["t2i"](p), models, c, rng)
 
 
-def run_t2v_only(z0, p: PipelineConfig, models: ModelBundle, c: Condition | None,
+def run_t2v_only(z0, p: PipelineConfig, models: ModelBundle, c: int | None,
                  rng: np.random.Generator) -> PipelineResult:
     """Sequence-wise refinement from ``t_V`` on the temporal schedule."""
     return _refine_stages(z0, PLANS["t2v"](p), models, c, rng)
 
 
-def compose_iv(z0, p: PipelineConfig, models: ModelBundle, c: Condition | None,
+def compose_iv(z0, p: PipelineConfig, models: ModelBundle, c: int | None,
                rng: np.random.Generator) -> PipelineResult:
     """Frame-wise refinement to clean, then temporal refinement."""
     return _refine_stages(z0, PLANS["iv"](p), models, c, rng)
 
 
-def compose_vi(z0, p: PipelineConfig, models: ModelBundle, c: Condition | None,
+def compose_vi(z0, p: PipelineConfig, models: ModelBundle, c: int | None,
                rng: np.random.Generator) -> PipelineResult:
     """Temporal refinement to clean, then frame-wise refinement."""
     return _refine_stages(z0, PLANS["vi"](p), models, c, rng)
 
 
-def run_evs(z0, p: PipelineConfig, models: ModelBundle, c: Condition | None,
+def run_evs(z0, p: PipelineConfig, models: ModelBundle, c: int | None,
             rng: np.random.Generator) -> PipelineResult:
     """The encapsulated pipeline: spatial steps from ``t_I`` down to ``t_T2V``,
     one temporal block of ``n_V`` steps from ``t_V``, then the spatial walk
@@ -214,7 +218,7 @@ def run_evs(z0, p: PipelineConfig, models: ModelBundle, c: Condition | None,
     return _refine_stages(z0, PLANS["evs"](p), models, c, rng, p.injection)
 
 
-def run_iterated_baseline(z0, p: PipelineConfig, models: ModelBundle, c: Condition | None,
+def run_iterated_baseline(z0, p: PipelineConfig, models: ModelBundle, c: int | None,
                           rng: np.random.Generator) -> PipelineResult:
     """Full-depth alternation baseline used as the inference-cost denominator."""
     return _refine_stages(z0, PLANS["iterated"](p), models, c, rng)

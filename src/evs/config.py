@@ -18,13 +18,11 @@ import copy
 import json
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import models
 from .compose import ModelBundle, PipelineConfig
 from .errors import ConfigError
 from .metrics import DEFAULT_OVERALL_CHANNELS, DEFAULT_RANGES, MetricConfig
-from .models import AnalyticDenoiser, Condition, TrainRecipe
+from .models import AnalyticDenoiser, TrainRecipe
 from .schedule import build_linear_beta
 
 CONFIG_VERSION = 1
@@ -190,18 +188,3 @@ def build_lab(cfg: dict, temporal_override=None) -> Lab:
         spatial_world, temporal_world, bundle, MetricConfig(**cfg["metrics"]),
         pipeline, TrainRecipe(**cfg["train"]),
     )
-
-
-def item_seed(base_seed: int, index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([base_seed, index])
-
-
-def item_condition(cfg: dict, index: int, style: np.ndarray | None = None) -> Condition:
-    return Condition(mode_id=index % cfg["world"]["modes"], style=style)
-
-
-def style_vector(cfg: dict) -> np.ndarray:
-    """Fixed off-support offset used for the styled dataset."""
-    rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0x5EED]))
-    v = rng.standard_normal(cfg["dim"])
-    return v / np.linalg.norm(v) * cfg["dataset"]["style_scale"]

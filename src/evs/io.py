@@ -9,8 +9,8 @@ Every binary file starts with a 24-byte header::
 
 followed by little-endian float64 payload.  Field meaning per magic:
 
-* ``EVSLAT`` — video latents: a=frames, b=dim, count=videos; payload is
-  count*frames*dim values.
+* ``EVSLAT`` — video latents: a=frames, b=dim (both at least 1),
+  count=videos; payload is count*frames*dim values.
 * ``EVSNET`` — attention-denoiser weights: a=dim, b=embed, count=payload
   length; payload is [blocks, total_steps, n_modes, seed] ++ parameters in
   the model's declared order.  The four leading values must be whole, the
@@ -82,8 +82,8 @@ def _read_header(fh, path, expect_magic: bytes):
 def write_latents(path, videos) -> None:
     """Write a sequence of (frames, dim) videos to an EVSLAT file."""
     videos = [np.ascontiguousarray(v, dtype=np.float64) for v in videos]
-    if not videos or videos[0].ndim != 2:
-        raise ShapeError("expected a sequence of (frames, dim) arrays")
+    if not videos or videos[0].ndim != 2 or videos[0].size == 0:
+        raise ShapeError("expected a sequence of (frames, dim) arrays with frames, dim >= 1")
     f, d = videos[0].shape
     if any(v.shape != (f, d) for v in videos):
         raise ShapeError("all videos in one file must share a shape")
@@ -97,6 +97,9 @@ def read_latents(path) -> list[np.ndarray]:
     """The videos of an EVSLAT file, read one at a time into their own arrays."""
     with open(path, "rb") as fh:
         f, d, count, values = _read_header(fh, path, MAGIC_LATENT)
+        # With frames or dim 0 any count matches an empty payload.
+        if f == 0 or d == 0:
+            raise ConfigError(f"{path}: latent header has frames={f}, dim={d}; both must be >= 1")
         if values != count * f * d:
             raise ConfigError(f"latent payload has {values} values, expected {count * f * d}")
         videos = [np.empty((f, d), dtype="<f8") for _ in range(count)]

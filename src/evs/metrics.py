@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .models import Condition, SpatialWorld, spatial_log_density
+from .models import SpatialWorld, spatial_log_density
 
 PSNR_CAP = 99.0
 
@@ -102,7 +102,7 @@ def subject_consistency(v: np.ndarray) -> float:
 def imaging_quality(
     v: np.ndarray,
     world: SpatialWorld,
-    c: Condition | None = None,
+    c: int | None = None,
     offset: float = -3000.0,
     scale: float = 30.0,
 ) -> float:
@@ -144,7 +144,7 @@ def score_video(
     output: np.ndarray,
     reference: np.ndarray,
     world: SpatialWorld,
-    c: Condition | None,
+    c: int | None,
     cfg: MetricConfig,
 ) -> MetricReport:
     """Full metric report for one refined video against its input."""

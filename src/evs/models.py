@@ -44,21 +44,8 @@ DEFAULT_WORLD_SEED = 7
 
 
 # ---------------------------------------------------------------------------
-# Conditions and worlds
+# Worlds
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class Condition:
-    """Class conditioning plus an optional out-of-distribution style offset.
-
-    ``mode_id`` hard-restricts analytic mixtures to one component; ``style``
-    is only consumed when sampling (it shifts samples off both priors'
-    support) and is invisible to every denoiser.
-    """
-
-    mode_id: int | None = None
-    style: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,20 +167,22 @@ def default_worlds(
     return spatial, temporal
 
 
-def _mode_of(c: Condition | None, modes: int) -> int | None:
-    """The mode a condition restricts to, or None; a mode outside 0..modes-1 is refused."""
-    if c is None or c.mode_id is None:
+def _mode_of(c: int | None, modes: int) -> int | None:
+    """The mode a condition restricts to: the condition is a mode index, or
+    None for no condition.  A mode outside 0..modes-1 is refused."""
+    if c is None:
         return None
-    if not 0 <= c.mode_id < modes:
-        raise ParameterError(f"mode_id {c.mode_id} outside 0..{modes - 1}")
-    return int(c.mode_id)
+    if not 0 <= c < modes:
+        raise ParameterError(f"mode_id {c} outside 0..{modes - 1}")
+    return int(c)
 
 
-def sample_world(world, c: Condition | None, seed) -> np.ndarray:
+def sample_world(world, c: int | None, seed) -> np.ndarray:
     """Draw one video latent (frames, dim) from a world's mixture.
 
-    One mode per video; the temporal world draws jointly with its AR(1)
-    frame coupling.  A style offset on the condition is added to every frame.
+    One mode per video, mode ``c`` or, with ``c`` None, one drawn by the
+    mixture weights; the temporal world draws jointly with its AR(1) frame
+    coupling.
     """
     rng = np.random.default_rng(seed)
     k = _mode_of(c, world.modes)
@@ -204,14 +193,11 @@ def sample_world(world, c: Condition | None, seed) -> np.ndarray:
         noise = world.sigma * (world.correlation_chol @ eta)
     else:
         noise = world.sigma * eta
-    z = world.means[k][None, :] + noise
-    if c is not None and c.style is not None:
-        z = z + np.asarray(c.style, dtype=np.float64)[None, :]
-    return z
+    return world.means[k][None, :] + noise
 
 
 def make_degraded_video(
-    world_t: TemporalWorld, c: Condition | None, flicker_sigma: float, seed
+    world_t: TemporalWorld, c: int | None, flicker_sigma: float, seed
 ) -> np.ndarray:
     """Temporal-world sample plus independent per-frame jitter (flicker)."""
     if flicker_sigma < 0:
@@ -227,7 +213,7 @@ def make_degraded_video(
 
 
 def gmm_posterior_eps(
-    z_t: np.ndarray, t: int, world, c: Condition | None, sched: NoiseSchedule
+    z_t: np.ndarray, t: int, world, c: int | None, sched: NoiseSchedule
 ) -> np.ndarray:
     """Optimal noise prediction under the world's mixture prior.
 
@@ -283,7 +269,7 @@ def _temporal_posterior_eps(z_t, t, world: TemporalWorld, sched, restrict):
     return sched.sqrt_1m_ab[t] * (u @ (tilde / var[:, None]))
 
 
-def spatial_log_density(v: np.ndarray, world: SpatialWorld, c: Condition | None = None):
+def spatial_log_density(v: np.ndarray, world: SpatialWorld, c: int | None = None):
     """Per-frame log density under the sharp mixture (fully normalized)."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[1] != world.dim:
@@ -491,7 +477,7 @@ class ToyAttentionDenoiser(Denoiser):
         blocks = [f"{kind}{layer}" for layer in range(self.blocks) for kind in _BLOCK_PARAMS]
         return ["w_in", "w_time", "cond_emb", "b_in", *blocks, "w_out", "b_out"]
 
-    def _cond_index(self, c: Condition | None) -> int:
+    def _cond_index(self, c: int | None) -> int:
         mode = _mode_of(c, self.n_modes)
         return 0 if mode is None else mode + 1
 

@@ -16,11 +16,11 @@ def lab(base_config):
 @pytest.fixture(scope="session")
 def degraded_videos(lab):
     """20 fixed-seed degraded inputs with their conditions."""
-    from evs.models import Condition, make_degraded_video
+    from evs.models import make_degraded_video
 
     items = []
     for seed in range(20):
-        c = Condition(mode_id=seed % 4)
+        c = seed % 4
         z0 = make_degraded_video(lab.temporal_world, c, 0.2, 1000 + seed)
         items.append((z0, c))
     return items

@@ -27,7 +27,6 @@ from evs.diffusion import ddim_invert, ddim_sample
 from evs.metrics import imaging_quality, motion_smoothness, overall_score, psnr, subject_consistency
 from evs.models import (
     AnalyticDenoiser,
-    Condition,
     SpatialWorld,
     TemporalWorld,
     ToyAttentionDenoiser,
@@ -74,7 +73,7 @@ def trained_net(lab):
 
 def test_criterion_1_forward_process_statistics(lab):
     rng = np.random.default_rng(100)
-    z0 = sample_world(lab.spatial_world, Condition(mode_id=0), rng)
+    z0 = sample_world(lab.spatial_world, 0, rng)
     draws_total, chunk = 100_000, 5_000
     worst_mean, worst_var = 0.0, 0.0
     for t in (5, 20, 45):
@@ -166,7 +165,7 @@ def test_criterion_3_round_trip_reconstruction(lab):
     peak = lab.metric_config.psnr_peak
     psnrs = []
     for seed in range(20):
-        c = Condition(mode_id=seed % 4)
+        c = seed % 4
         z0 = sample_world(lab.spatial_world, c, seed)
         z = ddim_invert(z0, 50, model, c, lab.sched_i)
         back, _ = ddim_sample(z, 50, 0, model, c, lab.sched_i)
@@ -179,7 +178,7 @@ def test_criterion_3_round_trip_reconstruction(lab):
         m = AnalyticDenoiser(lab.spatial_world, sched)
         seed_errs = []
         for seed in range(20):
-            c = Condition(mode_id=seed % 4)
+            c = seed % 4
             z0 = sample_world(lab.spatial_world, c, seed)
             z = ddim_invert(z0, total, m, c, sched)
             back, _ = ddim_sample(z, total, 0, m, c, sched)
@@ -198,7 +197,7 @@ def test_criterion_4_full_injection_reconstruction(lab):
     worst = 0.0
     for seed in range(10):
         net = ToyAttentionDenoiser(seed=900 + seed)  # arbitrary untrained weights
-        c = Condition(mode_id=seed % 4)
+        c = seed % 4
         z0 = sample_world(lab.temporal_world, c, 40 + seed)
         t_v = 4
         z, cache = invert_with_capture(z0, t_v, net, c, lab.sched_v)
@@ -316,7 +315,7 @@ def test_trained_temporal_net_quality(lab, trained_net):
     rng = np.random.default_rng(99)
     cosines = []
     for i in range(100):
-        c = Condition(mode_id=i % 4)
+        c = i % 4
         z0 = sample_world(lab.temporal_world, c, rng)
         t = lab.sched_v.total_steps // 2
         ab = lab.sched_v.alpha_bar[t]

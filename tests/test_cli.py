@@ -12,8 +12,8 @@ import evs
 from evs import bench
 from evs import io as evsio
 from evs.cli import main
-from evs.config import DEFAULT_CONFIG
-from evs.models import ToyAttentionDenoiser
+from evs.config import DEFAULT_CONFIG, build_lab
+from evs.models import ToyAttentionDenoiser, sample_world
 
 
 def run_cli(*argv):
@@ -110,6 +110,21 @@ class TestGen:
         assert styled == [True, False]
         assert [len(evsio.read_latents(d / "videos.evslat")) for d in (a, b)] == [1, 2]
         assert parser.parse_args(["train", "--out", "x"]).set == []
+
+    def test_styled_videos_are_world_samples_plus_the_style(self, styled_dataset):
+        """Item ``i`` of a styled dataset is a spatial-world sample of mode
+        ``i % world.modes`` from the item's seed, plus the style offset that
+        only ``gen`` adds, bit for bit."""
+        manifest = evsio.read_json(styled_dataset / bench.DATASET_MANIFEST)
+        cfg = manifest["config"]
+        world, style = build_lab(cfg).spatial_world, bench.style_vector(cfg)
+        assert manifest["style"] == [float(x) for x in style]
+        videos = evsio.read_latents(styled_dataset / bench.DATASET_LATENTS)
+        assert len(videos) == 3
+        for i, video in enumerate(videos):
+            rng = np.random.default_rng(bench.item_seed(cfg["seed"], i))
+            want = sample_world(world, i % cfg["world"]["modes"], rng) + style
+            np.testing.assert_array_equal(video, want)
 
 
 class TestRun:
@@ -771,6 +786,9 @@ def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsy
     (["run", "evs", "--dataset", "SMALL", "--set", "net.weights="], 3),
     (["train", "--set", "pipeline.t_T2V=40"], 3),
     (["run", "evs", "--dataset", "SMALL", "--set", "pipeline.injection.layers=[7]"], 3),
+    # An injection that reads no feature is refused like pipeline.injection=null.
+    (["run", "evs", "--dataset", "SMALL", "--set", "pipeline.injection.layers=[]"], 3),
+    (["run", "evs", "--dataset", "SMALL", "--set", "pipeline.injection.inject_kv=false"], 3),
     (["sweep", "t_V", "--grid", "2,4", "--dataset", "SMALL",
       "--set", "pipeline.injection.layers=[7]"], 3),
     (["frontier", "--dataset", "STYLED", "--set", "pipeline.t_V=99", *NET4], 3),
@@ -794,7 +812,8 @@ def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsy
 ], ids=[
     "train-lr", "run-t_T2V", "frontier-plain", "run-missing-dataset", "run-train-lr",
     "gen-t_T2V", "gen-flicker", "gen-frames2", "run-frames2", "sweep-frames2", "run-empty-weights",
-    "train-t_T2V", "run-evs-layers", "sweep-layers", "frontier-t_V",
+    "train-t_T2V", "run-evs-layers", "run-evs-no-layers", "run-evs-no-feature",
+    "sweep-layers", "frontier-t_V",
     "frontier-2-blocks", "frontier-6-blocks",
     "gamma-sdedit", "gamma-null", "gamma-no-kv", "gamma-no-layers",
     "metrics-tau-0", "metrics-tau-neg", "metrics-iq_scale", "metrics-psnr_peak",

@@ -23,7 +23,7 @@ from evs.config import build_lab
 from evs.diffusion import ddim_sample, predict_clean
 from evs.errors import CapabilityError, ParameterError
 from evs.metrics import imaging_quality, motion_smoothness
-from evs.models import AnalyticDenoiser, Condition, ToyAttentionDenoiser, make_degraded_video
+from evs.models import AnalyticDenoiser, ToyAttentionDenoiser, make_degraded_video
 from evs.schedule import forward_noise
 from evs.sfi import (
     ALL_LAYERS,
@@ -57,7 +57,7 @@ def sfi_bundle(lab):
 
 
 def degraded(lab, seed):
-    c = Condition(mode_id=seed % 4)
+    c = seed % 4
     return make_degraded_video(lab.temporal_world, c, 0.2, 1000 + seed), c
 
 

@@ -6,7 +6,6 @@ from evs.errors import CapabilityError, NumericError, ParameterError
 from evs.metrics import psnr
 from evs.models import (
     AnalyticDenoiser,
-    Condition,
     Denoiser,
     SpatialWorld,
     sample_world,
@@ -206,7 +205,7 @@ class TestDdimInvert:
         # In-distribution videos, full inversion on the 50-step schedule.
         model = AnalyticDenoiser(lab.spatial_world, lab.sched_i)
         for seed in range(3):
-            c = Condition(mode_id=seed % 4)
+            c = seed % 4
             z0 = sample_world(lab.spatial_world, c, seed)
             z = ddim_invert(z0, 50, model, c, lab.sched_i)
             back, _ = ddim_sample(z, 50, 0, model, c, lab.sched_i)
@@ -220,7 +219,7 @@ class TestDdimInvert:
             model = AnalyticDenoiser(lab.spatial_world, sched)
             seed_errs = []
             for seed in range(20):
-                c = Condition(mode_id=seed % 4)
+                c = seed % 4
                 z0 = sample_world(lab.spatial_world, c, seed)
                 z = ddim_invert(z0, total, model, c, sched)
                 back, _ = ddim_sample(z, total, 0, model, c, sched)
@@ -280,11 +279,11 @@ class TestSdeditRefine:
 
     def test_deterministic_given_seed(self, lab):
         model = AnalyticDenoiser(lab.spatial_world, lab.sched_i)
-        z0 = sample_world(lab.spatial_world, Condition(mode_id=0), 4)
+        z0 = sample_world(lab.spatial_world, 0, 4)
         outs = []
         for _ in range(2):
             rng = np.random.default_rng(12345)
-            outs.append(sdedit_refine(z0, 10, 0, model, Condition(mode_id=0), lab.sched_i, rng))
+            outs.append(sdedit_refine(z0, 10, 0, model, 0, lab.sched_i, rng))
         (z_a, clean_a), (z_b, clean_b) = outs
         assert np.array_equal(z_a, z_b)
         assert np.array_equal(clean_a, clean_b)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from evs import io as evsio
 from evs.bench import RUN_CSV_COLUMNS
-from evs.errors import ConfigError
+from evs.errors import ConfigError, ShapeError
 from evs.models import ToyAttentionDenoiser
 
 
@@ -52,6 +52,25 @@ class TestBinaryFormats:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ConfigError, match="expected 60"):
             evsio.read_latents(path)
+
+    @pytest.mark.parametrize("field, offset", [("frames", 8), ("dim", 12)])
+    def test_zero_size_latent_header_rejected(self, tmp_path, field, offset):
+        # A bare header whose frames or dim is 0 matches its empty payload for any count.
+        path = tmp_path / "empty.evslat"
+        evsio.write_latents(path, [np.zeros((2, 3))])
+        header = bytearray(path.read_bytes()[:24])
+        header[offset : offset + 4] = bytes(4)
+        header[16:20] = (100_000).to_bytes(4, "little")
+        path.write_bytes(bytes(header))
+        with pytest.raises(ConfigError, match=f"{field}=0"):
+            evsio.read_latents(path)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_zero_size_video_not_written(self, tmp_path, shape):
+        path = tmp_path / "empty.evslat"
+        with pytest.raises(ShapeError):
+            evsio.write_latents(path, [np.zeros(shape)])
+        assert not path.exists()
 
     def test_truncated_net_rejected(self, tmp_path):
         path = tmp_path / "weights.evsnet"

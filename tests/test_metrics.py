@@ -15,7 +15,7 @@ from evs.metrics import (
     score_video,
     subject_consistency,
 )
-from evs.models import Condition, sample_world
+from evs.models import sample_world
 
 
 class TestMotionSmoothness:
@@ -115,7 +115,7 @@ class TestImagingQuality:
     def test_spatial_samples_beat_temporal_samples(self, lab):
         sharp, blurry = [], []
         for seed in range(20):
-            c = Condition(mode_id=seed % 4)
+            c = seed % 4
             sharp.append(imaging_quality(sample_world(lab.spatial_world, c, seed), lab.spatial_world, c))
             blurry.append(imaging_quality(sample_world(lab.temporal_world, c, seed), lab.spatial_world, c))
         assert np.mean(sharp) > np.mean(blurry)
@@ -128,7 +128,7 @@ class TestImagingQuality:
     def test_mode_outside_the_world_is_refused(self, lab, mode_id):
         # -1 must not index the last mode; 4 is one past the default world's modes.
         with pytest.raises(ParameterError, match=f"mode_id {mode_id} outside 0..3"):
-            imaging_quality(np.zeros((2, 64)), lab.spatial_world, Condition(mode_id=mode_id))
+            imaging_quality(np.zeros((2, 64)), lab.spatial_world, mode_id)
 
 
 class TestPsnr:
@@ -218,7 +218,7 @@ class TestOverallScore:
 
 class TestScoreVideo:
     def test_report_fields(self, lab):
-        c = Condition(mode_id=0)
+        c = 0
         v = sample_world(lab.spatial_world, c, 0)
         report = score_video(v, v, lab.spatial_world, c, lab.metric_config)
         assert report.psnr == PSNR_CAP

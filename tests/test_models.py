@@ -9,7 +9,6 @@ from evs.errors import ParameterError, ShapeError, TrainingError
 from evs.metrics import imaging_quality, motion_smoothness
 from evs.models import (
     AnalyticDenoiser,
-    Condition,
     SpatialWorld,
     TemporalWorld,
     ToyAttentionDenoiser,
@@ -78,12 +77,12 @@ class TestSampling:
             sigma=1e-300,
             frames=3,
         )
-        z = sample_world(world, Condition(mode_id=1), 0)
+        z = sample_world(world, 1, 0)
         assert np.array_equal(z, np.tile(world.means[1], (3, 1)))
 
     def test_temporal_lag1_correlation(self, lab):
         rng = np.random.default_rng(42)
-        c = Condition(mode_id=0)
+        c = 0
         acc = []
         for _ in range(10_000 // 10):
             for _ in range(10):
@@ -94,7 +93,7 @@ class TestSampling:
 
     def test_spatial_frames_independent(self, lab):
         rng = np.random.default_rng(43)
-        c = Condition(mode_id=1)
+        c = 1
         acc = []
         for _ in range(2000):
             z = sample_world(lab.spatial_world, c, rng)
@@ -102,20 +101,14 @@ class TestSampling:
             acc.append(np.mean(centered[:-1] * centered[1:]) / np.mean(centered**2))
         assert abs(np.mean(acc)) < 0.01
 
-    def test_style_offset_applied(self, lab):
-        style = np.full(lab.spatial_world.dim, 5.0)
-        plain = sample_world(lab.spatial_world, Condition(mode_id=0), 9)
-        styled = sample_world(lab.spatial_world, Condition(mode_id=0, style=style), 9)
-        np.testing.assert_allclose(styled - plain, 5.0)
-
     def test_bad_mode_id(self, lab):
         with pytest.raises(ParameterError):
-            sample_world(lab.spatial_world, Condition(mode_id=7), 0)
+            sample_world(lab.spatial_world, 7, 0)
 
 
 class TestDegradation:
     def test_zero_flicker_is_pure_temporal_sample(self, lab):
-        c = Condition(mode_id=2)
+        c = 2
         a = make_degraded_video(lab.temporal_world, c, 0.0, 5)
         b = sample_world(lab.temporal_world, c, 5)
         assert np.array_equal(a, b)
@@ -123,7 +116,7 @@ class TestDegradation:
     def test_flicker_lowers_motion_smoothness(self, lab):
         clean, flicked = [], []
         for seed in range(20):
-            c = Condition(mode_id=seed % 4)
+            c = seed % 4
             clean.append(motion_smoothness(make_degraded_video(lab.temporal_world, c, 0.0, seed)))
             flicked.append(motion_smoothness(make_degraded_video(lab.temporal_world, c, 0.2, seed)))
         assert np.mean(clean) > np.mean(flicked)
@@ -131,7 +124,7 @@ class TestDegradation:
     def test_degraded_scores_below_spatial_samples(self, lab):
         deg, sharp = [], []
         for seed in range(20):
-            c = Condition(mode_id=seed % 4)
+            c = seed % 4
             deg.append(imaging_quality(make_degraded_video(lab.temporal_world, c, 0.2, seed), lab.spatial_world, c))
             sharp.append(imaging_quality(sample_world(lab.spatial_world, c, seed), lab.spatial_world, c))
         assert np.mean(sharp) > np.mean(deg)
@@ -226,7 +219,7 @@ class TestAnalyticDenoiser:
             else:
                 resp = np.eye(world.modes)[mode_id]
             want = np.tensordot(resp, np.array(eps_k), axes=1)
-            got = gmm_posterior_eps(z_t, t, world, Condition(mode_id=mode_id), sched)
+            got = gmm_posterior_eps(z_t, t, world, mode_id, sched)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     def test_conditioning_restricts_mixture(self, lab):
@@ -236,7 +229,7 @@ class TestAnalyticDenoiser:
             means=lab.spatial_world.means[2:3], weights=np.array([1.0]),
             sigma=lab.spatial_world.sigma, frames=16,
         )
-        a = gmm_posterior_eps(z, 10, lab.spatial_world, Condition(mode_id=2), lab.sched_i)
+        a = gmm_posterior_eps(z, 10, lab.spatial_world, 2, lab.sched_i)
         b = gmm_posterior_eps(z, 10, single, None, lab.sched_i)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -283,7 +276,7 @@ class TestToyAttentionDenoiser:
     def test_output_shape_and_counter(self):
         net = ToyAttentionDenoiser(seed=1)
         z = np.random.default_rng(0).standard_normal((16, 64))
-        out = net.evaluate(z, 3, Condition(mode_id=1))
+        out = net.evaluate(z, 3, 1)
         assert out.shape == z.shape
         assert net.num_evals == 1
 
@@ -450,7 +443,7 @@ class TestBatchedTrainingPath:
     def test_batched_forward_matches_single_video_forward(self):
         net = ToyAttentionDenoiser(seed=6)
         ts = [1, 3, 5, 8]
-        conds = [None, Condition(mode_id=0), Condition(mode_id=2), Condition(mode_id=3)]
+        conds = [None, 0, 2, 3]
         z, tfeat, cond_idx = self._batch(net, ts, conds, seed=7)
         batched, _ = _batched_forward(net, z, tfeat, cond_idx)
         for i, (t, c) in enumerate(zip(ts, conds)):
@@ -463,7 +456,7 @@ class TestBatchedTrainingPath:
         rng = np.random.default_rng(12)
         # Injecting the f each block has just recorded changes no bit of the output.
         cfg = InjectionConfig(layers=ALL_LAYERS, inject_f=True, inject_kv=False)
-        for frames, t, c in ((16, 3, Condition(mode_id=1)), (1, 5, None)):
+        for frames, t, c in ((16, 3, 1), (1, 5, None)):
             z = rng.standard_normal((frames, net.dim))
             tfeat = _time_features(t, net.total_steps)[None]
             stacked, tape = _batched_forward(
@@ -481,7 +474,7 @@ class TestBatchedTrainingPath:
     def test_backward_matches_central_differences(self):
         net = ToyAttentionDenoiser(seed=8)
         z, tfeat, cond_idx = self._batch(
-            net, [2, 4, 7], [Condition(mode_id=1), None, Condition(mode_id=3)], seed=9
+            net, [2, 4, 7], [1, None, 3], seed=9
         )
         rng = np.random.default_rng(10)
         weights = rng.standard_normal(z.shape)  # loss = sum(weights * output)

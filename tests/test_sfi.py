@@ -5,7 +5,7 @@ import pytest
 
 from evs.diffusion import ddim_sample
 from evs.errors import InjectionError, ParameterError, ShapeError
-from evs.models import Condition, ToyAttentionDenoiser, sample_world
+from evs.models import ToyAttentionDenoiser, sample_world
 from evs.sfi import (
     ALL_LAYERS,
     DEEP_LAYERS,
@@ -114,21 +114,21 @@ class TestBlendedAttention:
 class TestInvertWithCapture:
     def test_single_step_cache_size(self, lab):
         net = ToyAttentionDenoiser(seed=0)
-        z0 = sample_world(lab.temporal_world, Condition(mode_id=0), 0)
-        _, cache = invert_with_capture(z0, 1, net, Condition(mode_id=0), lab.sched_v)
+        z0 = sample_world(lab.temporal_world, 0, 0)
+        _, cache = invert_with_capture(z0, 1, net, 0, lab.sched_v)
         assert len(cache) == net.blocks * 4
         assert net.num_evals == 1
 
     def test_default_strength_on_short_schedule(self, lab):
         net = ToyAttentionDenoiser(seed=0)
-        z0 = sample_world(lab.temporal_world, Condition(mode_id=1), 1)
-        invert_with_capture(z0, 4, net, Condition(mode_id=1), lab.sched_v)
+        z0 = sample_world(lab.temporal_world, 1, 1)
+        invert_with_capture(z0, 4, net, 1, lab.sched_v)
         assert net.num_evals == 4
 
     def test_cache_key_enumeration(self, lab):
         net = ToyAttentionDenoiser(seed=0)
-        z0 = sample_world(lab.temporal_world, Condition(mode_id=2), 2)
-        _, cache = invert_with_capture(z0, 3, net, Condition(mode_id=2), lab.sched_v)
+        z0 = sample_world(lab.temporal_world, 2, 2)
+        _, cache = invert_with_capture(z0, 3, net, 2, lab.sched_v)
         expected = {
             (t, layer, kind)
             for t in (1, 2, 3)
@@ -152,7 +152,7 @@ class TestInjectionKeys:
 
     def test_walk_reads_exactly_the_listed_keys(self, lab):
         net = ToyAttentionDenoiser(seed=3)
-        c = Condition(mode_id=1)
+        c = 1
         z0 = sample_world(lab.temporal_world, c, 5)
         for cfg in (InjectionConfig(layers=DEEP_LAYERS, gamma=0.8),
                     InjectionConfig(layers=ALL_LAYERS, gamma=1.0, inject_f=True)):
@@ -167,7 +167,7 @@ class TestInjectionKeys:
 class TestDenoiseWithInjection:
     def _setup(self, lab, seed, net_seed=7, t_v=4):
         net = ToyAttentionDenoiser(seed=net_seed)
-        c = Condition(mode_id=seed % 4)
+        c = seed % 4
         z0 = sample_world(lab.temporal_world, c, seed)
         z, cache = invert_with_capture(z0, t_v, net, c, lab.sched_v)
         return net, c, z0, z, cache
