@@ -2,7 +2,9 @@
 hyperparameter sweeps, the refinement-mode frontier, and report aggregation.
 
 Every command writes a manifest that is sufficient to re-execute it
-bit-identically (wall-clock values excluded).
+bit-identically (wall-clock values excluded).  A run manifest records its
+plan once.  A plan with a ``t2v:sfi`` stage needs the tapped net, and
+``load_or_init_net`` returns it with the manifest's ``weights_sha256``.
 """
 
 from __future__ import annotations
@@ -168,25 +170,10 @@ def load_dataset(dataset_dir, cfg: dict | None = None) -> tuple[dict, list[tuple
 # ---------------------------------------------------------------------------
 
 
-def _reads_net(cfg: dict, pipeline: str) -> bool:
-    """Whether ``pipeline``'s temporal block needs the tapped net's taps."""
-    return pipeline == "evs" and cfg["pipeline"]["block_mode"] == BLOCK_INVERSION_SFI
-
-
-def _temporal_model_for(cfg: dict, pipeline: str):
-    """The tapped net when the temporal block needs taps, else the analytic model."""
-    return load_or_init_net(cfg) if _reads_net(cfg, pipeline) else None
-
-
-def _weights_record(cfg: dict, pipeline: str) -> dict:
-    """``weights_sha256`` of the ``net.weights`` file a run loads; empty when it loads none."""
-    weights = cfg["net"]["weights"]
-    return {"weights_sha256": evsio.file_sha256(weights)} if weights and _reads_net(cfg, pipeline) else {}
-
-
-def load_or_init_net(cfg: dict) -> ToyAttentionDenoiser:
-    """The net at ``net.weights``, refused unless it was made for this config;
-    a fresh one from ``net.seed`` when no weights are given."""
+def load_or_init_net(cfg: dict) -> tuple[ToyAttentionDenoiser, dict]:
+    """The net at ``net.weights``, refused unless it was made for this config,
+    and the ``weights_sha256`` record of that file for a manifest; a fresh net
+    from ``net.seed`` and an empty record when no weights are given."""
     fixed = {  # net field: (config key, value)
         "dim": ("dim", cfg["dim"]),
         "total_steps": ("schedule_v.steps", cfg["schedule_v"]["steps"]),
@@ -195,12 +182,19 @@ def load_or_init_net(cfg: dict) -> ToyAttentionDenoiser:
     path = cfg["net"]["weights"]
     if not path:
         values = {field: value for field, (_, value) in fixed.items()}
-        return ToyAttentionDenoiser(**values, seed=cfg["net"]["seed"])
+        return ToyAttentionDenoiser(**values, seed=cfg["net"]["seed"]), {}
     net = evsio.read_net(path)
     for field, (key, want) in fixed.items():
         if getattr(net, field) != want:
             raise ConfigError(f"{path}: net {field}={getattr(net, field)} but config {key}={want}")
-    return net
+    return net, {"weights_sha256": evsio.file_sha256(path)}
+
+
+def _net_for(cfg: dict, pipeline: str) -> tuple[ToyAttentionDenoiser | None, dict]:
+    """``load_or_init_net`` when ``pipeline``'s plan has a ``t2v:sfi`` stage, which
+    reads the net's taps; else ``(None, {})``: the analytic model, no weights."""
+    plan = PLANS[pipeline](PipelineConfig(**cfg["pipeline"]))
+    return load_or_init_net(cfg) if any(name == "t2v:sfi" for name, _, _ in plan) else (None, {})
 
 
 def _execute(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, index, video, cond):
@@ -227,13 +221,13 @@ def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir) -> Path:
     """Execute one pipeline over the dataset; write CSV, outputs, manifest."""
     if pipeline not in PIPELINES:
         raise UsageError(f"unknown pipeline {pipeline!r} (choose from {', '.join(PIPELINES)})")
-    lab = build_lab(cfg, temporal_override=_temporal_model_for(cfg, pipeline))
-    weights = _weights_record(cfg, pipeline)
+    net, weights = _net_for(cfg, pipeline)
+    lab = build_lab(cfg, temporal_override=net)
     _, videos = load_dataset(dataset_dir, cfg)
     out = _out_dir(out_dir)
 
     rows = []
-    row_meta = []
+    items = []
     for index, result, report in _scored_items(pipeline, lab, cfg, lab.pipeline_config, videos):
         out_file = f"item_{index:04d}.out.evslat"
         evsio.write_latents(out / out_file, [result.output])
@@ -247,28 +241,21 @@ def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir) -> Path:
                 "wall_time": result.wall_time,
             }
         )
-        row_meta.append(
-            {
-                "index": index,
-                "output_file": out_file,
-                "nfe_t2i": result.nfe_t2i,
-                "nfe_t2v": result.nfe_t2v,
-                "stage_log": [[name, list(span)] for name, span in result.stage_log],
-            }
-        )
+        items.append({"index": index, "output_file": out_file})
     evsio.write_metric_csv(out / "runs.csv", rows, RUN_CSV_COLUMNS)
     return _write_manifest(
         out / RUN_MANIFEST, cfg, "run",
         pipeline=pipeline,
         dataset=_dataset_record(dataset_dir),
         **weights,
+        plan=[[name, [t_noise, t_end]] for name, t_noise, t_end in PLANS[pipeline](lab.pipeline_config)],
         schedules={
             "spatial_alpha_bar": [float(x) for x in lab.sched_i.alpha_bar],
             "temporal_alpha_bar": [float(x) for x in lab.sched_v.alpha_bar],
         },
         csv="runs.csv",
         rows=rows,
-        items=row_meta,
+        items=items,
     )
 
 
@@ -290,7 +277,8 @@ def rerun_from_manifest(manifest_path, out_dir) -> Path:
     dataset = manifest["dataset"]
     if evsio.file_sha256(Path(dataset["path"]) / DATASET_MANIFEST) != dataset["manifest_sha256"]:
         raise ConfigError(f"dataset {dataset['path']} changed since {manifest_path} was written")
-    if _weights_record(cfg, manifest["pipeline"]).get("weights_sha256") != manifest.get("weights_sha256"):
+    _, weights = _net_for(cfg, manifest["pipeline"])
+    if weights.get("weights_sha256") != manifest.get("weights_sha256"):
         raise ConfigError(f"net.weights do not match the weights_sha256 in {manifest_path}")
     return cmd_run(manifest["pipeline"], cfg, dataset["path"], out_dir)
 
@@ -330,7 +318,8 @@ def cmd_sweep(axis: str, grid, cfg: dict, dataset_dir, out_dir) -> Path:
         raise ParameterError("sweep grid must be nonempty")
     _, videos = load_dataset(dataset_dir, cfg)
     # No sweep axis changes the block mode, so one lab serves every grid point.
-    lab = build_lab(cfg, temporal_override=_temporal_model_for(cfg, "evs"))
+    net, weights = _net_for(cfg, "evs")
+    lab = build_lab(cfg, temporal_override=net)
     pcfgs = [_sweep_point(lab.pipeline_config, axis, value, lab) for value in grid]
     out = _out_dir(out_dir)
     point_stats = []
@@ -348,6 +337,7 @@ def cmd_sweep(axis: str, grid, cfg: dict, dataset_dir, out_dir) -> Path:
         axis=axis,
         grid=list(grid),
         dataset=_dataset_record(dataset_dir),
+        **weights,
         points=point_stats,
         csv="sweep.csv",
     )
@@ -404,7 +394,7 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
     if not net_file:
         raise ConfigError("frontier needs net.weights: train a net with `evs train` and pass "
                           "--set net.weights=DIR/net.evsnet")
-    net = load_or_init_net(cfg)
+    net, weights = load_or_init_net(cfg)
     if set(range(net.blocks)) != ALL_LAYERS:
         raise ConfigError(
             f"{net_file}: net has {net.blocks} blocks; the frontier's layer sets need {len(ALL_LAYERS)}"
@@ -443,6 +433,7 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
     manifest_path = _write_manifest(
         out / "frontier_manifest.json", cfg, "frontier",
         dataset=_dataset_record(dataset_dir),
+        **weights,
         rows=rows,
         dominance=dominance,
         csv="frontier.csv",
@@ -473,10 +464,13 @@ def cmd_report(manifest_paths, out_dir) -> Path:
     for path in manifest_paths:
         manifest, cfg = _read_run(path)
         name = manifest["pipeline"]
-        # A row pools one pipeline's runs, so they must share a config (seed aside).
-        first_path, first_cfg = firsts.setdefault(name, (path, cfg))
+        # A row pools one pipeline's runs: one config (seed aside), one weights file.
+        weights = manifest.get("weights_sha256")
+        first_path, first_cfg, first_weights = firsts.setdefault(name, (path, cfg, weights))
         if {**cfg, "seed": None} != {**first_cfg, "seed": None}:
             raise ConfigError(f"{path} and {first_path} are {name} runs with different configs")
+        if weights != first_weights:
+            raise ConfigError(f"{path} and {first_path} are {name} runs with different weights_sha256")
         entry = summary.setdefault(name, {m: [] for m in (*METRICS, "wall_time", "nfe_total")})
         for row in manifest["rows"]:
             for m in (*METRICS, "wall_time"):
@@ -484,7 +478,7 @@ def cmd_report(manifest_paths, out_dir) -> Path:
             entry["nfe_total"].append(int(row["nfe_t2i"]) + int(row["nfe_t2v"]))
     # Every distinct config is built, so checked, before --out exists; the
     # first run's config heads the report and prices the fallback baseline.
-    configs = [cfg for _, cfg in firsts.values()]
+    configs = [cfg for _, cfg, _ in firsts.values()]
     labs = [build_lab(cfg) for i, cfg in enumerate(configs) if cfg not in configs[:i]]
     base_cfg, lab = configs[0], labs[0]
     out = _out_dir(out_dir)

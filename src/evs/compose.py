@@ -4,9 +4,11 @@ The only latent ever handed from one model's domain to the other is a
 predicted clean latent: noisy latents are meaningless under the other
 schedule.  Every pipeline is a plan, a list of stages that ``PLANS`` builds
 from a ``PipelineConfig``; one loop, ``_refine_stages``, runs a plan and
-``stage_nfe`` prices it before it runs.  The six entry points share one
-signature ``(z0, p, models, c, rng)`` and are each one call into the loop;
-they stay separate functions because the benchmark's tracer wraps them by name.
+``stage_nfe`` prices it before it runs.  A run manifest records the plan
+once, so a result carries only its output and counted NFE.  The six entry
+points share one signature ``(z0, p, models, c, rng)`` and are each one call
+into the loop; they stay separate functions because the benchmark's tracer
+wraps them by name.
 """
 
 from __future__ import annotations
@@ -106,7 +108,6 @@ class PipelineResult:
     nfe_t2i: int
     nfe_t2v: int
     wall_time: float
-    stage_log: tuple
 
 
 def _refine_stages(z, stages, models: ModelBundle, c, rng, injection=None) -> PipelineResult:
@@ -138,7 +139,6 @@ def _refine_stages(z, stages, models: ModelBundle, c, rng, injection=None) -> Pi
         nfe_t2i=models.spatial.num_evals - evals0[0],
         nfe_t2v=models.temporal.num_evals - evals0[1],
         wall_time=time.perf_counter() - start,
-        stage_log=tuple((name, (t_noise, t_end)) for name, t_noise, t_end in stages),
     )
 
 
@@ -161,7 +161,7 @@ def _iterated_plan(p: PipelineConfig) -> list[tuple[str, int, int]]:
     costs rounds*(t_I+t_V), plus t_I when rounds is odd (see ``stage_nfe``).
     """
     if p.rounds < 1:
-        raise ParameterError(f"rounds must be >= 1, got {p.rounds}")
+        raise ParameterError(f"need rounds >= 1, got rounds={p.rounds}")
     iv = [("t2i", p.t_I, 0), ("t2v", p.t_V, 0)]
     return [stage for r in range(p.rounds) for stage in (iv[::-1] if r % 2 else iv)] + iv[:p.rounds % 2]
 

@@ -3,7 +3,8 @@
 Motion smoothness penalizes the error between each frame and the linear
 interpolation of its neighbours; subject consistency is mean-centered cosine
 similarity across frames; imaging quality is log-density under the sharp
-spatial mixture, affinely rescaled by config constants.  The overall score
+spatial mixture, affinely rescaled by config constants, which every metric
+requires and ``MetricConfig`` alone defaults.  The overall score
 averages normalized channels whose ranges are declared up front and recorded
 with every run, so aggregate numbers are reproducible.
 """
@@ -75,7 +76,7 @@ class MetricReport:
 METRICS = tuple(f.name for f in fields(MetricReport))
 
 
-def motion_smoothness(v: np.ndarray, tau: float = 0.05) -> float:
+def motion_smoothness(v: np.ndarray, tau: float) -> float:
     """exp(-mean interpolation error / tau); 1 for constant or linear motion."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 3:
@@ -102,9 +103,9 @@ def subject_consistency(v: np.ndarray) -> float:
 def imaging_quality(
     v: np.ndarray,
     world: SpatialWorld,
-    c: int | None = None,
-    offset: float = -3000.0,
-    scale: float = 30.0,
+    c: int | None,
+    offset: float,
+    scale: float,
 ) -> float:
     """Mean per-frame log-density under the sharp mixture, affinely rescaled."""
     if scale <= 0:
@@ -113,7 +114,7 @@ def imaging_quality(
     return float((logp.mean() - offset) / scale)
 
 
-def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
+def psnr(a: np.ndarray, b: np.ndarray, peak: float) -> float:
     """10*log10(peak^2 / MSE), capped at 99 dB near-identical inputs."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

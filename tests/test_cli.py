@@ -140,9 +140,9 @@ class TestRun:
             "--set", "pipeline.block_mode=sdedit", "--set", "pipeline.injection=null",
         ) == 0
         manifest = evsio.read_json(tmp_path / "run_manifest.json")
-        for item in manifest["items"]:
-            temporal = [s for s in item["stage_log"] if s[0].startswith("t2v")]
-            assert len(temporal) == 1
+        temporal = [s for s in manifest["plan"] if s[0].startswith("t2v")]
+        assert temporal == [["t2v:sdedit", [4, 2]]]
+        assert manifest["items"] == [{"index": i, "output_file": f"item_{i:04d}.out.evslat"} for i in range(3)]
 
     def test_rerun_from_manifest_is_byte_identical(self, small_dataset, tmp_path):
         first = tmp_path / "first"
@@ -151,6 +151,11 @@ class TestRun:
         assert run_cli("rerun", first / "run_manifest.json", "--out", again) == 0
         assert evsio.csv_without_wall_time(first / "runs.csv") == evsio.csv_without_wall_time(again / "runs.csv")
         assert _dir_bytes(first, ".evslat") == _dir_bytes(again, ".evslat")
+        manifests = [evsio.read_json(out / "run_manifest.json") for out in (first, again)]
+        for manifest in manifests:
+            for row in manifest["rows"]:
+                del row["wall_time"]
+        assert manifests[0] == manifests[1]
 
     def test_rerun_accepts_manifest_with_single_thread_field(self, small_dataset, tmp_path):
         first = tmp_path / "first"
@@ -264,6 +269,23 @@ class TestRun:
         places = {"SMALL": small_dataset, "NET": tmp_path / "net.evsnet"}
         assert run_cli(*(_placed(a, places) for a in argv), "--out", tmp_path / "out") == 0
         assert "weights_sha256" not in evsio.read_json(tmp_path / "out" / "run_manifest.json")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "evs", "--dataset", "SMALL"],
+        ["sweep", "gamma", "--grid", "0.5", "--dataset", "SMALL"],
+        ["frontier", "--dataset", "STYLED"],
+    ], ids=["run-evs", "sweep-gamma", "frontier"])
+    def test_each_command_that_loads_weights_records_their_hash(
+        self, small_dataset, styled_dataset, tmp_path, argv
+    ):
+        weights = tmp_path / "net.evsnet"
+        evsio.write_net(weights, ToyAttentionDenoiser(seed=1))
+        places = {"SMALL": small_dataset, "STYLED": styled_dataset}
+        out = tmp_path / "out"
+        assert run_cli(*(_placed(a, places) for a in argv), "--set", f"net.weights={weights}",
+                       "--out", out) == 0
+        (manifest,) = out.glob("*_manifest.json")
+        assert evsio.read_json(manifest)["weights_sha256"] == evsio.file_sha256(weights)
 
     def test_rerun_rechecks_manifest_config(self, small_dataset, tmp_path):
         first = tmp_path / "first"
@@ -659,6 +681,22 @@ class TestReportAndTrain:
         manifests = [base / "run_manifest.json", other / "run_manifest.json"]
         assert run_cli("report", *manifests, "--out", tmp_path / "rep") == 3
         assert "are evs runs with different configs" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    def test_report_refuses_one_pipeline_with_different_weights(self, small_dataset, tmp_path, capsys):
+        """Two runs of one config and one net.weights path, with the file rewritten between them."""
+        weights = tmp_path / "net.evsnet"
+        manifests = []
+        for seed in (1, 5):
+            evsio.write_net(weights, ToyAttentionDenoiser(seed=seed))
+            run_dir = tmp_path / f"run_{seed}"
+            assert run_cli("run", "evs", "--dataset", small_dataset, "--out", run_dir,
+                           "--set", f"net.weights={weights}") == 0
+            manifests.append(run_dir / "run_manifest.json")
+        assert run_cli("report", *manifests, "--out", tmp_path / "rep") == 3
+        err = capsys.readouterr().err
+        assert "are evs runs with different weights_sha256" in err
+        assert all(str(manifest) in err for manifest in manifests)
         assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("bad_first", [False, True], ids=["bad-last", "bad-first"])

@@ -89,12 +89,11 @@ class TestSinglePipelines:
 
     def test_t2i_improves_imaging_quality(self, lab, bundle, degraded_videos):
         gains = []
+        iq = lab.metric_config.iq_offset, lab.metric_config.iq_scale
         for i, (z0, c) in enumerate(degraded_videos[:10]):
             out = run_t2i_only(z0, P, bundle, c, rng_for(2, i)).output
-            gains.append(
-                imaging_quality(out, lab.spatial_world, c)
-                - imaging_quality(z0, lab.spatial_world, c)
-            )
+            gains.append(imaging_quality(out, lab.spatial_world, c, *iq)
+                         - imaging_quality(z0, lab.spatial_world, c, *iq))
         assert np.mean(gains) > 0
 
     def test_t2v_counting(self, lab, bundle):
@@ -105,9 +104,10 @@ class TestSinglePipelines:
 
     def test_t2v_improves_motion_smoothness(self, lab, bundle, degraded_videos):
         gains = []
+        tau = lab.metric_config.tau
         for i, (z0, c) in enumerate(degraded_videos[:10]):
             out = run_t2v_only(z0, P, bundle, c, rng_for(4, i)).output
-            gains.append(motion_smoothness(out) - motion_smoothness(z0))
+            gains.append(motion_smoothness(out, tau) - motion_smoothness(z0, tau))
         assert np.mean(gains) > 0
 
     def test_t2v_output_couples_frames(self, lab, bundle):
@@ -139,16 +139,20 @@ class TestBasicCompositions:
 
     def test_trailing_spatial_stage_reintroduces_flicker(self, lab, bundle, degraded_videos):
         vi_ms, t2v_ms = [], []
+        tau = lab.metric_config.tau
         for i, (z0, c) in enumerate(degraded_videos[:10]):
-            vi_ms.append(motion_smoothness(compose_vi(z0, P, bundle, c, rng_for(10, i)).output))
-            t2v_ms.append(motion_smoothness(run_t2v_only(z0, P, bundle, c, rng_for(11, i)).output))
+            vi_ms.append(motion_smoothness(compose_vi(z0, P, bundle, c, rng_for(10, i)).output, tau))
+            t2v_ms.append(motion_smoothness(run_t2v_only(z0, P, bundle, c, rng_for(11, i)).output, tau))
         assert np.mean(vi_ms) < np.mean(t2v_ms)
 
     def test_trailing_temporal_stage_costs_imaging_quality(self, lab, bundle, degraded_videos):
         iv_iq, vi_iq = [], []
+        iq = lab.metric_config.iq_offset, lab.metric_config.iq_scale
         for i, (z0, c) in enumerate(degraded_videos[:10]):
-            iv_iq.append(imaging_quality(compose_iv(z0, P, bundle, c, rng_for(12, i)).output, lab.spatial_world, c))
-            vi_iq.append(imaging_quality(compose_vi(z0, P, bundle, c, rng_for(12, i)).output, lab.spatial_world, c))
+            iv_out = compose_iv(z0, P, bundle, c, rng_for(12, i)).output
+            vi_out = compose_vi(z0, P, bundle, c, rng_for(12, i)).output
+            iv_iq.append(imaging_quality(iv_out, lab.spatial_world, c, *iq))
+            vi_iq.append(imaging_quality(vi_out, lab.spatial_world, c, *iq))
         assert np.mean(iv_iq) < np.mean(vi_iq)
 
 
@@ -241,19 +245,16 @@ class TestEncapsulatedPipeline:
             with pytest.raises(ParameterError):
                 run_evs(z0, PipelineConfig(**{**SDEDIT_CFG, **bad}), bundle, c, rng_for(EVS_KEY, 0))
 
-    def test_single_temporal_stage(self, lab, bundle):
-        z0, c = degraded(lab, 5)
-        result = run_evs(z0, PipelineConfig(**SDEDIT_CFG), bundle, c, rng_for(EVS_KEY, 1))
-        temporal_stages = [i for i, (name, _) in enumerate(result.stage_log) if name.startswith("t2v")]
+    def test_single_temporal_stage(self):
+        plan = PLANS["evs"](PipelineConfig(**SDEDIT_CFG))
+        temporal_stages = [i for i, (name, _, _) in enumerate(plan) if name.startswith("t2v")]
         assert len(temporal_stages) == 1
-        # temporal work is contiguous in the log
+        # temporal work is contiguous in the plan
         assert temporal_stages[0] == 1
 
-    def test_stage_log_structure(self, lab, sfi_bundle):
-        z0, c = degraded(lab, 5)
-        result = run_evs(z0, PipelineConfig(), sfi_bundle, c, rng_for(EVS_KEY, 1))
+    def test_stage_log_structure(self):
         # The trailing t2i stage's own draw re-noises the block output to t_T2V.
-        assert result.stage_log == (("t2i", (20, 10)), ("t2v:sfi", (4, 2)), ("t2i", (10, 0)))
+        assert PLANS["evs"](PipelineConfig()) == [("t2i", 20, 10), ("t2v:sfi", 4, 2), ("t2i", 10, 0)]
 
     def test_deterministic_given_seed(self, lab):
         z0, c = degraded(lab, 6)
@@ -287,7 +288,7 @@ class TestEncapsulatedPipeline:
         _, plain = ddim_sample(z, 20, 0, spatial, c, sched)
         np.testing.assert_allclose(evs_result.output, plain, rtol=1e-6, atol=1e-9)
         assert evs_result.nfe_t2i == 21
-        assert evs_result.stage_log[0] == ("t2i", (20, 20))
+        assert PLANS["evs"](cfg)[0] == ("t2i", 20, 20)
 
 
 class TestHyperparameterDirections:
@@ -304,8 +305,9 @@ class TestHyperparameterDirections:
             )
             cfg = PipelineConfig(block_mode=BLOCK_SDEDIT, injection=None, **kwargs)
             out = run_evs(z0, cfg, bundle, c, rng_for(EVS_KEY, i)).output
-            ms_vals.append(motion_smoothness(out))
-            iq_vals.append(imaging_quality(out, lab.spatial_world, c))
+            ms_vals.append(motion_smoothness(out, lab.metric_config.tau))
+            iq_vals.append(imaging_quality(out, lab.spatial_world, c,
+                                           lab.metric_config.iq_offset, lab.metric_config.iq_scale))
         return np.mean(ms_vals), np.mean(iq_vals)
 
     def test_later_insertion_trades_smoothness_for_imaging(self, lab, degraded_videos):
@@ -341,7 +343,8 @@ class TestIteratedBaseline:
         z = compose_iv(z, P, bundle, c, rng).output
         z = run_t2i_only(z, P, bundle, c, rng).output
         assert np.array_equal(result.output, z)
-        assert [name for name, _ in result.stage_log] == ["t2i", "t2v", "t2v", "t2i", "t2i", "t2v", "t2i"]
+        stages = PLANS["iterated"](replace(P, rounds=3))
+        assert [name for name, _, _ in stages] == ["t2i", "t2v", "t2v", "t2i", "t2i", "t2v", "t2i"]
         assert result.nfe_t2i + result.nfe_t2v == 92
 
     def test_rounds_zero_rejected(self, lab, bundle):
@@ -407,4 +410,3 @@ class TestPlannedCost:
             plan = self.plan(pipeline, p)
             assert PLANS[pipeline](p) == plan, (pipeline, p)
             assert (result.nfe_t2i, result.nfe_t2v) == stage_nfe(plan), (pipeline, p)
-            assert result.stage_log == tuple((name, (a, b)) for name, a, b in plan), (pipeline, p)

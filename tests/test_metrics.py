@@ -20,12 +20,12 @@ from evs.models import sample_world
 
 class TestMotionSmoothness:
     def test_constant_video(self):
-        assert motion_smoothness(np.ones((5, 4))) == 1.0
+        assert motion_smoothness(np.ones((5, 4)), 0.05) == 1.0
 
     def test_linear_motion(self):
         t = np.arange(6.0)[:, None]
         v = t * np.array([[1.0, -2.0, 0.5]])
-        assert motion_smoothness(v) == pytest.approx(1.0, abs=1e-12)
+        assert motion_smoothness(v, 0.05) == pytest.approx(1.0, abs=1e-12)
 
     def test_alternating_frames_hand_oracle(self):
         a, tau = 0.3, 0.05
@@ -36,7 +36,7 @@ class TestMotionSmoothness:
 
     def test_needs_three_frames(self):
         with pytest.raises(ParameterError):
-            motion_smoothness(np.ones((2, 4)))
+            motion_smoothness(np.ones((2, 4)), 0.05)
 
     @given(shift=st.floats(-5, 5), scale=st.floats(0.1, 4))
     @settings(max_examples=40, deadline=None)
@@ -108,33 +108,36 @@ class TestImagingQuality:
         rng = np.random.default_rng(1)
         v = rng.standard_normal((16, 64))
         perm = rng.permutation(16)
-        assert imaging_quality(v, lab.spatial_world) == pytest.approx(
-            imaging_quality(v[perm], lab.spatial_world)
+        iq = lab.metric_config.iq_offset, lab.metric_config.iq_scale
+        assert imaging_quality(v, lab.spatial_world, None, *iq) == pytest.approx(
+            imaging_quality(v[perm], lab.spatial_world, None, *iq)
         )
 
     def test_spatial_samples_beat_temporal_samples(self, lab):
         sharp, blurry = [], []
+        iq = lab.metric_config.iq_offset, lab.metric_config.iq_scale
         for seed in range(20):
             c = seed % 4
-            sharp.append(imaging_quality(sample_world(lab.spatial_world, c, seed), lab.spatial_world, c))
-            blurry.append(imaging_quality(sample_world(lab.temporal_world, c, seed), lab.spatial_world, c))
+            sharp.append(imaging_quality(sample_world(lab.spatial_world, c, seed), lab.spatial_world, c, *iq))
+            blurry.append(imaging_quality(sample_world(lab.temporal_world, c, seed), lab.spatial_world, c, *iq))
         assert np.mean(sharp) > np.mean(blurry)
 
     def test_scale_validation(self, lab):
         with pytest.raises(ParameterError):
-            imaging_quality(np.zeros((2, 64)), lab.spatial_world, scale=0.0)
+            imaging_quality(np.zeros((2, 64)), lab.spatial_world, None, lab.metric_config.iq_offset, 0.0)
 
     @pytest.mark.parametrize("mode_id", [-1, 4])
     def test_mode_outside_the_world_is_refused(self, lab, mode_id):
         # -1 must not index the last mode; 4 is one past the default world's modes.
         with pytest.raises(ParameterError, match=f"mode_id {mode_id} outside 0..3"):
-            imaging_quality(np.zeros((2, 64)), lab.spatial_world, mode_id)
+            imaging_quality(np.zeros((2, 64)), lab.spatial_world, mode_id,
+                            lab.metric_config.iq_offset, lab.metric_config.iq_scale)
 
 
 class TestPsnr:
     def test_identical_inputs_hit_cap(self):
         v = np.random.default_rng(0).standard_normal((4, 4))
-        assert psnr(v, v) == PSNR_CAP
+        assert psnr(v, v, 1.0) == PSNR_CAP
 
     def test_mse_equal_peak_squared_is_zero(self):
         a = np.zeros((2, 2))
@@ -149,18 +152,18 @@ class TestPsnr:
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         a, b = rng.standard_normal((2, 3, 4))
-        assert psnr(a, b) == psnr(b, a)
+        assert psnr(a, b, 1.0) == psnr(b, a, 1.0)
 
     @given(bump=st.floats(0.01, 2.0))
     @settings(max_examples=30, deadline=None)
     def test_strictly_decreasing_in_mse(self, bump):
         a = np.zeros((2, 2))
         b = np.full((2, 2), 0.5)
-        assert psnr(a, b * (1 + bump)) < psnr(a, b)
+        assert psnr(a, b * (1 + bump), 1.0) < psnr(a, b, 1.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            psnr(np.zeros((2, 2)), np.zeros((2, 3)))
+            psnr(np.zeros((2, 2)), np.zeros((2, 3)), 1.0)
 
 
 class TestOverallScore:

@@ -115,18 +115,21 @@ class TestDegradation:
 
     def test_flicker_lowers_motion_smoothness(self, lab):
         clean, flicked = [], []
+        tau = lab.metric_config.tau
         for seed in range(20):
             c = seed % 4
-            clean.append(motion_smoothness(make_degraded_video(lab.temporal_world, c, 0.0, seed)))
-            flicked.append(motion_smoothness(make_degraded_video(lab.temporal_world, c, 0.2, seed)))
+            clean.append(motion_smoothness(make_degraded_video(lab.temporal_world, c, 0.0, seed), tau))
+            flicked.append(motion_smoothness(make_degraded_video(lab.temporal_world, c, 0.2, seed), tau))
         assert np.mean(clean) > np.mean(flicked)
 
     def test_degraded_scores_below_spatial_samples(self, lab):
         deg, sharp = [], []
+        iq = lab.metric_config.iq_offset, lab.metric_config.iq_scale
         for seed in range(20):
             c = seed % 4
-            deg.append(imaging_quality(make_degraded_video(lab.temporal_world, c, 0.2, seed), lab.spatial_world, c))
-            sharp.append(imaging_quality(sample_world(lab.spatial_world, c, seed), lab.spatial_world, c))
+            degraded = make_degraded_video(lab.temporal_world, c, 0.2, seed)
+            deg.append(imaging_quality(degraded, lab.spatial_world, c, *iq))
+            sharp.append(imaging_quality(sample_world(lab.spatial_world, c, seed), lab.spatial_world, c, *iq))
         assert np.mean(sharp) > np.mean(deg)
 
     def test_negative_flicker_rejected(self, lab):
