@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Generate the degraded dataset, run every pipeline on it, and build the
 summary report (per-pipeline means, overall ranking, speedup column).
+`evs` runs the sdedit block on the analytic temporal model: the script
+takes no trained weights, which the inversion+sfi block would need.
 
 Usage:
   python scripts/run_ablation.py --out results/ablation [--count 93] [--seed 0]
@@ -25,10 +27,6 @@ def main():
     parser.add_argument("--out", default="results/ablation")
     parser.add_argument("--count", type=int, default=93)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--block-mode", default="sdedit", choices=["sdedit", "inversion+sfi"],
-        help="temporal block mode for the encapsulated pipeline",
-    )
     args = parser.parse_args()
     out = Path(args.out)
 
@@ -40,7 +38,7 @@ def main():
         run_dir = out / f"run_{pipeline}"
         argv = ["run", pipeline, "--dataset", out / "dataset", "--out", run_dir,
                 "--seed", args.seed]
-        if pipeline == "evs" and args.block_mode == "sdedit":
+        if pipeline == "evs":
             argv += ["--set", "pipeline.block_mode=sdedit", "--set", "pipeline.injection=null"]
         run(argv)
         manifests.append(run_dir / "run_manifest.json")

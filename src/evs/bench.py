@@ -172,8 +172,8 @@ def load_dataset(dataset_dir, cfg: dict | None = None) -> tuple[dict, list[tuple
 
 def load_or_init_net(cfg: dict) -> tuple[ToyAttentionDenoiser, dict]:
     """The net at ``net.weights``, refused unless it was made for this config,
-    and the ``weights_sha256`` record of that file for a manifest; a fresh net
-    from ``net.seed`` and an empty record when no weights are given."""
+    and the ``weights_sha256`` record of that file for a manifest; else the
+    net ``evs train`` starts from (``train.seed``) and an empty record."""
     fixed = {  # net field: (config key, value)
         "dim": ("dim", cfg["dim"]),
         "total_steps": ("schedule_v.steps", cfg["schedule_v"]["steps"]),
@@ -182,7 +182,7 @@ def load_or_init_net(cfg: dict) -> tuple[ToyAttentionDenoiser, dict]:
     path = cfg["net"]["weights"]
     if not path:
         values = {field: value for field, (_, value) in fixed.items()}
-        return ToyAttentionDenoiser(**values, seed=cfg["net"]["seed"]), {}
+        return ToyAttentionDenoiser(**values, seed=cfg["train"]["seed"]), {}
     net = evsio.read_net(path)
     for field, (key, want) in fixed.items():
         if getattr(net, field) != want:
@@ -217,12 +217,21 @@ def _scored_items(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, vide
         yield index, result, report
 
 
-def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir) -> Path:
-    """Execute one pipeline over the dataset; write CSV, outputs, manifest."""
+def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir, recorded=None) -> Path:
+    """Execute one pipeline over the dataset; write CSV, outputs, manifest.
+    A rerun passes ``recorded``, the run's ``(path, manifest)``: the dataset
+    manifest and the weights must hash as it records."""
     if pipeline not in PIPELINES:
         raise UsageError(f"unknown pipeline {pipeline!r} (choose from {', '.join(PIPELINES)})")
     net, weights = _net_for(cfg, pipeline)
     lab = build_lab(cfg, temporal_override=net)
+    dataset = _dataset_record(dataset_dir)
+    if recorded is not None:
+        path, manifest = recorded
+        if dataset["manifest_sha256"] != manifest["dataset"]["manifest_sha256"]:
+            raise ConfigError(f"dataset {dataset_dir} changed since {path} was written")
+        if weights.get("weights_sha256") != manifest.get("weights_sha256"):
+            raise ConfigError(f"net.weights do not match the weights_sha256 in {path}")
     _, videos = load_dataset(dataset_dir, cfg)
     out = _out_dir(out_dir)
 
@@ -246,13 +255,9 @@ def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir) -> Path:
     return _write_manifest(
         out / RUN_MANIFEST, cfg, "run",
         pipeline=pipeline,
-        dataset=_dataset_record(dataset_dir),
+        dataset=dataset,
         **weights,
         plan=[[name, [t_noise, t_end]] for name, t_noise, t_end in PLANS[pipeline](lab.pipeline_config)],
-        schedules={
-            "spatial_alpha_bar": [float(x) for x in lab.sched_i.alpha_bar],
-            "temporal_alpha_bar": [float(x) for x in lab.sched_v.alpha_bar],
-        },
         csv="runs.csv",
         rows=rows,
         items=items,
@@ -274,13 +279,8 @@ def rerun_from_manifest(manifest_path, out_dir) -> Path:
     """Re-execute a recorded run: its embedded config, checked again, on its
     unchanged dataset and, when the run loads ``net.weights``, unchanged weights."""
     manifest, cfg = _read_run(manifest_path)
-    dataset = manifest["dataset"]
-    if evsio.file_sha256(Path(dataset["path"]) / DATASET_MANIFEST) != dataset["manifest_sha256"]:
-        raise ConfigError(f"dataset {dataset['path']} changed since {manifest_path} was written")
-    _, weights = _net_for(cfg, manifest["pipeline"])
-    if weights.get("weights_sha256") != manifest.get("weights_sha256"):
-        raise ConfigError(f"net.weights do not match the weights_sha256 in {manifest_path}")
-    return cmd_run(manifest["pipeline"], cfg, dataset["path"], out_dir)
+    return cmd_run(manifest["pipeline"], cfg, manifest["dataset"]["path"], out_dir,
+                   recorded=(manifest_path, manifest))
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +295,11 @@ def _sweep_point(base: PipelineConfig, axis: str, value, lab: Lab) -> PipelineCo
             if not float(value).is_integer():
                 raise ParameterError(f"{axis} must be an integer")
             pcfg = replace(base, **{axis: int(value)})
-        elif base.block_mode != BLOCK_INVERSION_SFI or not base.injection.inject_kv:
-            # Only a key/value injection reads gamma; build_lab has already
-            # refused an inversion+sfi block whose injection is null or has no layers.
-            raise ConfigError(
-                "sweep axis gamma needs pipeline.block_mode inversion+sfi and a "
-                "pipeline.injection with inject_kv true"
-            )
+        elif base.block_mode != BLOCK_INVERSION_SFI:
+            # Only the injection block reads gamma; build_lab has already
+            # refused one whose pipeline.injection is null or has no layers.
+            raise ConfigError("sweep axis gamma needs pipeline.block_mode inversion+sfi "
+                              "and a pipeline.injection with one or more layers")
         else:
             pcfg = replace(base, injection=replace(base.injection, gamma=float(value)))
         pcfg.validate(lab.models)

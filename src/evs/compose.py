@@ -91,10 +91,10 @@ class PipelineConfig:
             return
         if self.injection is None:
             raise ParameterError("block_mode inversion+sfi requires an injection config")
-        if not self.injection.layers or not (self.injection.inject_f or self.injection.inject_kv):
+        if not self.injection.layers:
             # Such a block would inject nothing and ignore gamma.
             raise ParameterError("block_mode inversion+sfi requires an injection that reads a "
-                                 "feature: one or more layers, and inject_f or inject_kv true")
+                                 "feature: one or more layers")
         unknown = sorted(set(self.injection.layers) - set(range(models.temporal.blocks)))
         if unknown:
             raise InjectionError(

@@ -54,7 +54,7 @@ DEFAULT_CONFIG = {
         "ranges": {k: list(v) for k, v in DEFAULT_RANGES.items()},
         "overall_channels": list(DEFAULT_OVERALL_CHANNELS),
     },
-    "net": {"weights": None, "seed": 0},
+    "net": {"weights": None},
     "train": asdict(TrainRecipe()),
 }
 
@@ -109,8 +109,7 @@ def resolve_config(overrides: dict | None = None) -> dict:
     cfg = copy.deepcopy(cfg)
     if cfg.get("version") != CONFIG_VERSION:
         raise ConfigError(f"config version {cfg.get('version')!r} not supported")
-    seeds = {"seed": cfg["seed"], "world.seed": cfg["world"]["seed"],
-             "net.seed": cfg["net"]["seed"], "train.seed": cfg["train"]["seed"]}
+    seeds = {"seed": cfg["seed"], "world.seed": cfg["world"]["seed"], "train.seed": cfg["train"]["seed"]}
     for key, value in seeds.items():
         if value < 0:  # numpy seeds are non-negative
             raise ConfigError(f"config key {key!r} must be >= 0, got {value}")

@@ -360,10 +360,10 @@ def _net_body(model, z, tfeat, cond_idx, want_grads=False, t=None, injection=Non
     is None.  The attention output ``a @ v`` is not taped: the backward
     recomputes it for one small batched matmul per block.  ``capture`` is a
     ``(FeatureCache, key)`` pair and ``injection`` a ``(FeatureCache,
-    InjectionConfig)`` pair read at timestep ``t``; both take a one-video
-    stack, whose ``(B*F, E)`` token arrays are the ``(F, E)`` cache entries.
-    A path that injection replaces skips its projections, unless the same
-    call also captures them.
+    InjectionConfig)`` pair read at timestep ``t``; a call takes at most one
+    of them, on a one-video stack, whose ``(B*F, E)`` token arrays are the
+    ``(F, E)`` cache entries.  An injected layer reads its recorded Q/K/V, and
+    its ``f`` too with ``inject_f``, and skips the projections they replace.
     """
     p = model.params
     scale = 1.0 / np.sqrt(model.embed)
@@ -381,24 +381,23 @@ def _net_body(model, z, tfeat, cond_idx, want_grads=False, t=None, injection=Non
     cache, cfg = injection if injection is not None else (None, None)
     for layer in range(model.blocks):
         injected = cfg is not None and layer in cfg.layers
-        reuse_f = injected and cfg.inject_f and capture is None
-        reuse_kv = injected and cfg.inject_kv and capture is None
-        f = None if reuse_f else h @ p[f"w_f{layer}"] + p[f"b_f{layer}"]
-        q = h @ p[f"w_q{layer}"]
-        k = None if reuse_kv else h @ p[f"w_k{layer}"]
-        v = None if reuse_kv else h @ p[f"w_v{layer}"]
-        if capture is not None:
-            store, key = capture
-            for kind, value in zip(KINDS, (f, q, k, v)):
-                store.put(key, layer, kind, value)
         if injected and cfg.inject_f:
             f = cache.get(t, layer, "f")
-        if injected and cfg.inject_kv:
+        else:
+            f = h @ p[f"w_f{layer}"] + p[f"b_f{layer}"]
+        q = h @ p[f"w_q{layer}"]
+        if injected:
             attn = blended_attention(
                 q, cache.get(t, layer, "Q"), cache.get(t, layer, "K"), cache.get(t, layer, "V"),
                 cfg.gamma,
             )
         else:
+            k = h @ p[f"w_k{layer}"]
+            v = h @ p[f"w_v{layer}"]
+            if capture is not None:
+                store, key = capture
+                for kind, value in zip(KINDS, (f, q, k, v)):
+                    store.put(key, layer, kind, value)
             q, k, v = (x.reshape(batch, frames, -1) for x in (q, k, v))
             a = softmax_rows((q @ k.transpose(0, 2, 1)) * scale)
             attn = (a @ v).reshape(tokens, -1)
@@ -482,7 +481,7 @@ class ToyAttentionDenoiser(Denoiser):
         return 0 if mode is None else mode + 1
 
     def forward(self, z_t, t, c, injection=None, capture=None, capture_key=None):
-        """One denoiser evaluation, optionally with capture or injection.
+        """One denoiser evaluation, optionally with capture or injection, not both.
 
         ``injection`` is a ``(FeatureCache, InjectionConfig)`` pair; cached
         features are looked up at the call's timestep.  ``capture`` records
@@ -494,6 +493,8 @@ class ToyAttentionDenoiser(Denoiser):
             raise ShapeError(f"latent must be (frames, {self.dim}), got {z_t.shape}")
         if not (isinstance(t, (int, np.integer)) and 0 <= t <= self.total_steps):
             raise ParameterError(f"timestep {t!r} is not an integer in 0..{self.total_steps}")
+        if injection is not None and capture is not None:
+            raise ParameterError("a forward either captures or injects features, not both")
         if capture is not None:
             capture = (capture, t if capture_key is None else capture_key)
         out, _ = _net_body(

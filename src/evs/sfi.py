@@ -2,9 +2,10 @@
 
 During deterministic inversion the attention denoiser's taps record one
 feature set per produced timestep.  During the subsequent reverse steps those
-keys/values replace the runtime ones at configured layers, and the runtime
-query is blended with the recorded one, so the recorded spatial content is
-preserved while everything not injected is free to follow the model's prior.
+keys/values (and with ``inject_f`` the feature map) replace the runtime ones
+at configured layers, and the runtime query is blended with the recorded one,
+so the recorded spatial content is preserved while everything not injected
+is free to follow the model's prior.  A forward injects or captures, not both.
 
 The cache is write-once during inversion and read-only afterwards; entries
 are stored as non-writeable arrays, so injection can never alter a recording.
@@ -69,10 +70,10 @@ class FeatureCache:
 class InjectionConfig:
     """Which layers receive recorded features and how strongly.
 
-    ``gamma`` blends the recorded query into the runtime one; ``inject_f``
-    and ``inject_kv`` independently toggle the feature-map and key/value
-    replacement at the configured layers.  The selective operating points
-    keep ``inject_f`` off: replacing both paths of a block pins its output
+    Each configured layer takes its recorded keys/values, and ``gamma``
+    blends the recorded query into the runtime one; ``inject_f`` also
+    replaces the layer's feature map.  The selective operating points keep
+    ``inject_f`` off: replacing both paths of a block pins its output
     entirely, so feature-map injection is reserved for the
     maximum-reconstruction extreme.
     """
@@ -80,7 +81,6 @@ class InjectionConfig:
     layers: frozenset[int] = field(default_factory=frozenset)
     gamma: float = 1.0
     inject_f: bool = False
-    inject_kv: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "layers", frozenset(self.layers))
@@ -121,7 +121,7 @@ def invert_with_capture(z0, t_target, model, c, sched, keep=None):
 
 def injection_keys(t_v: int, n_v: int, cfg: InjectionConfig) -> frozenset:
     """The ``(t, layer, kind)`` keys that ``denoise_with_injection`` reads."""
-    kinds = (("f",) if cfg.inject_f else ()) + (("Q", "K", "V") if cfg.inject_kv else ())
+    kinds = (("f",) if cfg.inject_f else ()) + ("Q", "K", "V")
     return frozenset(
         (t, layer, kind)
         for t in range(t_v, t_v - n_v, -1)

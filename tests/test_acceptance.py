@@ -193,7 +193,7 @@ def test_criterion_3_round_trip_reconstruction(lab):
 
 
 def test_criterion_4_full_injection_reconstruction(lab):
-    cfg = InjectionConfig(layers=ALL_LAYERS, gamma=1.0, inject_f=True, inject_kv=True)
+    cfg = InjectionConfig(layers=ALL_LAYERS, gamma=1.0, inject_f=True)
     worst = 0.0
     for seed in range(10):
         net = ToyAttentionDenoiser(seed=900 + seed)  # arbitrary untrained weights

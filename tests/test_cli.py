@@ -244,6 +244,22 @@ class TestRun:
         assert "net.weights do not match" in capsys.readouterr().err
         assert not (tmp_path / "third").exists()
 
+    def test_rerun_loads_the_net_and_hashes_each_input_once(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        weights, first = tmp_path / "net.evsnet", tmp_path / "first"
+        evsio.write_net(weights, ToyAttentionDenoiser(seed=1))
+        assert run_cli("run", "evs", "--dataset", small_dataset, "--out", first,
+                       "--set", f"net.weights={weights}") == 0
+        loads, hashed = [], []
+        load, sha256 = bench.load_or_init_net, evsio.file_sha256
+        monkeypatch.setattr(bench, "load_or_init_net", lambda cfg: loads.append(cfg) or load(cfg))
+        monkeypatch.setattr(evsio, "file_sha256",
+                            lambda path: hashed.append(Path(path).name) or sha256(path))
+        assert run_cli("rerun", first / "run_manifest.json", "--out", tmp_path / "again") == 0
+        assert len(loads) == 1
+        assert hashed.count(weights.name) == hashed.count(bench.DATASET_MANIFEST) == 1
+
     def test_relative_weights_path_is_recorded_absolute(self, small_dataset, tmp_path, monkeypatch):
         """A rerun finds weights given by a relative path from any directory."""
         (tmp_path / "w2").mkdir()
@@ -651,7 +667,10 @@ class TestReportAndTrain:
         (("config", "pipeline", "t_I"), "x"),
         (("config", "pipeline", "rounds"), 0),
         (("pipeline",), "bogus"),
-    ], ids=["unknown-key", "t_I-string", "rounds-0", "pipeline-name"])
+        # Keys that manifests written by earlier versions carry.
+        (("config", "pipeline", "injection", "inject_kv"), True),
+        (("config", "net", "seed"), 0),
+    ], ids=["unknown-key", "t_I-string", "rounds-0", "pipeline-name", "inject_kv", "net.seed"])
     def test_run_manifest_is_checked_before_out(
         self, small_dataset, tmp_path, capsys, command, keys, value
     ):
@@ -668,7 +687,8 @@ class TestReportAndTrain:
         manifest = run_dir / "run_manifest.json"
         argv = [command, manifest]
         assert run_cli(*argv, "--out", out) == 3
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and keys[-1] in err
         assert not out.exists()
 
     @pytest.mark.parametrize("setting", ["pipeline.block_mode=sdedit", "pipeline.t_I=30"])
@@ -749,14 +769,6 @@ class TestReportAndTrain:
         assert report["table"][0]["pipeline"] == "evs"
         assert report["baseline_nfe"] == 48.0
 
-    def test_run_manifest_embeds_schedules(self, small_dataset, tmp_path):
-        assert run_cli("run", "t2v", "--dataset", small_dataset, "--out", tmp_path) == 0
-        manifest = evsio.read_json(tmp_path / "run_manifest.json")
-        spatial = manifest["schedules"]["spatial_alpha_bar"]
-        temporal = manifest["schedules"]["temporal_alpha_bar"]
-        assert len(spatial) == 51 and spatial[0] == 1.0
-        assert len(temporal) == 9 and temporal[0] == 1.0
-
     def test_train_writes_weights(self, tmp_path):
         assert run_cli("train", "--out", tmp_path, "--set", "train.steps=30") == 0
         net = evsio.read_net(tmp_path / "net.evsnet")
@@ -776,7 +788,7 @@ class TestReportAndTrain:
         assert "RuntimeWarning" not in proc.stderr
 
     @pytest.mark.parametrize("setting", [
-        "seed=-1", "world.seed=-1", "net.seed=-1", "train.seed=-1",
+        "seed=-1", "world.seed=-1", "train.seed=-1",
         "world.modes=0", "dim=0", "train.batch_size=0", "train.steps=-1",
     ])
     def test_out_of_domain_config_value_is_config_error(self, tmp_path, capsys, setting):
@@ -826,7 +838,9 @@ def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsy
     (["run", "evs", "--dataset", "SMALL", "--set", "pipeline.injection.layers=[7]"], 3),
     # An injection that reads no feature is refused like pipeline.injection=null.
     (["run", "evs", "--dataset", "SMALL", "--set", "pipeline.injection.layers=[]"], 3),
-    (["run", "evs", "--dataset", "SMALL", "--set", "pipeline.injection.inject_kv=false"], 3),
+    # inject_kv is no config key: every injected layer reads the recorded Q/K/V.
+    (["run", "evs", "--dataset", "SMALL", "--set", "pipeline.injection.inject_f=true",
+      "--set", "pipeline.injection.inject_kv=false"], 3),
     (["sweep", "t_V", "--grid", "2,4", "--dataset", "SMALL",
       "--set", "pipeline.injection.layers=[7]"], 3),
     (["frontier", "--dataset", "STYLED", "--set", "pipeline.t_V=99", *NET4], 3),
@@ -835,7 +849,6 @@ def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsy
     *((["sweep", "gamma", "--grid", "0.0,1.0", "--dataset", "SMALL", *sets], 3) for sets in (
         ["--set", "pipeline.block_mode=sdedit"],
         ["--set", "pipeline.block_mode=sdedit", "--set", "pipeline.injection=null"],
-        ["--set", "pipeline.injection.inject_kv=false"],
         ["--set", "pipeline.injection.layers=[]"],
     )),
     *((["run", "t2i", "--dataset", "SMALL", "--set", setting], 3) for setting in (
@@ -850,10 +863,10 @@ def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsy
 ], ids=[
     "train-lr", "run-t_T2V", "frontier-plain", "run-missing-dataset", "run-train-lr",
     "gen-t_T2V", "gen-flicker", "gen-frames2", "run-frames2", "sweep-frames2", "run-empty-weights",
-    "train-t_T2V", "run-evs-layers", "run-evs-no-layers", "run-evs-no-feature",
+    "train-t_T2V", "run-evs-layers", "run-evs-no-layers", "run-evs-inject_kv",
     "sweep-layers", "frontier-t_V",
     "frontier-2-blocks", "frontier-6-blocks",
-    "gamma-sdedit", "gamma-null", "gamma-no-kv", "gamma-no-layers",
+    "gamma-sdedit", "gamma-null", "gamma-no-layers",
     "metrics-tau-0", "metrics-tau-neg", "metrics-iq_scale", "metrics-psnr_peak",
     "metrics-range-order", "metrics-range-pair",
     *(f"{name}-{pipeline}" for name in ("frames8", "dim32") for pipeline in bench.PIPELINES),

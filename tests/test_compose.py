@@ -207,7 +207,6 @@ class TestEncapsulatedPipeline:
     @pytest.mark.parametrize("injection", [
         InjectionConfig(layers=DEEP_LAYERS, gamma=0.8),
         InjectionConfig(layers=SHALLOW_LAYERS, gamma=0.3, inject_f=True),
-        InjectionConfig(layers=ALL_LAYERS, gamma=1.0, inject_f=True, inject_kv=False),
     ])
     def test_selective_cache_matches_keeping_every_feature(self, lab, injection, monkeypatch):
         z0, c = degraded(lab, 4)
@@ -277,7 +276,7 @@ class TestEncapsulatedPipeline:
         z0, c = degraded(lab, 7)
         cfg = PipelineConfig(
             t_I=20, t_T2V=20, t_V=4, n_V=4,
-            injection=InjectionConfig(layers=ALL_LAYERS, gamma=1.0, inject_f=True, inject_kv=True),
+            injection=InjectionConfig(layers=ALL_LAYERS, gamma=1.0, inject_f=True),
         )
         evs_result = run_evs(z0, cfg, sfi_bundle, c, rng_for(EVS_KEY, 5))
         rng = rng_for(EVS_KEY, 5)

@@ -301,7 +301,7 @@ class TestToyAttentionDenoiser:
         net.forward(z, 2, None, capture=cache)
         outs = []
         for gamma in (0.1, 0.9):
-            cfg = InjectionConfig(layers=frozenset(range(4)), gamma=gamma, inject_kv=True)
+            cfg = InjectionConfig(layers=frozenset(range(4)), gamma=gamma)
             outs.append(net.forward(z, 2, None, injection=(cache, cfg)))
         assert np.array_equal(outs[0], outs[1])
 
@@ -313,31 +313,23 @@ class TestToyAttentionDenoiser:
         z = rng.standard_normal((16, 64))
         cache = FeatureCache()
         captured = net.forward(z, 3, None, capture=cache, capture_key=3)
-        cfg = InjectionConfig(layers=ALL_LAYERS, gamma=1.0, inject_f=True, inject_kv=True)
+        cfg = InjectionConfig(layers=ALL_LAYERS, gamma=1.0, inject_f=True)
         other = rng.standard_normal((16, 64))
         replayed = net.forward(other, 3, None, injection=(cache, cfg))
         assert np.array_equal(captured, replayed)
 
-    @pytest.mark.parametrize("inject_f", [False, True])
-    def test_injected_forward_that_also_captures_equals_plain_injection(self, inject_f):
+    def test_forward_refuses_capture_with_injection(self):
         from evs.sfi import DEEP_LAYERS, FeatureCache, InjectionConfig
 
         net = ToyAttentionDenoiser(seed=6)
-        rng = np.random.default_rng(4)
+        z = np.random.default_rng(4).standard_normal((16, 64))
         cache = FeatureCache()
-        net.forward(rng.standard_normal((16, 64)), 2, None, capture=cache)
-        cfg = InjectionConfig(layers=DEEP_LAYERS, gamma=0.8, inject_f=inject_f, inject_kv=True)
-        z = rng.standard_normal((16, 64))
-        plain = net.forward(z, 2, None, injection=(cache, cfg))
+        net.forward(z, 2, None, capture=cache)
+        injection = (cache, InjectionConfig(layers=DEEP_LAYERS, gamma=0.8))
         recorded = FeatureCache()
-        both = net.forward(z, 2, None, injection=(cache, cfg), capture=recorded)
-        assert np.array_equal(plain, both)
-        # Layer 2 is the first injected one, so its input, and the runtime
-        # features it records, equal those of a forward without injection.
-        reference = FeatureCache()
-        net.forward(z, 2, None, capture=reference)
-        for kind in "fQKV":
-            assert np.array_equal(recorded.get(2, 2, kind), reference.get(2, 2, kind))
+        with pytest.raises(ParameterError, match="not both"):
+            net.forward(z, 2, None, injection=injection, capture=recorded)
+        assert len(recorded) == 0
 
     @pytest.mark.parametrize("t", [-1, 9, 2.5])
     def test_rejects_timestep_outside_schedule(self, t):
@@ -457,8 +449,9 @@ class TestBatchedTrainingPath:
 
         net = ToyAttentionDenoiser(seed=11)
         rng = np.random.default_rng(12)
-        # Injecting the f each block has just recorded changes no bit of the output.
-        cfg = InjectionConfig(layers=ALL_LAYERS, inject_f=True, inject_kv=False)
+        # Injecting every feature each block has just recorded, at gamma 1,
+        # changes no bit of the output.
+        cfg = InjectionConfig(layers=ALL_LAYERS, gamma=1.0, inject_f=True)
         for frames, t, c in ((16, 3, 1), (1, 5, None)):
             z = rng.standard_normal((frames, net.dim))
             tfeat = _time_features(t, net.total_steps)[None]

@@ -146,8 +146,8 @@ class TestInjectionKeys:
         assert keys == {(t, layer, kind) for t in (4, 3) for layer in (2, 3) for kind in "QKV"}
 
     def test_kinds_follow_the_toggles(self):
-        cfg = InjectionConfig(layers=frozenset({1}), inject_f=True, inject_kv=False)
-        assert injection_keys(3, 3, cfg) == {(3, 1, "f"), (2, 1, "f"), (1, 1, "f")}
+        cfg = InjectionConfig(layers=frozenset({1}), inject_f=True)
+        assert injection_keys(3, 3, cfg) == {(t, 1, kind) for t in (3, 2, 1) for kind in "fQKV"}
         assert injection_keys(3, 1, InjectionConfig(layers=frozenset())) == set()
 
     def test_walk_reads_exactly_the_listed_keys(self, lab):
@@ -175,7 +175,7 @@ class TestDenoiseWithInjection:
     def test_full_injection_reconstructs_input(self, lab):
         for seed in range(4):
             net, c, z0, z, cache = self._setup(lab, seed, net_seed=100 + seed)
-            cfg = InjectionConfig(layers=ALL_LAYERS, gamma=1.0, inject_f=True, inject_kv=True)
+            cfg = InjectionConfig(layers=ALL_LAYERS, gamma=1.0, inject_f=True)
             z_end, clean = denoise_with_injection(z, 4, 4, net, c, lab.sched_v, cache, cfg)
             rel = np.max(np.abs(clean - z0)) / np.max(np.abs(z0))
             assert rel < 1e-6
