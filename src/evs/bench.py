@@ -30,7 +30,7 @@ from .compose import (  # PIPELINES is read here by the CLI, the scripts and the
 )
 from .config import Lab, build_lab, resolve_config
 from .errors import ConfigError, ParameterError, ShapeError, UsageError
-from .metrics import METRICS, motion_smoothness, psnr, score_video
+from .metrics import METRICS, PSNR_PEAK, TAU, motion_smoothness, psnr, score_video
 from .models import (
     ToyAttentionDenoiser,
     make_degraded_video,
@@ -144,9 +144,9 @@ def cmd_gen(cfg: dict, out_dir) -> Path:
     )
 
 
-def load_dataset(dataset_dir, cfg: dict | None = None) -> tuple[dict, list[tuple[int, np.ndarray]]]:
-    """The dataset manifest and its ``(index, video)`` items, a video's index
-    being its position in the file.  The file must match the manifest's
+def load_dataset(dataset_dir, cfg: dict | None = None) -> tuple[dict, list[np.ndarray]]:
+    """The dataset manifest and its videos, a video's item index being its
+    position in the file.  The file must match the manifest's
     ``latents_sha256`` and hold one or more videos; with ``cfg``, the videos
     must have the config's ``(frames, dim)`` shape."""
     dataset_dir = Path(dataset_dir)
@@ -162,7 +162,7 @@ def load_dataset(dataset_dir, cfg: dict | None = None) -> tuple[dict, list[tuple
             f"{path} holds videos of shape {videos[0].shape}; the config's "
             f"(frames, dim) is {(cfg['frames'], cfg['dim'])}"
         )
-    return manifest, list(enumerate(videos))
+    return manifest, videos
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +210,10 @@ def _scored_items(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, vide
 
     Yields ``(index, result, report)``.
     """
-    for index, video in videos:
+    for index, video in enumerate(videos):
         cond = item_condition(cfg, index)
         result = _execute(pipeline, lab, cfg, pcfg, index, video, cond)
-        report = score_video(result.output, video, lab.spatial_world, cond, lab.metric_config)
+        report = score_video(result.output, video, lab.spatial_world, cond)
         yield index, result, report
 
 
@@ -387,7 +387,6 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
     if ds_manifest.get("style") is None:
         raise ConfigError("frontier requires a styled dataset (gen --set dataset.styled=true)")
     lab = build_lab(cfg)
-    mcfg = lab.metric_config
     net_file = cfg["net"]["weights"]
     if not net_file:
         raise ConfigError("frontier needs net.weights: train a net with `evs train` and pass "
@@ -402,7 +401,7 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
     p = lab.pipeline_config
     # Each refined output's (smoothness, fidelity) pair, per (method, label) point.
     scores = {}
-    for index, video in videos:
+    for index, video in enumerate(videos):
         c = item_condition(cfg, index)
         outputs = {("sdedit", "t=0"): video}
         for t in range(1, lab.sched_v.total_steps + 1):
@@ -417,7 +416,7 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
             )
         for key, refined in outputs.items():
             scores.setdefault(key, []).append(
-                (motion_smoothness(refined, mcfg.tau), psnr(refined, video, mcfg.psnr_peak))
+                (motion_smoothness(refined, TAU), psnr(refined, video, PSNR_PEAK))
             )
 
     rows = []

@@ -87,7 +87,7 @@ class PipelineConfig:
             raise ParameterError(f"unknown block_mode {self.block_mode!r}")
         if self.rounds < 1:
             raise ParameterError(f"need rounds >= 1, got rounds={self.rounds}")
-        if self.block_mode != BLOCK_INVERSION_SFI or not getattr(models.temporal, "has_taps", False):
+        if self.block_mode != BLOCK_INVERSION_SFI or not models.temporal.has_taps:
             return
         if self.injection is None:
             raise ParameterError("block_mode inversion+sfi requires an injection config")
@@ -123,7 +123,7 @@ def _refine_stages(z, stages, models: ModelBundle, c, rng, injection=None) -> Pi
     sched_v = models.temporal_schedule
     for name, t_noise, t_end in stages:
         if name == "t2v:sfi":
-            if not getattr(models.temporal, "has_taps", False):
+            if not models.temporal.has_taps:
                 raise CapabilityError("inversion+sfi block requires a temporal model with taps")
             n_v = t_noise - t_end
             # The cache stores only the features the one injection walk below reads.

@@ -5,11 +5,12 @@ manifest; ``--config``, ``--set`` and ``--seed`` are applied before resolution,
 and nothing else (no environment variable) changes it.
 
 A section's keys are the parameters of the object it builds: ``world`` goes
-to ``models.default_worlds``, ``pipeline`` to ``compose.PipelineConfig``,
-``metrics`` to ``MetricConfig`` and ``train`` to ``TrainRecipe``, and the last
-three sections take their defaults from those classes, so each default is
-written once.  ``build_lab`` builds and checks every section, so a command
-that builds its lab first refuses a bad value before it writes anything.
+to ``models.default_worlds``, ``pipeline`` to ``compose.PipelineConfig`` and
+``train`` to ``TrainRecipe``, and the last two sections take their defaults
+from those classes, so each default is written once.  How a run is scored is
+no config key: the metric constants live in ``evs.metrics``.  ``build_lab``
+builds and checks every section, so a command that builds its lab first
+refuses a bad value before it writes anything.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import asdict, dataclass
 from . import models
 from .compose import ModelBundle, PipelineConfig
 from .errors import ConfigError
-from .metrics import DEFAULT_OVERALL_CHANNELS, DEFAULT_RANGES, MetricConfig
 from .models import AnalyticDenoiser, TrainRecipe
 from .schedule import build_linear_beta
 
@@ -49,11 +49,6 @@ DEFAULT_CONFIG = {
         "injection": {**asdict(_PIPELINE.injection), "layers": sorted(_PIPELINE.injection.layers)},
     },
     "dataset": {"count": 93, "flicker_sigma": 0.2, "styled": False, "style_scale": 8.0},
-    "metrics": {
-        **asdict(MetricConfig()),
-        "ranges": {k: list(v) for k, v in DEFAULT_RANGES.items()},
-        "overall_channels": list(DEFAULT_OVERALL_CHANNELS),
-    },
     "net": {"weights": None},
     "train": asdict(TrainRecipe()),
 }
@@ -143,7 +138,6 @@ class Lab:
     spatial_world: models.SpatialWorld
     temporal_world: models.TemporalWorld
     models: ModelBundle
-    metric_config: MetricConfig
     pipeline_config: PipelineConfig
     recipe: TrainRecipe
 
@@ -183,7 +177,4 @@ def build_lab(cfg: dict, temporal_override=None) -> Lab:
     )
     pipeline = PipelineConfig(**cfg["pipeline"])
     pipeline.validate(bundle)
-    return Lab(
-        spatial_world, temporal_world, bundle, MetricConfig(**cfg["metrics"]),
-        pipeline, TrainRecipe(**cfg["train"]),
-    )
+    return Lab(spatial_world, temporal_world, bundle, pipeline, TrainRecipe(**cfg["train"]))

@@ -69,7 +69,7 @@ def ddim_invert(z0, t_target, model, c, sched: NoiseSchedule, capture=None):
     matching reverse step will ask for.  Returns the latent at ``t_target``.
     """
     t_target = sched.check_timestep(t_target, minimum=1)
-    if capture is not None and not getattr(model, "has_taps", False):
+    if capture is not None and not model.has_taps:
         raise CapabilityError("feature capture requested but model has no taps")
 
     def eps_at(z, t):

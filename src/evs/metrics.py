@@ -3,15 +3,15 @@
 Motion smoothness penalizes the error between each frame and the linear
 interpolation of its neighbours; subject consistency is mean-centered cosine
 similarity across frames; imaging quality is log-density under the sharp
-spatial mixture, affinely rescaled by config constants, which every metric
-requires and ``MetricConfig`` alone defaults.  The overall score
-averages normalized channels whose ranges are declared up front and recorded
-with every run, so aggregate numbers are reproducible.
+spatial mixture, affinely rescaled.  The overall score averages normalized
+channels over declared ranges.  Each function takes its constants as
+arguments; ``score_video`` passes the module constants below, which fix the
+suite's definition, so scores compare across runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,7 +20,11 @@ from .models import SpatialWorld, spatial_log_density
 
 PSNR_CAP = 99.0
 
-DEFAULT_RANGES = {
+TAU = 0.05
+IQ_OFFSET = -3000.0
+IQ_SCALE = 30.0
+PSNR_PEAK = 2.0  # the full latent dynamic range: mode means sit at +/-1
+RANGES = {
     "ms": (0.5, 1.0),
     "sc": (0.5, 1.0),
     "iq": (60.0, 100.0),
@@ -28,39 +32,8 @@ DEFAULT_RANGES = {
 }
 # Two imaging-quality channels mirror having two frame-quality scores; a
 # fidelity channel would reward refusing to refine, so it stays out of the
-# default overall.
-DEFAULT_OVERALL_CHANNELS = ("ms", "sc", "iq", "iq")
-
-
-@dataclass(frozen=True)
-class MetricConfig:
-    """Constants behind the metric suite; recorded in every run manifest.
-
-    ``psnr_peak`` is the full latent dynamic range (mode means sit at +/-1).
-    """
-
-    tau: float = 0.05
-    iq_offset: float = -3000.0
-    iq_scale: float = 30.0
-    psnr_peak: float = 2.0
-    ranges: dict = field(default_factory=lambda: dict(DEFAULT_RANGES))
-    overall_channels: tuple = DEFAULT_OVERALL_CHANNELS
-
-    def __post_init__(self):
-        # The config section gives JSON lists; hold tuples like the defaults.
-        object.__setattr__(self, "ranges", {k: tuple(v) for k, v in self.ranges.items()})
-        object.__setattr__(self, "overall_channels", tuple(self.overall_channels))
-        for name in ("tau", "iq_scale", "psnr_peak"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
-        for name, bounds in self.ranges.items():
-            if len(bounds) != 2 or not bounds[0] < bounds[1]:
-                raise ParameterError(f"range {name} must be a pair lo < hi, got {list(bounds)}")
-        if not self.overall_channels or not set(self.overall_channels) <= set(self.ranges):
-            raise ParameterError(
-                f"overall_channels {list(self.overall_channels)} must name one or more "
-                f"channels of ranges {sorted(self.ranges)}"
-            )
+# overall.
+OVERALL_CHANNELS = ("ms", "sc", "iq", "iq")
 
 
 @dataclass(frozen=True)
@@ -135,9 +108,9 @@ def normalize(x: float, lo: float, hi: float) -> float:
     return min(max((x - lo) / (hi - lo), 0.0), 1.0)
 
 
-def overall_score(values: dict, cfg: MetricConfig) -> float:
-    """Mean of the declared channels after clamped range normalization."""
-    parts = [normalize(values[name], *cfg.ranges[name]) for name in cfg.overall_channels]
+def overall_score(values: dict, ranges: dict, channels: tuple) -> float:
+    """Mean of ``channels`` after clamped normalization over their ``ranges``."""
+    parts = [normalize(values[name], *ranges[name]) for name in channels]
     return sum(parts) / len(parts)
 
 
@@ -146,13 +119,12 @@ def score_video(
     reference: np.ndarray,
     world: SpatialWorld,
     c: int | None,
-    cfg: MetricConfig,
 ) -> MetricReport:
     """Full metric report for one refined video against its input."""
     values = {
-        "ms": motion_smoothness(output, cfg.tau),
+        "ms": motion_smoothness(output, TAU),
         "sc": subject_consistency(output),
-        "iq": imaging_quality(output, world, c, cfg.iq_offset, cfg.iq_scale),
-        "psnr": psnr(output, reference, cfg.psnr_peak),
+        "iq": imaging_quality(output, world, c, IQ_OFFSET, IQ_SCALE),
+        "psnr": psnr(output, reference, PSNR_PEAK),
     }
-    return MetricReport(**values, overall=overall_score(values, cfg))
+    return MetricReport(**values, overall=overall_score(values, RANGES, OVERALL_CHANNELS))

@@ -288,8 +288,8 @@ def spatial_log_density(v: np.ndarray, world: SpatialWorld, c: int | None = None
 class Denoiser:
     """Noise-prediction interface with exact evaluation counting.
 
-    Subclasses implement ``_eps``; ``evaluate`` counts the call and checks the
-    output shape.
+    Subclasses implement ``_eps``; ``evaluate`` counts each call whose ``_eps``
+    returns, so a refused call is no evaluation, and checks the output shape.
     """
 
     has_taps = False
@@ -302,8 +302,8 @@ class Denoiser:
         return self._evals
 
     def evaluate(self, z_t, t, c):
-        self._evals += 1
         out = self._eps(z_t, t, c)
+        self._evals += 1
         if out.shape != np.shape(z_t):
             raise ShapeError(f"denoiser output {out.shape} != input {np.shape(z_t)}")
         return out
@@ -486,8 +486,8 @@ class ToyAttentionDenoiser(Denoiser):
         ``injection`` is a ``(FeatureCache, InjectionConfig)`` pair; cached
         features are looked up at the call's timestep.  ``capture`` records
         this call's tap outputs under ``capture_key`` (defaults to ``t``).
+        A call counts as an evaluation once its arguments pass these checks.
         """
-        self._evals += 1
         z_t = np.asarray(z_t, dtype=np.float64)
         if z_t.ndim != 2 or z_t.shape[1] != self.dim:
             raise ShapeError(f"latent must be (frames, {self.dim}), got {z_t.shape}")
@@ -495,6 +495,7 @@ class ToyAttentionDenoiser(Denoiser):
             raise ParameterError(f"timestep {t!r} is not an integer in 0..{self.total_steps}")
         if injection is not None and capture is not None:
             raise ParameterError("a forward either captures or injects features, not both")
+        self._evals += 1
         if capture is not None:
             capture = (capture, t if capture_key is None else capture_key)
         out, _ = _net_body(

@@ -24,7 +24,19 @@ from evs.compose import (
 )
 from evs.config import resolve_config
 from evs.diffusion import ddim_invert, ddim_sample
-from evs.metrics import imaging_quality, motion_smoothness, overall_score, psnr, subject_consistency
+from evs.metrics import (
+    IQ_OFFSET,
+    IQ_SCALE,
+    OVERALL_CHANNELS,
+    PSNR_PEAK,
+    RANGES,
+    TAU,
+    imaging_quality,
+    motion_smoothness,
+    overall_score,
+    psnr,
+    subject_consistency,
+)
 from evs.models import (
     AnalyticDenoiser,
     SpatialWorld,
@@ -162,14 +174,13 @@ def test_criterion_2_analytic_denoiser_vs_monte_carlo(lab):
 
 def test_criterion_3_round_trip_reconstruction(lab):
     model = AnalyticDenoiser(lab.spatial_world, lab.sched_i)
-    peak = lab.metric_config.psnr_peak
     psnrs = []
     for seed in range(20):
         c = seed % 4
         z0 = sample_world(lab.spatial_world, c, seed)
         z = ddim_invert(z0, 50, model, c, lab.sched_i)
         back, _ = ddim_sample(z, 50, 0, model, c, lab.sched_i)
-        psnrs.append(psnr(back, z0, peak))
+        psnrs.append(psnr(back, z0, PSNR_PEAK))
     ok_psnr = min(psnrs) >= 40.0
 
     errs = []
@@ -212,11 +223,10 @@ def test_criterion_4_full_injection_reconstruction(lab):
 
 
 def _pipeline_metrics(lab, outputs, cond):
-    ms = motion_smoothness(outputs, lab.metric_config.tau)
+    ms = motion_smoothness(outputs, TAU)
     sc = subject_consistency(outputs)
-    iq = imaging_quality(outputs, lab.spatial_world, cond,
-                         lab.metric_config.iq_offset, lab.metric_config.iq_scale)
-    overall = overall_score({"ms": ms, "sc": sc, "iq": iq}, lab.metric_config)
+    iq = imaging_quality(outputs, lab.spatial_world, cond, IQ_OFFSET, IQ_SCALE)
+    overall = overall_score({"ms": ms, "sc": sc, "iq": iq}, RANGES, OVERALL_CHANNELS)
     return ms, sc, iq, overall
 
 
@@ -257,9 +267,8 @@ def _sweep_means(lab, degraded_videos, **cfg_kwargs):
         bundle = fresh_bundle(lab)
         cfg = PipelineConfig(block_mode=BLOCK_SDEDIT, injection=None, **cfg_kwargs)
         out = run_evs(z0, cfg, bundle, c, rng_for(EVS_KEY, i)).output
-        ms_vals.append(motion_smoothness(out, lab.metric_config.tau))
-        iq_vals.append(imaging_quality(out, lab.spatial_world, c,
-                                       lab.metric_config.iq_offset, lab.metric_config.iq_scale))
+        ms_vals.append(motion_smoothness(out, TAU))
+        iq_vals.append(imaging_quality(out, lab.spatial_world, c, IQ_OFFSET, IQ_SCALE))
     return float(np.mean(ms_vals)), float(np.mean(iq_vals))
 
 

@@ -22,7 +22,7 @@ from evs.compose import (
 from evs.config import build_lab
 from evs.diffusion import ddim_sample, predict_clean
 from evs.errors import CapabilityError, ParameterError
-from evs.metrics import imaging_quality, motion_smoothness
+from evs.metrics import IQ_OFFSET, IQ_SCALE, TAU, imaging_quality, motion_smoothness
 from evs.models import AnalyticDenoiser, ToyAttentionDenoiser, make_degraded_video
 from evs.schedule import forward_noise
 from evs.sfi import (
@@ -89,7 +89,7 @@ class TestSinglePipelines:
 
     def test_t2i_improves_imaging_quality(self, lab, bundle, degraded_videos):
         gains = []
-        iq = lab.metric_config.iq_offset, lab.metric_config.iq_scale
+        iq = IQ_OFFSET, IQ_SCALE
         for i, (z0, c) in enumerate(degraded_videos[:10]):
             out = run_t2i_only(z0, P, bundle, c, rng_for(2, i)).output
             gains.append(imaging_quality(out, lab.spatial_world, c, *iq)
@@ -104,10 +104,9 @@ class TestSinglePipelines:
 
     def test_t2v_improves_motion_smoothness(self, lab, bundle, degraded_videos):
         gains = []
-        tau = lab.metric_config.tau
         for i, (z0, c) in enumerate(degraded_videos[:10]):
             out = run_t2v_only(z0, P, bundle, c, rng_for(4, i)).output
-            gains.append(motion_smoothness(out, tau) - motion_smoothness(z0, tau))
+            gains.append(motion_smoothness(out, TAU) - motion_smoothness(z0, TAU))
         assert np.mean(gains) > 0
 
     def test_t2v_output_couples_frames(self, lab, bundle):
@@ -139,15 +138,14 @@ class TestBasicCompositions:
 
     def test_trailing_spatial_stage_reintroduces_flicker(self, lab, bundle, degraded_videos):
         vi_ms, t2v_ms = [], []
-        tau = lab.metric_config.tau
         for i, (z0, c) in enumerate(degraded_videos[:10]):
-            vi_ms.append(motion_smoothness(compose_vi(z0, P, bundle, c, rng_for(10, i)).output, tau))
-            t2v_ms.append(motion_smoothness(run_t2v_only(z0, P, bundle, c, rng_for(11, i)).output, tau))
+            vi_ms.append(motion_smoothness(compose_vi(z0, P, bundle, c, rng_for(10, i)).output, TAU))
+            t2v_ms.append(motion_smoothness(run_t2v_only(z0, P, bundle, c, rng_for(11, i)).output, TAU))
         assert np.mean(vi_ms) < np.mean(t2v_ms)
 
     def test_trailing_temporal_stage_costs_imaging_quality(self, lab, bundle, degraded_videos):
         iv_iq, vi_iq = [], []
-        iq = lab.metric_config.iq_offset, lab.metric_config.iq_scale
+        iq = IQ_OFFSET, IQ_SCALE
         for i, (z0, c) in enumerate(degraded_videos[:10]):
             iv_out = compose_iv(z0, P, bundle, c, rng_for(12, i)).output
             vi_out = compose_vi(z0, P, bundle, c, rng_for(12, i)).output
@@ -304,9 +302,8 @@ class TestHyperparameterDirections:
             )
             cfg = PipelineConfig(block_mode=BLOCK_SDEDIT, injection=None, **kwargs)
             out = run_evs(z0, cfg, bundle, c, rng_for(EVS_KEY, i)).output
-            ms_vals.append(motion_smoothness(out, lab.metric_config.tau))
-            iq_vals.append(imaging_quality(out, lab.spatial_world, c,
-                                           lab.metric_config.iq_offset, lab.metric_config.iq_scale))
+            ms_vals.append(motion_smoothness(out, TAU))
+            iq_vals.append(imaging_quality(out, lab.spatial_world, c, IQ_OFFSET, IQ_SCALE))
         return np.mean(ms_vals), np.mean(iq_vals)
 
     def test_later_insertion_trades_smoothness_for_imaging(self, lab, degraded_videos):

@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 
 from evs.errors import ParameterError, ShapeError
 from evs.metrics import (
-    MetricConfig,
+    IQ_OFFSET,
+    IQ_SCALE,
+    OVERALL_CHANNELS,
     PSNR_CAP,
+    RANGES,
     imaging_quality,
     motion_smoothness,
     normalize,
@@ -108,14 +111,14 @@ class TestImagingQuality:
         rng = np.random.default_rng(1)
         v = rng.standard_normal((16, 64))
         perm = rng.permutation(16)
-        iq = lab.metric_config.iq_offset, lab.metric_config.iq_scale
+        iq = IQ_OFFSET, IQ_SCALE
         assert imaging_quality(v, lab.spatial_world, None, *iq) == pytest.approx(
             imaging_quality(v[perm], lab.spatial_world, None, *iq)
         )
 
     def test_spatial_samples_beat_temporal_samples(self, lab):
         sharp, blurry = [], []
-        iq = lab.metric_config.iq_offset, lab.metric_config.iq_scale
+        iq = IQ_OFFSET, IQ_SCALE
         for seed in range(20):
             c = seed % 4
             sharp.append(imaging_quality(sample_world(lab.spatial_world, c, seed), lab.spatial_world, c, *iq))
@@ -124,14 +127,13 @@ class TestImagingQuality:
 
     def test_scale_validation(self, lab):
         with pytest.raises(ParameterError):
-            imaging_quality(np.zeros((2, 64)), lab.spatial_world, None, lab.metric_config.iq_offset, 0.0)
+            imaging_quality(np.zeros((2, 64)), lab.spatial_world, None, IQ_OFFSET, 0.0)
 
     @pytest.mark.parametrize("mode_id", [-1, 4])
     def test_mode_outside_the_world_is_refused(self, lab, mode_id):
         # -1 must not index the last mode; 4 is one past the default world's modes.
         with pytest.raises(ParameterError, match=f"mode_id {mode_id} outside 0..3"):
-            imaging_quality(np.zeros((2, 64)), lab.spatial_world, mode_id,
-                            lab.metric_config.iq_offset, lab.metric_config.iq_scale)
+            imaging_quality(np.zeros((2, 64)), lab.spatial_world, mode_id, IQ_OFFSET, IQ_SCALE)
 
 
 class TestPsnr:
@@ -167,62 +169,49 @@ class TestPsnr:
 
 
 class TestOverallScore:
-    def _cfg(self):
-        return MetricConfig(
-            ranges={"ms": (0.0, 1.0), "sc": (0.0, 1.0), "iq": (0.0, 100.0), "psnr": (0.0, 60.0)},
-            overall_channels=("ms", "sc", "iq", "psnr"),
-        )
+    RANGES = {"ms": (0.0, 1.0), "sc": (0.0, 1.0), "iq": (0.0, 100.0), "psnr": (0.0, 60.0)}
+    CHANNELS = ("ms", "sc", "iq", "psnr")
+
+    def _score(self, values):
+        return overall_score(values, self.RANGES, self.CHANNELS)
 
     def test_saturation_high(self):
-        cfg = self._cfg()
-        values = {"ms": 1.0, "sc": 1.0, "iq": 100.0, "psnr": 60.0}
-        assert overall_score(values, cfg) == 1.0
+        assert self._score({"ms": 1.0, "sc": 1.0, "iq": 100.0, "psnr": 60.0}) == 1.0
 
     def test_saturation_low(self):
-        cfg = self._cfg()
-        values = {"ms": 0.0, "sc": 0.0, "iq": 0.0, "psnr": 0.0}
-        assert overall_score(values, cfg) == 0.0
+        assert self._score({"ms": 0.0, "sc": 0.0, "iq": 0.0, "psnr": 0.0}) == 0.0
 
     def test_two_mid_two_high(self):
-        cfg = self._cfg()
-        values = {"ms": 0.5, "sc": 0.5, "iq": 100.0, "psnr": 60.0}
-        assert overall_score(values, cfg) == pytest.approx(0.75)
+        assert self._score({"ms": 0.5, "sc": 0.5, "iq": 100.0, "psnr": 60.0}) == pytest.approx(0.75)
 
     def test_range_validation(self):
         with pytest.raises(ParameterError):
             normalize(0.5, 1.0, 1.0)
 
-    @pytest.mark.parametrize("channels", [(), ("ms", "bogus")])
-    def test_channels_must_name_declared_ranges(self, channels):
-        with pytest.raises(ParameterError):
-            MetricConfig(overall_channels=channels)
-
     def test_matches_numpy_mean_of_clipped_parts(self):
         # The Python-float arithmetic reproduces np.mean(np.clip(...)) bit for bit.
-        cfg = MetricConfig()
         rng = np.random.default_rng(0)
         for _ in range(200):
             values = {"ms": rng.uniform(0.3, 1.2), "sc": rng.uniform(0.3, 1.2),
                       "iq": rng.uniform(40.0, 120.0), "psnr": rng.uniform(-5.0, 70.0)}
-            parts = [np.clip((values[n] - cfg.ranges[n][0]) / (cfg.ranges[n][1] - cfg.ranges[n][0]),
-                             0.0, 1.0) for n in cfg.overall_channels]
-            assert overall_score(values, cfg) == float(np.mean(parts))
+            parts = [np.clip((values[n] - RANGES[n][0]) / (RANGES[n][1] - RANGES[n][0]), 0.0, 1.0)
+                     for n in OVERALL_CHANNELS]
+            assert overall_score(values, RANGES, OVERALL_CHANNELS) == float(np.mean(parts))
 
     @given(delta=st.floats(0.0, 0.5))
     @settings(max_examples=30, deadline=None)
     def test_monotone_in_each_channel(self, delta):
-        cfg = self._cfg()
         base = {"ms": 0.4, "sc": 0.4, "iq": 40.0, "psnr": 20.0}
         for name, step in (("ms", delta), ("sc", delta), ("iq", 100 * delta), ("psnr", 60 * delta)):
             bumped = dict(base)
             bumped[name] = base[name] + step
-            assert overall_score(bumped, cfg) >= overall_score(base, cfg)
+            assert self._score(bumped) >= self._score(base)
 
 
 class TestScoreVideo:
     def test_report_fields(self, lab):
         c = 0
         v = sample_world(lab.spatial_world, c, 0)
-        report = score_video(v, v, lab.spatial_world, c, lab.metric_config)
+        report = score_video(v, v, lab.spatial_world, c)
         assert report.psnr == PSNR_CAP
         assert 0.0 <= report.overall <= 1.0

@@ -6,7 +6,7 @@ import pytest
 
 from evs import models
 from evs.errors import ParameterError, ShapeError, TrainingError
-from evs.metrics import imaging_quality, motion_smoothness
+from evs.metrics import IQ_OFFSET, IQ_SCALE, TAU, imaging_quality, motion_smoothness
 from evs.models import (
     AnalyticDenoiser,
     SpatialWorld,
@@ -115,16 +115,15 @@ class TestDegradation:
 
     def test_flicker_lowers_motion_smoothness(self, lab):
         clean, flicked = [], []
-        tau = lab.metric_config.tau
         for seed in range(20):
             c = seed % 4
-            clean.append(motion_smoothness(make_degraded_video(lab.temporal_world, c, 0.0, seed), tau))
-            flicked.append(motion_smoothness(make_degraded_video(lab.temporal_world, c, 0.2, seed), tau))
+            clean.append(motion_smoothness(make_degraded_video(lab.temporal_world, c, 0.0, seed), TAU))
+            flicked.append(motion_smoothness(make_degraded_video(lab.temporal_world, c, 0.2, seed), TAU))
         assert np.mean(clean) > np.mean(flicked)
 
     def test_degraded_scores_below_spatial_samples(self, lab):
         deg, sharp = [], []
-        iq = lab.metric_config.iq_offset, lab.metric_config.iq_scale
+        iq = IQ_OFFSET, IQ_SCALE
         for seed in range(20):
             c = seed % 4
             degraded = make_degraded_video(lab.temporal_world, c, 0.2, seed)
@@ -330,6 +329,7 @@ class TestToyAttentionDenoiser:
         with pytest.raises(ParameterError, match="not both"):
             net.forward(z, 2, None, injection=injection, capture=recorded)
         assert len(recorded) == 0
+        assert net.num_evals == 1  # the capture; the refused call is no evaluation
 
     @pytest.mark.parametrize("t", [-1, 9, 2.5])
     def test_rejects_timestep_outside_schedule(self, t):
@@ -346,6 +346,23 @@ class TestToyAttentionDenoiser:
         net = ToyAttentionDenoiser(seed=5)
         with pytest.raises(ShapeError):
             net.evaluate(np.zeros((4, 32)), 1, None)
+
+
+@pytest.mark.parametrize("kind", ["net", "analytic"])
+def test_refused_call_is_no_evaluation(lab, kind):
+    """A call refused for its latent's shape or its timestep counts no
+    evaluation, so ``num_evals`` is the NFE of the calls that ran."""
+    if kind == "net":
+        model = ToyAttentionDenoiser(seed=7)
+    else:
+        model = AnalyticDenoiser(lab.temporal_world, lab.sched_v)
+    with pytest.raises(ShapeError):
+        model.evaluate(np.zeros((16, 3)), 2, None)
+    with pytest.raises(ParameterError):
+        model.evaluate(np.zeros((16, 64)), 99, None)
+    assert model.num_evals == 0
+    model.evaluate(np.zeros((16, 64)), 2, None)
+    assert model.num_evals == 1
 
 
 class TestTraining:
