@@ -853,8 +853,11 @@ def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsy
         ["--set", "pipeline.block_mode=sdedit", "--set", "pipeline.injection=null"],
         ["--set", "pipeline.injection.layers=[]"],
     )),
-    # The metric constants are code in evs.metrics, not config keys.
-    (["run", "t2i", "--dataset", "SMALL", "--set", "metrics.tau=0.1"], 3),
+    # The metric constants are code in evs.metrics, so a metrics key is unknown.
+    *((["run", "t2i", "--dataset", "SMALL", "--set", setting], 3) for setting in (
+        "metrics.tau=0", "metrics.tau=-1", "metrics.iq_scale=0", "metrics.psnr_peak=0",
+        "metrics.ranges.ms=[1,0]", "metrics.ranges.ms=[0.5]",
+    )),
     # Videos whose (frames, dim) is not the config's, which some pipelines never read.
     *((["run", pipeline, "--dataset", dataset], 3)
       for dataset in ("FRAMES8", "DIM32") for pipeline in bench.PIPELINES),
@@ -867,7 +870,8 @@ def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsy
     "sweep-layers", "frontier-t_V",
     "frontier-2-blocks", "frontier-6-blocks",
     "gamma-sdedit", "gamma-null", "gamma-no-layers",
-    "metrics-tau",
+    "metrics-tau-0", "metrics-tau-neg", "metrics-iq_scale", "metrics-psnr_peak",
+    "metrics-range-order", "metrics-range-pair",
     *(f"{name}-{pipeline}" for name in ("frames8", "dim32") for pipeline in bench.PIPELINES),
     "sweep-frames8", "frontier-frames8",
 ])
