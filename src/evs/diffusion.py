@@ -6,7 +6,12 @@ step; the denoiser's ``num_evals`` counts them.
 
 Descending from ``t_from`` to ``t_to`` executes steps ``t_from .. t_to+1``, so
 a walk returns the pair ``(latent at t_to, clean-latent prediction of the
-final executed step)``; inversion returns the latent alone.
+final executed step)``; inversion returns the latent alone.  Every step but
+the last folds the DDIM update into ``z*a + b*eps``, with ``a =
+sqrt(ab_next)/sqrt(ab_t)`` and ``b = sqrt(1-ab_next) - a*sqrt(1-ab_t)``: the same
+map to within rounding, without the clean prediction it never returns.  The
+last step forms that prediction and steps from it.  Timesteps are integers;
+``NoiseSchedule.check_timestep`` refuses any other value.
 """
 
 from __future__ import annotations
@@ -34,18 +39,23 @@ def _descend(z_t, t, t_next, eps, sched):
 
 
 def _walk(z, steps, eps_at, sched: NoiseSchedule):
-    """Apply the DDIM update over ``steps``, a sequence of ``(t, t_next)`` pairs.
+    """Apply the DDIM update over ``steps``, a non-empty list of ``(t, t_next)`` pairs.
 
-    ``eps_at(z, t)`` is the noise prediction at level ``t``.  Returns the
-    final latent and the clean-latent prediction of the last step.
+    ``eps_at(z, t)`` is the noise prediction at level ``t``.  Every step but
+    the last takes the folded update (see the module docstring) and the last
+    is ``_descend``.  Returns the final latent and the clean-latent
+    prediction of the last step.
     """
-    pred_clean = None
-    for t, t_next in steps:
+    last = len(steps) - 1
+    for i, (t, t_next) in enumerate(steps):
         eps = eps_at(z, t)
         if not np.isfinite(eps).all():
             raise NumericError(f"denoiser returned non-finite output at t={t}")
-        z, pred_clean = _descend(z, t, t_next, eps, sched)
-    return z, pred_clean
+        if i == last:
+            return _descend(z, t, t_next, eps, sched)
+        a = sched.sqrt_ab[t_next] / sched.sqrt_ab[t]
+        z = z * a
+        z += (sched.sqrt_1m_ab[t_next] - a * sched.sqrt_1m_ab[t]) * eps
 
 
 def ddim_sample(z_from, t_from, t_to, model, c, sched: NoiseSchedule):
@@ -91,7 +101,8 @@ def sdedit_refine(
     clean prediction is ``predict_clean``'s.
     """
     t_noise = sched.check_timestep(t_noise, minimum=1)
-    if not 0 <= t_end <= t_noise:
+    t_end = sched.check_timestep(t_end)
+    if not t_end <= t_noise:
         raise ParameterError(f"need 0 <= t_end <= t_noise, got {t_end}, {t_noise}")
     eps = rng.standard_normal(np.shape(z0))
     z_noisy = forward_noise(z0, t_noise, eps, sched)

@@ -217,55 +217,94 @@ def gmm_posterior_eps(
 ) -> np.ndarray:
     """Optimal noise prediction under the world's mixture prior.
 
-    This is the posterior-mean denoiser rearranged to predict noise.  The
-    responsibilities are computed in log space; at level 0 the prediction is
-    exactly zero (the noising map is the identity there).
+    This is the posterior-mean denoiser rearranged to predict noise.  With a
+    mode ``c`` it is the restricted posterior of ``_restricted_eps``;
+    without one the responsibilities are computed in log space.  At level 0
+    the prediction is exactly zero (the noising map is the identity there).
     """
     z_t = np.asarray(z_t, dtype=np.float64)
     t = sched.check_timestep(t)
     restrict = _mode_of(c, world.modes)
-
+    _check_latent(z_t, world)
+    if restrict is not None:
+        means, gain = _restricted_tables(world, sched, t)
+        return _restricted_eps(z_t, means[restrict], gain)
     if isinstance(world, SpatialWorld):
-        return _spatial_posterior_eps(z_t, t, world, sched, restrict)
+        return _spatial_mixture_eps(z_t, t, world, sched)
+    return _temporal_mixture_eps(z_t, t, world, sched)
+
+
+def _check_latent(z_t, world):
+    """Refuse a world of neither kind, and a latent of the wrong shape for it:
+    the spatial world takes any number of frames, the temporal world its own."""
+    if isinstance(world, SpatialWorld):
+        if z_t.ndim != 2 or z_t.shape[1] != world.dim:
+            raise ShapeError(f"latent must be (frames, {world.dim}), got {z_t.shape}")
+    elif isinstance(world, TemporalWorld):
+        if z_t.shape != (world.frames, world.dim):
+            raise ShapeError(
+                f"latent must be ({world.frames}, {world.dim}), got {z_t.shape}"
+            )
+    else:
+        raise ParameterError(f"unsupported world type {type(world).__name__}")
+
+
+def _restricted_tables(world, sched: NoiseSchedule, t):
+    """The restricted posterior's terms at level ``t``, an int or a slice of levels.
+
+    Returns the scaled mode means sqrt(ab_t)*mu_k, ``(K, D)`` per level, and
+    the gain that maps a residual from one of them to the noise prediction:
+    sqrt(1-ab_t) / (ab_t sigma^2 + 1 - ab_t) per level in the spatial world,
+    and in the temporal world the ``(F, F)`` matrix sqrt(1-ab_t) times the
+    inverse of each mode's frame covariance ab_t sigma^2 C + (1-ab_t) I.
+    The inverse is taken directly: built through the eigenbasis of C, the
+    gain was 8x further from an extended-precision solve near level 1.
+    """
+    ab = sched.alpha_bar[t]
+    means = np.multiply.outer(sched.sqrt_ab[t], world.means)
+    if isinstance(world, SpatialWorld):
+        return means, sched.sqrt_1m_ab[t] / (ab * world.sigma**2 + (1.0 - ab))
     if isinstance(world, TemporalWorld):
-        return _temporal_posterior_eps(z_t, t, world, sched, restrict)
+        cov = (np.multiply.outer(ab * world.sigma**2, world.correlation)
+               + np.multiply.outer(1.0 - ab, np.eye(world.frames)))
+        return means, sched.sqrt_1m_ab[t][..., None, None] * np.linalg.inv(cov)
     raise ParameterError(f"unsupported world type {type(world).__name__}")
 
 
-def _spatial_posterior_eps(z_t, t, world: SpatialWorld, sched, restrict):
-    if z_t.ndim != 2 or z_t.shape[1] != world.dim:
-        raise ShapeError(f"latent must be (frames, {world.dim}), got {z_t.shape}")
+def _restricted_eps(z_t, mean, gain):
+    """The noise prediction restricted to one mode: the residual from its
+    scaled mean ``mean`` times the level's ``gain`` (``_restricted_tables``),
+    a scalar in the spatial world and a matrix that mixes frames in the
+    temporal one."""
+    resid = z_t - mean
+    if gain.ndim:
+        return gain @ resid
+    resid *= gain
+    return resid
+
+
+def _spatial_mixture_eps(z_t, t, world: SpatialWorld, sched):
     ab = sched.alpha_bar[t]
     marg_var = ab * world.sigma**2 + (1.0 - ab)
-    if restrict is not None:
-        post_mean_scaled = sched.sqrt_ab[t] * world.means[restrict]  # (D,)
-    else:
-        scaled_means = sched.sqrt_ab[t] * world.means  # (K, D)
-        diff = z_t[:, None, :] - scaled_means[None, :, :]  # (F, K, D)
-        loglik = np.log(world.weights)[None, :] - (diff**2).sum(-1) / (2.0 * marg_var)
-        resp = softmax_rows(loglik)  # (F, K)
-        post_mean_scaled = resp @ scaled_means  # (F, D)
+    scaled_means = sched.sqrt_ab[t] * world.means  # (K, D)
+    diff = z_t[:, None, :] - scaled_means[None, :, :]  # (F, K, D)
+    loglik = np.log(world.weights)[None, :] - (diff**2).sum(-1) / (2.0 * marg_var)
+    resp = softmax_rows(loglik)  # (F, K)
+    post_mean_scaled = resp @ scaled_means  # (F, D)
     return sched.sqrt_1m_ab[t] * (z_t - post_mean_scaled) / marg_var
 
 
-def _temporal_posterior_eps(z_t, t, world: TemporalWorld, sched, restrict):
+def _temporal_mixture_eps(z_t, t, world: TemporalWorld, sched):
     # In the eigenbasis of the frame correlation each mode's covariance is
     # diag(var); the responsibilities weight the residuals before rotating back.
-    if z_t.shape != (world.frames, world.dim):
-        raise ShapeError(
-            f"latent must be ({world.frames}, {world.dim}), got {z_t.shape}"
-        )
     ab = sched.alpha_bar[t]
     lam, u = world.correlation_eig
     var = ab * world.sigma**2 * lam + (1.0 - ab)  # (F,) eigen-variances
     scaled_means = sched.sqrt_ab[t] * world.means  # (K, D), tiled across frames
-    if restrict is not None:
-        tilde = u.T @ (z_t - scaled_means[restrict])  # (F, D)
-    else:
-        tilde_k = u.T @ (z_t[None, :, :] - scaled_means[:, None, :])  # (K, F, D)
-        quad = ((tilde_k**2).sum(-1) / var[None, :]).sum(-1)  # (K,)
-        resp = softmax_rows(np.log(world.weights) - 0.5 * quad)
-        tilde = np.tensordot(resp, tilde_k, axes=1)
+    tilde_k = u.T @ (z_t[None, :, :] - scaled_means[:, None, :])  # (K, F, D)
+    quad = ((tilde_k**2).sum(-1) / var[None, :]).sum(-1)  # (K,)
+    resp = softmax_rows(np.log(world.weights) - 0.5 * quad)
+    tilde = np.tensordot(resp, tilde_k, axes=1)
     return sched.sqrt_1m_ab[t] * (u @ (tilde / var[:, None]))
 
 
@@ -313,15 +352,30 @@ class Denoiser:
 
 
 class AnalyticDenoiser(Denoiser):
-    """Exact posterior denoiser for either toy world."""
+    """Exact posterior denoiser for either toy world.
+
+    It builds the restricted posterior's tables for every level once
+    (``_restricted_tables``), so an evaluation with a mode ``c`` is two array
+    operations: the residual from the level's scaled mode mean, times the
+    level's gain.  Without a mode it evaluates ``gmm_posterior_eps``.  A
+    walk evaluates it once per step, folded or not: ``evs.diffusion`` folds
+    every step but the last, whose update gives the clean prediction.
+    """
 
     def __init__(self, world, sched: NoiseSchedule):
         super().__init__()
         self.world = world
         self.sched = sched
+        self._means, self._gain = _restricted_tables(world, sched, slice(None))
 
     def _eps(self, z_t, t, c):
-        return gmm_posterior_eps(z_t, t, self.world, c, self.sched)
+        k = _mode_of(c, self.world.modes)
+        if k is None:
+            return gmm_posterior_eps(z_t, t, self.world, c, self.sched)
+        t = self.sched.check_timestep(t)
+        z_t = np.asarray(z_t, dtype=np.float64)
+        _check_latent(z_t, self.world)
+        return _restricted_eps(z_t, self._means[t, k], self._gain[t])
 
 
 # ---------------------------------------------------------------------------

@@ -54,12 +54,14 @@ class NoiseSchedule:
             object.__setattr__(self, name, table)
 
     def check_timestep(self, t: int, minimum: int = 0) -> int:
-        t = int(t)
-        if not minimum <= t <= self.total_steps:
+        """``t`` as an int, refused unless it is an integer (not a bool) in
+        ``[minimum, total_steps]``: a level is never rounded to another."""
+        if (isinstance(t, bool) or not isinstance(t, (int, np.integer))
+                or not minimum <= t <= self.total_steps):
             raise ParameterError(
-                f"timestep {t} outside [{minimum}, {self.total_steps}]"
+                f"timestep {t!r} is not an integer in [{minimum}, {self.total_steps}]"
             )
-        return t
+        return int(t)
 
 
 def build_linear_beta(total_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:

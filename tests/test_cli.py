@@ -959,11 +959,46 @@ class TestOutputDigest:
                               capture_output=True, text=True, env=_src_env(), timeout=60)
         assert proc.returncode == 1, proc.stderr
         assert proc.stdout.splitlines() == [
-            "only in A: only_a.json", "config.metrics  1", "rows[].overall  1", "table[].overall  1",
+            "only in A: only_a.json", "config.metrics  1", "rows[].overall  1  max rel 0.125",
+            "table[].overall  1  max rel 0",
         ]
         proc = subprocess.run([sys.executable, str(script), str(a), str(a)],
                               capture_output=True, text=True, env=_src_env(), timeout=60)
         assert (proc.returncode, proc.stdout) == (0, "no differences\n")
+
+    def test_manifest_diff_reports_magnitudes(self, tmp_path):
+        """A numeric JSON path carries its largest relative difference over
+        every file, and each latent file that differs its largest absolute
+        difference, followed by the overall maximum over the latents."""
+        script = Path(__file__).resolve().parents[1] / "scripts" / "manifest_diff.py"
+        a, b = tmp_path / "a", tmp_path / "b"
+        video = np.arange(12.0).reshape(3, 4)
+        moved = video.copy()
+        moved[2, 1] += 2.0**-40
+        trees = {
+            a: {"x/run_manifest.json": {"rows": [{"iq": 80.0}, {"iq": 90.0}], "n": 4},
+                "y/run_manifest.json": {"rows": [{"iq": 100.0}], "name": "t2i"},
+                "same.evslat": [video], "moved.evslat": [video, video], "short.evslat": [video]},
+            b: {"x/run_manifest.json": {"rows": [{"iq": 80.0}, {"iq": 90.0 + 9e-12}], "n": 4},
+                "y/run_manifest.json": {"rows": [{"iq": 100.0 + 2e-11}], "name": "t2v"},
+                "same.evslat": [video], "moved.evslat": [video, moved],
+                "short.evslat": [video, video], "only_b.evslat": [video]},
+        }
+        for root, files in trees.items():
+            for name, payload in files.items():
+                (root / name).parent.mkdir(parents=True, exist_ok=True)
+                if name.endswith(".json"):
+                    (root / name).write_text(json.dumps(payload))
+                else:
+                    evsio.write_latents(root / name, payload)
+        proc = subprocess.run([sys.executable, str(script), str(a), str(b)],
+                              capture_output=True, text=True, env=_src_env(), timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "only in B: only_b.evslat", "name  1", "rows[].iq  2  max rel 2e-13",
+            "moved.evslat  max abs 9.09e-13", "short.evslat  shapes (1, 3, 4) vs (2, 3, 4)",
+            "latents  2 of 3 differ, max abs 9.09e-13",
+        ]
 
 
 class TestScripts:

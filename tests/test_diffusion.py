@@ -8,6 +8,7 @@ from evs.models import (
     AnalyticDenoiser,
     Denoiser,
     SpatialWorld,
+    ToyAttentionDenoiser,
     sample_world,
 )
 from evs.schedule import NoiseSchedule, build_linear_beta, forward_noise
@@ -27,6 +28,20 @@ class ConstantDenoiser(Denoiser):
 class NanDenoiser(Denoiser):
     def _eps(self, z_t, t, c):
         return np.full_like(np.asarray(z_t, dtype=np.float64), np.nan)
+
+
+class Recorder(Denoiser):
+    """Delegates to ``inner`` and keeps each call's latent, level and output."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+        self.calls = []
+
+    def _eps(self, z_t, t, c):
+        eps = self.inner.evaluate(z_t, t, c)
+        self.calls.append((z_t.copy(), t, eps))
+        return eps
 
 
 def single_gaussian_world(sigma=0.5, dim=8, frames=4):
@@ -287,3 +302,47 @@ class TestSdeditRefine:
         (z_a, clean_a), (z_b, clean_b) = outs
         assert np.array_equal(z_a, z_b)
         assert np.array_equal(clean_a, clean_b)
+
+
+def assert_within_rounding(got, want):
+    # 1e-13 of the latent's scale: the random-init net's walks reach values
+    # near 20, and their folded and chained ends differ by up to 6e-13.
+    assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+class TestFoldedWalk:
+    """Every step of a walk but the last takes the folded update; a chain of
+    ``_descend`` steps, the update before the fold, is the oracle."""
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("kind", ["analytic", "constant", "net"])
+    def test_walk_matches_chain_of_descend_steps(self, lab, kind, direction):
+        rng = np.random.default_rng(40)
+        for sched, world in ((lab.sched_i, lab.spatial_world), (lab.sched_v, lab.temporal_world)):
+            if kind == "analytic":
+                model = AnalyticDenoiser(world, sched)
+            elif kind == "constant":
+                model = ConstantDenoiser(0.3)
+            else:
+                model = ToyAttentionDenoiser(total_steps=sched.total_steps, seed=3)
+            top = sched.total_steps
+            levels = range(top, 0, -1) if direction == "down" else range(top)
+            steps = [(t, t - 1) if direction == "down" else (t, t + 1) for t in levels]
+            for c in (None, 1):
+                z0 = rng.standard_normal((world.frames, world.dim))
+                z, pred = z0, None
+                for t, t_next in steps:
+                    z, pred = _descend(z, t, t_next, model.evaluate(z, t, c), sched)
+                recorder = Recorder(model)
+                if direction == "down":
+                    got, got_pred = ddim_sample(z0, top, 0, recorder, c, sched)
+                    assert_within_rounding(got_pred, pred)
+                else:
+                    got, got_pred = ddim_invert(z0, top, recorder, c, sched), None
+                assert_within_rounding(got, z)
+                assert [t for _, t, _ in recorder.calls] == list(levels)
+                # The last step is _descend itself, bit for bit.
+                z_last, t, eps = recorder.calls[-1]
+                want, want_pred = _descend(z_last, t, steps[-1][1], eps, sched)
+                assert np.array_equal(got, want)
+                assert got_pred is None or np.array_equal(got_pred, want_pred)

@@ -9,7 +9,9 @@ from evs.metrics import (
     IQ_SCALE,
     OVERALL_CHANNELS,
     PSNR_CAP,
+    PSNR_PEAK,
     RANGES,
+    TAU,
     imaging_quality,
     motion_smoothness,
     normalize,
@@ -18,7 +20,7 @@ from evs.metrics import (
     score_video,
     subject_consistency,
 )
-from evs.models import sample_world
+from evs.models import sample_world, spatial_log_density
 
 
 class TestMotionSmoothness:
@@ -215,3 +217,32 @@ class TestScoreVideo:
         report = score_video(v, v, lab.spatial_world, c)
         assert report.psnr == PSNR_CAP
         assert 0.0 <= report.overall <= 1.0
+
+    def test_metrics_equal_their_np_mean_formulas_bit_for_bit(self, lab):
+        # The metrics write each mean as a sum over a count; these are the
+        # np.mean and np.linalg.norm forms they replaced.
+        def ms(v, tau):
+            interp = 0.5 * (v[:-2] + v[2:])
+            return float(np.exp(-np.mean((v[1:-1] - interp) ** 2, axis=1).mean() / tau))
+
+        def sc(v):
+            centered = v - v.mean(axis=1, keepdims=True)
+            norms = np.linalg.norm(centered, axis=1, keepdims=True)
+            unit = np.divide(centered, norms, out=np.zeros_like(centered), where=norms > 0.0)
+            return float(np.mean(0.5 * (unit[1:] @ unit[0] + (unit[:-1] * unit[1:]).sum(axis=1))))
+
+        def iq(v, c):
+            logp = spatial_log_density(v, lab.spatial_world, c)
+            return float((logp.mean() - IQ_OFFSET) / IQ_SCALE)
+
+        rng = np.random.default_rng(17)
+        for i in range(60):
+            frames = int(rng.integers(3, 20))
+            v = rng.standard_normal((frames, 64)) * rng.uniform(0.01, 3.0) + rng.uniform(-1, 1)
+            ref = v + rng.standard_normal(v.shape) * rng.uniform(1e-3, 1.0)
+            c = (None, 0, 1, 2, 3)[i % 5]
+            assert motion_smoothness(v, TAU) == ms(v, TAU)
+            assert subject_consistency(v) == sc(v)
+            assert imaging_quality(v, lab.spatial_world, c, IQ_OFFSET, IQ_SCALE) == iq(v, c)
+            mse = float(np.mean((v - ref) ** 2))
+            assert psnr(v, ref, PSNR_PEAK) == 10.0 * float(np.log10(PSNR_PEAK**2 / mse))

@@ -224,6 +224,32 @@ class TestAnalyticDenoiser:
             got = gmm_posterior_eps(z_t, t, world, mode_id, sched)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("kind", ["spatial", "temporal"])
+    def test_table_path_matches_restricted_oracles_at_every_level_and_mode(self, lab, kind):
+        # An evaluation with a mode reads the denoiser's per-level tables, and
+        # gmm_posterior_eps builds the same terms per call.  Oracles: the
+        # scalar restricted formula (spatial) and the dense solve of the test
+        # above (temporal), on a far latent and one near the mode.
+        world, sched = (lab.spatial_world, lab.sched_i) if kind == "spatial" else (
+            lab.temporal_world, lab.sched_v)
+        model = AnalyticDenoiser(world, sched)
+        rng = np.random.default_rng(31)
+        shape = (world.frames, world.dim)
+        for t in range(sched.total_steps + 1):
+            ab = sched.alpha_bar[t]
+            for k in range(world.modes):
+                for z_t in (rng.standard_normal(shape),
+                            np.sqrt(ab) * world.means[k] + 0.3 * rng.standard_normal(shape)):
+                    resid = z_t - np.sqrt(ab) * world.means[k]
+                    if kind == "spatial":
+                        want = np.sqrt(1.0 - ab) * resid / (ab * world.sigma**2 + (1.0 - ab))
+                    else:
+                        cov = ab * world.sigma**2 * world.correlation + (1.0 - ab) * np.eye(world.frames)
+                        want = np.sqrt(1.0 - ab) * np.linalg.solve(cov, resid)
+                    for got in (model.evaluate(z_t, t, k), gmm_posterior_eps(z_t, t, world, k, sched)):
+                        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert model.num_evals == (sched.total_steps + 1) * world.modes * 2
+
     def test_conditioning_restricts_mixture(self, lab):
         rng = np.random.default_rng(3)
         z = rng.standard_normal((16, 64))
@@ -348,20 +374,29 @@ class TestToyAttentionDenoiser:
             net.evaluate(np.zeros((4, 32)), 1, None)
 
 
-@pytest.mark.parametrize("kind", ["net", "analytic"])
+@pytest.mark.parametrize("kind", ["net", "analytic", "spatial", "mode"])
 def test_refused_call_is_no_evaluation(lab, kind):
-    """A call refused for its latent's shape or its timestep counts no
-    evaluation, so ``num_evals`` is the NFE of the calls that ran."""
+    """A call refused for its latent's shape, its timestep or its mode counts
+    no evaluation, so ``num_evals`` is the NFE of the calls that ran.
+    ``spatial`` and ``mode`` take the analytic denoisers' restricted tables."""
+    c = None
     if kind == "net":
         model = ToyAttentionDenoiser(seed=7)
-    else:
+    elif kind == "analytic":
         model = AnalyticDenoiser(lab.temporal_world, lab.sched_v)
+    elif kind == "spatial":
+        model, c = AnalyticDenoiser(lab.spatial_world, lab.sched_i), 2
+    else:
+        model, c = AnalyticDenoiser(lab.temporal_world, lab.sched_v), 1
+        for mode in (-1, 4):
+            with pytest.raises(ParameterError):
+                model.evaluate(np.zeros((16, 64)), 2, mode)
     with pytest.raises(ShapeError):
-        model.evaluate(np.zeros((16, 3)), 2, None)
+        model.evaluate(np.zeros((16, 3)), 2, c)
     with pytest.raises(ParameterError):
-        model.evaluate(np.zeros((16, 64)), 99, None)
+        model.evaluate(np.zeros((16, 64)), 99, c)
     assert model.num_evals == 0
-    model.evaluate(np.zeros((16, 64)), 2, None)
+    model.evaluate(np.zeros((16, 64)), 2, c)
     assert model.num_evals == 1
 
 

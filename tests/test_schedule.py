@@ -132,3 +132,25 @@ class TestForwardNoise:
         z = np.zeros((2, 2))
         assert np.array_equal(forward_noise(z, 5, z, lab.sched_i), z)
 
+
+
+@pytest.mark.parametrize("t", [2.5, True, "3", np.float64(3.9)], ids=["float", "bool", "str", "float64"])
+def test_non_integer_timestep_is_refused(lab, t):
+    """A timestep is an int or a NumPy integer; anything else, a bool too, is
+    refused rather than truncated to another level, and no evaluation runs."""
+    from evs.diffusion import ddim_sample
+    from evs.models import AnalyticDenoiser
+
+    with pytest.raises(ParameterError):
+        lab.sched_i.check_timestep(t)
+    model = AnalyticDenoiser(lab.spatial_world, lab.sched_i)
+    z = np.zeros((16, 64))
+    for c in (None, 1):
+        with pytest.raises(ParameterError):
+            model.evaluate(z, t, c)
+        with pytest.raises(ParameterError):
+            ddim_sample(z, t, 0, model, c, lab.sched_i)
+    with pytest.raises(ParameterError):
+        forward_noise(z, t, z, lab.sched_i)
+    assert model.num_evals == 0
+    assert lab.sched_i.check_timestep(np.int64(3)) == 3
