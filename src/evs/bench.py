@@ -32,6 +32,9 @@ from .config import Lab, build_lab, resolve_config
 from .errors import ConfigError, ParameterError, ShapeError, UsageError
 from .metrics import METRICS, PSNR_PEAK, TAU, motion_smoothness, psnr, score_video
 from .models import (
+    FLICKER_SIGMA,
+    MODES,
+    TEMPORAL_SCHEDULE,
     ToyAttentionDenoiser,
     make_degraded_video,
     sample_world,
@@ -63,6 +66,8 @@ _FRONTIER_SFI = {
     for gamma in (0.0, 0.25, 0.5, 0.8, 1.0)
 } | {"all,g=1.0,f": InjectionConfig(layers=ALL_LAYERS, gamma=1.0, inject_f=True)}
 _DOMINANCE_GRID = 41
+# The norm of the style offset of a styled dataset: far off the worlds' support.
+STYLE_SCALE = 8.0
 
 
 def _out_dir(path) -> Path:
@@ -101,16 +106,17 @@ def item_seed(base_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([base_seed, index])
 
 
-def item_condition(cfg: dict, index: int) -> int:
-    """The mode item ``index`` is drawn from and conditioned on, ``index % world.modes``."""
-    return index % cfg["world"]["modes"]
+def item_condition(index: int) -> int:
+    """The mode item ``index`` is drawn from and conditioned on, ``index % MODES``."""
+    return index % MODES
 
 
 def style_vector(cfg: dict) -> np.ndarray:
-    """Fixed off-support offset that ``gen`` adds to every frame of a styled dataset."""
+    """Fixed off-support offset, of norm ``STYLE_SCALE``, that ``gen`` adds to
+    every frame of a styled dataset."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0x5EED]))
     v = rng.standard_normal(cfg["dim"])
-    return v / np.linalg.norm(v) * cfg["dataset"]["style_scale"]
+    return v / np.linalg.norm(v) * STYLE_SCALE
 
 
 def _item_rng(cfg: dict, pipeline: str, index: int) -> np.random.Generator:
@@ -132,9 +138,9 @@ def cmd_gen(cfg: dict, out_dir) -> Path:
     out = _out_dir(out_dir)
     videos = []
     for i in range(cfg["dataset"]["count"]):
-        mode = item_condition(cfg, i)
+        mode = item_condition(i)
         rng = np.random.default_rng(item_seed(cfg["seed"], i))
-        videos.append(make_degraded_video(lab.temporal_world, mode, cfg["dataset"]["flicker_sigma"], rng)
+        videos.append(make_degraded_video(lab.temporal_world, mode, FLICKER_SIGMA, rng)
                       if style is None else sample_world(lab.spatial_world, mode, rng) + style)
     evsio.write_latents(out / DATASET_LATENTS, videos)
     return _write_manifest(
@@ -171,13 +177,14 @@ def load_dataset(dataset_dir, cfg: dict | None = None) -> tuple[dict, list[np.nd
 
 
 def load_or_init_net(cfg: dict) -> tuple[ToyAttentionDenoiser, dict]:
-    """The net at ``net.weights``, refused unless it was made for this config,
-    and the ``weights_sha256`` record of that file for a manifest; else the
-    net ``evs train`` starts from (``train.seed``) and an empty record."""
-    fixed = {  # net field: (config key, value)
-        "dim": ("dim", cfg["dim"]),
-        "total_steps": ("schedule_v.steps", cfg["schedule_v"]["steps"]),
-        "n_modes": ("world.modes", cfg["world"]["modes"]),
+    """The net at ``net.weights``, refused unless it was made for the config's
+    ``dim``, the temporal schedule and the worlds' modes, and the
+    ``weights_sha256`` record of that file for a manifest; else the net
+    ``evs train`` starts from (``train.seed``) and an empty record."""
+    fixed = {  # net field: (what it must match, value)
+        "dim": ("config dim", cfg["dim"]),
+        "total_steps": ("temporal schedule steps", TEMPORAL_SCHEDULE[0]),
+        "n_modes": ("world modes", MODES),
     }
     path = cfg["net"]["weights"]
     if not path:
@@ -186,7 +193,7 @@ def load_or_init_net(cfg: dict) -> tuple[ToyAttentionDenoiser, dict]:
     net = evsio.read_net(path)
     for field, (key, want) in fixed.items():
         if getattr(net, field) != want:
-            raise ConfigError(f"{path}: net {field}={getattr(net, field)} but config {key}={want}")
+            raise ConfigError(f"{path}: net {field}={getattr(net, field)} but {key}={want}")
     return net, {"weights_sha256": evsio.file_sha256(path)}
 
 
@@ -211,7 +218,7 @@ def _scored_items(pipeline: str, lab: Lab, cfg: dict, pcfg: PipelineConfig, vide
     Yields ``(index, result, report)``.
     """
     for index, video in enumerate(videos):
-        cond = item_condition(cfg, index)
+        cond = item_condition(index)
         result = _execute(pipeline, lab, cfg, pcfg, index, video, cond)
         report = score_video(result.output, video, lab.spatial_world, cond)
         yield index, result, report
@@ -402,7 +409,7 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
     # Each refined output's (smoothness, fidelity) pair, per (method, label) point.
     scores = {}
     for index, video in enumerate(videos):
-        c = item_condition(cfg, index)
+        c = item_condition(index)
         outputs = {("sdedit", "t=0"): video}
         for t in range(1, lab.sched_v.total_steps + 1):
             rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], index, t]))

@@ -21,7 +21,7 @@ import numpy as np
 from .diffusion import sdedit_refine
 from .errors import CapabilityError, InjectionError, ParameterError
 from .models import Denoiser
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, check_integer
 from .sfi import (
     DEEP_LAYERS,
     InjectionConfig,
@@ -85,8 +85,7 @@ class PipelineConfig:
             )
         if self.block_mode not in (BLOCK_SDEDIT, BLOCK_INVERSION_SFI):
             raise ParameterError(f"unknown block_mode {self.block_mode!r}")
-        if self.rounds < 1:
-            raise ParameterError(f"need rounds >= 1, got rounds={self.rounds}")
+        check_integer("rounds", self.rounds, 1)
         if self.block_mode != BLOCK_INVERSION_SFI or not models.temporal.has_taps:
             return
         if self.injection is None:
@@ -160,8 +159,7 @@ def _iterated_plan(p: PipelineConfig) -> list[tuple[str, int, int]]:
     trailing spatial stage so the sequence always ends frame-refined.  It
     costs rounds*(t_I+t_V), plus t_I when rounds is odd (see ``stage_nfe``).
     """
-    if p.rounds < 1:
-        raise ParameterError(f"need rounds >= 1, got rounds={p.rounds}")
+    check_integer("rounds", p.rounds, 1)
     iv = [("t2i", p.t_I, 0), ("t2v", p.t_V, 0)]
     return [stage for r in range(p.rounds) for stage in (iv[::-1] if r % 2 else iv)] + iv[:p.rounds % 2]
 

@@ -4,13 +4,14 @@ The resolved config dict is the single source of truth recorded in every
 manifest; ``--config``, ``--set`` and ``--seed`` are applied before resolution,
 and nothing else (no environment variable) changes it.
 
-A section's keys are the parameters of the object it builds: ``world`` goes
-to ``models.default_worlds``, ``pipeline`` to ``compose.PipelineConfig`` and
-``train`` to ``TrainRecipe``, and the last two sections take their defaults
-from those classes, so each default is written once.  How a run is scored is
-no config key: the metric constants live in ``evs.metrics``.  ``build_lab``
-builds and checks every section, so a command that builds its lab first
-refuses a bad value before it writes anything.
+A section's keys are the parameters of the object it builds: ``pipeline`` goes
+to ``compose.PipelineConfig`` and ``train`` to ``TrainRecipe``, and both take
+their defaults from those classes, so each default is written once.  What no
+run varies is no config key: the two toy worlds, both noise schedules and the
+input flicker are code in ``evs.models``, the style scale in ``evs.bench`` and
+the metric constants in ``evs.metrics``.  ``build_lab`` builds and checks
+every section, so a command that builds its lab first refuses a bad value
+before it writes anything.
 """
 
 from __future__ import annotations
@@ -33,22 +34,12 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "frames": models.DEFAULT_FRAMES,
     "dim": models.DEFAULT_DIM,
-    "world": {
-        "modes": models.DEFAULT_MODES,
-        "sigma_spatial": models.DEFAULT_SIGMA_SPATIAL,
-        "sigma_temporal": models.DEFAULT_SIGMA_TEMPORAL,
-        "rho": models.DEFAULT_RHO,
-        "blur_width": models.DEFAULT_BLUR_WIDTH,
-        "seed": models.DEFAULT_WORLD_SEED,
-    },
-    "schedule_i": {"steps": 50, "beta_start": 1e-4, "beta_end": 0.02},
-    "schedule_v": {"steps": 8, "beta_start": 1e-4, "beta_end": 0.1},
     "pipeline": {
         **asdict(_PIPELINE),
         # JSON has no sets: the injection layers are a sorted list.
         "injection": {**asdict(_PIPELINE.injection), "layers": sorted(_PIPELINE.injection.layers)},
     },
-    "dataset": {"count": 93, "flicker_sigma": 0.2, "styled": False, "style_scale": 8.0},
+    "dataset": {"count": 93, "styled": False},
     "net": {"weights": None},
     "train": asdict(TrainRecipe()),
 }
@@ -104,8 +95,7 @@ def resolve_config(overrides: dict | None = None) -> dict:
     cfg = copy.deepcopy(cfg)
     if cfg.get("version") != CONFIG_VERSION:
         raise ConfigError(f"config version {cfg.get('version')!r} not supported")
-    seeds = {"seed": cfg["seed"], "world.seed": cfg["world"]["seed"], "train.seed": cfg["train"]["seed"]}
-    for key, value in seeds.items():
+    for key, value in (("seed", cfg["seed"]), ("train.seed", cfg["train"]["seed"])):
         if value < 0:  # numpy seeds are non-negative
             raise ConfigError(f"config key {key!r} must be >= 0, got {value}")
     return cfg
@@ -157,18 +147,13 @@ def build_lab(cfg: dict, temporal_override=None) -> Lab:
     net), against which the pipeline section is checked.
     """
     # Every reader of a dataset refuses an empty one, so count starts at 1.
-    for key, least in (("count", 1), ("flicker_sigma", 0)):
-        if cfg["dataset"][key] < least:
-            raise ConfigError(f"dataset.{key} must be at least {least}, got {cfg['dataset'][key]}")
+    if cfg["dataset"]["count"] < 1:
+        raise ConfigError(f"dataset.count must be at least 1, got {cfg['dataset']['count']}")
     if cfg["frames"] < 3:  # motion smoothness compares three consecutive frames
         raise ConfigError(f"frames must be at least 3, got {cfg['frames']}")
-    spatial_world, temporal_world = models.default_worlds(
-        dim=cfg["dim"], frames=cfg["frames"], **cfg["world"]
-    )
-    sched_i, sched_v = (
-        build_linear_beta(s["steps"], s["beta_start"], s["beta_end"])
-        for s in (cfg["schedule_i"], cfg["schedule_v"])
-    )
+    spatial_world, temporal_world = models.default_worlds(dim=cfg["dim"], frames=cfg["frames"])
+    sched_i = build_linear_beta(*models.SPATIAL_SCHEDULE)
+    sched_v = build_linear_beta(*models.TEMPORAL_SCHEDULE)
     bundle = ModelBundle(
         spatial=AnalyticDenoiser(spatial_world, sched_i),
         temporal=temporal_override or AnalyticDenoiser(temporal_world, sched_v),

@@ -30,17 +30,25 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, ShapeError, TrainingError
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, check_integer
 from .sfi import KINDS, blended_attention, softmax_rows
 
+# The latent shape is the config's ``frames`` and ``dim``; these are their defaults.
 DEFAULT_FRAMES = 16
 DEFAULT_DIM = 64
-DEFAULT_MODES = 4
-DEFAULT_SIGMA_SPATIAL = 0.1
-DEFAULT_SIGMA_TEMPORAL = 0.3
-DEFAULT_RHO = 0.95
-DEFAULT_BLUR_WIDTH = 3
-DEFAULT_WORLD_SEED = 7
+# The two toy worlds are fixed: their mixture, widths, frame coupling and seed.
+MODES = 4
+SIGMA_SPATIAL = 0.1
+SIGMA_TEMPORAL = 0.3
+RHO = 0.95
+BLUR_WIDTH = 3
+WORLD_SEED = 7
+# The two noise schedules as (steps, beta_start, beta_end): the frame-wise
+# model's long and gentle one, the sequence-wise model's short and aggressive one.
+SPATIAL_SCHEDULE = (50, 1e-4, 0.02)
+TEMPORAL_SCHEDULE = (8, 1e-4, 0.1)
+# The per-frame jitter that ``evs gen`` adds to a degraded input.
+FLICKER_SIGMA = 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +131,7 @@ def ar1_correlation(frames: int, rho: float) -> np.ndarray:
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
-def blur_means(means: np.ndarray, width: int = DEFAULT_BLUR_WIDTH) -> np.ndarray:
+def blur_means(means: np.ndarray, width: int = BLUR_WIDTH) -> np.ndarray:
     """Moving average along the detail axis with reflect padding."""
     if width < 1 or width % 2 == 0:
         raise ParameterError(f"blur width must be odd and >= 1, got {width}")
@@ -135,46 +143,30 @@ def blur_means(means: np.ndarray, width: int = DEFAULT_BLUR_WIDTH) -> np.ndarray
     return out / width
 
 
-def default_worlds(
-    dim: int = DEFAULT_DIM,
-    modes: int = DEFAULT_MODES,
-    frames: int = DEFAULT_FRAMES,
-    sigma_spatial: float = DEFAULT_SIGMA_SPATIAL,
-    sigma_temporal: float = DEFAULT_SIGMA_TEMPORAL,
-    rho: float = DEFAULT_RHO,
-    blur_width: int = DEFAULT_BLUR_WIDTH,
-    seed: int = DEFAULT_WORLD_SEED,
-) -> tuple[SpatialWorld, TemporalWorld]:
+def default_worlds(dim: int = DEFAULT_DIM, frames: int = DEFAULT_FRAMES) -> tuple[SpatialWorld, TemporalWorld]:
     """Build the paired worlds: same modes, blurred and frame-coupled on one side.
 
-    Mode means are Rademacher (+/-1) patterns, so the width-``blur_width``
+    Mode means are Rademacher (+/-1) patterns, so the width-``BLUR_WIDTH``
     moving average removes a large share of their high-frequency energy and
     "sharp vs blurry" is structural, not a matter of tuning.
     """
-    if dim < 1 or modes < 1:
-        raise ParameterError(f"need dim >= 1 and modes >= 1, got dim={dim}, modes={modes}")
-    rng = np.random.default_rng(seed)
-    means = rng.integers(0, 2, size=(modes, dim)).astype(np.float64) * 2.0 - 1.0
-    weights = np.full(modes, 1.0 / modes)
-    spatial = SpatialWorld(means=means, weights=weights, sigma=sigma_spatial, frames=frames)
+    if dim < 1:
+        raise ParameterError(f"need dim >= 1, got dim={dim}")
+    rng = np.random.default_rng(WORLD_SEED)
+    means = rng.integers(0, 2, size=(MODES, dim)).astype(np.float64) * 2.0 - 1.0
+    weights = np.full(MODES, 1.0 / MODES)
+    spatial = SpatialWorld(means=means, weights=weights, sigma=SIGMA_SPATIAL, frames=frames)
     temporal = TemporalWorld(
-        means=blur_means(means, blur_width),
-        weights=weights,
-        sigma=sigma_temporal,
-        rho=rho,
-        frames=frames,
+        means=blur_means(means), weights=weights, sigma=SIGMA_TEMPORAL, rho=RHO, frames=frames
     )
     return spatial, temporal
 
 
 def _mode_of(c: int | None, modes: int) -> int | None:
     """The mode a condition restricts to: the condition is a mode index, or
-    None for no condition.  A mode outside 0..modes-1 is refused."""
-    if c is None:
-        return None
-    if not 0 <= c < modes:
-        raise ParameterError(f"mode_id {c} outside 0..{modes - 1}")
-    return int(c)
+    None for no condition.  Anything but an integer (a bool included) in
+    0..modes-1 is refused."""
+    return None if c is None else check_integer("mode_id", c, 0, modes - 1)
 
 
 def sample_world(world, c: int | None, seed) -> np.ndarray:
@@ -487,8 +479,8 @@ class ToyAttentionDenoiser(Denoiser):
         dim: int = DEFAULT_DIM,
         embed: int = DEFAULT_DIM,
         blocks: int = 4,
-        total_steps: int = 8,
-        n_modes: int = DEFAULT_MODES,
+        total_steps: int = TEMPORAL_SCHEDULE[0],
+        n_modes: int = MODES,
         seed: int = 0,
     ):
         super().__init__()
@@ -540,7 +532,8 @@ class ToyAttentionDenoiser(Denoiser):
         ``injection`` is a ``(FeatureCache, InjectionConfig)`` pair; cached
         features are looked up at the call's timestep.  ``capture`` records
         this call's tap outputs under ``capture_key`` (defaults to ``t``).
-        A call counts as an evaluation once its arguments pass these checks.
+        A call counts as an evaluation once its arguments, its condition
+        included, pass these checks.
         """
         z_t = np.asarray(z_t, dtype=np.float64)
         if z_t.ndim != 2 or z_t.shape[1] != self.dim:
@@ -549,11 +542,12 @@ class ToyAttentionDenoiser(Denoiser):
             raise ParameterError(f"timestep {t!r} is not an integer in 0..{self.total_steps}")
         if injection is not None and capture is not None:
             raise ParameterError("a forward either captures or injects features, not both")
+        cond_idx = self._cond_rows[self._cond_index(c)]
         self._evals += 1
         if capture is not None:
             capture = (capture, t if capture_key is None else capture_key)
         out, _ = _net_body(
-            self, z_t[None], self.time_features[t : t + 1], self._cond_rows[self._cond_index(c)],
+            self, z_t[None], self.time_features[t : t + 1], cond_idx,
             t=t, injection=injection, capture=capture,
         )
         return out[0]

@@ -6,7 +6,7 @@ identity noising level.  Two denoisers never share a schedule in this lab: the
 frame-wise (spatial) model runs a long, gentle schedule and the sequence-wise
 (temporal) model a short, aggressive one, which keeps their intermediate noisy
 latents mutually incompatible by construction.  Their lengths and noise rates
-live in the run config (``schedule_i`` and ``schedule_v``), which
+are code (``models.SPATIAL_SCHEDULE`` and ``models.TEMPORAL_SCHEDULE``), which
 ``config.build_lab`` turns into the two schedules.
 
 Video latents throughout the package are plain float64 arrays of shape
@@ -20,6 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
+
+
+def check_integer(name: str, x, least: int, most: int | float = np.inf) -> int:
+    """``x`` as an int, refused unless it is an integer (not a bool) in
+    ``[least, most]``: a level, a mode or a count is never rounded to another."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not least <= x <= most:
+        raise ParameterError(f"{name} {x!r} is not an integer in [{least}, {most}]")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -54,14 +62,8 @@ class NoiseSchedule:
             object.__setattr__(self, name, table)
 
     def check_timestep(self, t: int, minimum: int = 0) -> int:
-        """``t`` as an int, refused unless it is an integer (not a bool) in
-        ``[minimum, total_steps]``: a level is never rounded to another."""
-        if (isinstance(t, bool) or not isinstance(t, (int, np.integer))
-                or not minimum <= t <= self.total_steps):
-            raise ParameterError(
-                f"timestep {t!r} is not an integer in [{minimum}, {self.total_steps}]"
-            )
-        return int(t)
+        """``t`` as a level of this schedule, at least ``minimum`` (see ``check_integer``)."""
+        return check_integer("timestep", t, minimum, self.total_steps)
 
 
 def build_linear_beta(total_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:

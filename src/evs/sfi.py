@@ -22,6 +22,7 @@ import numpy as np
 
 from .diffusion import _walk, ddim_invert
 from .errors import InjectionError, ParameterError, ShapeError
+from .schedule import check_integer
 
 # Block-index convention for the 4-block toy net.
 SHALLOW_LAYERS = frozenset({0, 1})
@@ -121,6 +122,7 @@ def invert_with_capture(z0, t_target, model, c, sched, keep=None):
 
 def injection_keys(t_v: int, n_v: int, cfg: InjectionConfig) -> frozenset:
     """The ``(t, layer, kind)`` keys that ``denoise_with_injection`` reads."""
+    n_v = check_integer("n_v", n_v, 1, t_v)
     kinds = (("f",) if cfg.inject_f else ()) + ("Q", "K", "V")
     return frozenset(
         (t, layer, kind)
@@ -139,8 +141,7 @@ def denoise_with_injection(
     latent at ``t_v - n_v`` and the clean latent predicted by the final step.
     """
     t_v = sched.check_timestep(t_v, minimum=1)
-    if not 1 <= n_v <= t_v:
-        raise ParameterError(f"need 1 <= n_v <= t_v, got n_v={n_v}, t_v={t_v}")
+    n_v = check_integer("n_v", n_v, 1, t_v)
     return _walk(
         z_tv, [(t, t - 1) for t in range(t_v, t_v - n_v, -1)],
         lambda z, t: model.forward(z, t, c, injection=(cache, cfg)), sched,

@@ -13,7 +13,7 @@ from evs import bench
 from evs import io as evsio
 from evs.cli import main
 from evs.config import DEFAULT_CONFIG, build_lab
-from evs.models import ToyAttentionDenoiser, sample_world
+from evs.models import MODES, ToyAttentionDenoiser, sample_world
 
 
 def run_cli(*argv):
@@ -32,6 +32,9 @@ def _dir_bytes(path, suffix):
 
 # The frontier needs net.weights; a 4-block net fits its layer sets.
 NET4 = ["--set", "net.weights=NET4"]
+# One setting of each config section or key that became code.
+DELETED_KEYS = ("world.rho=0.9", "schedule_i.beta_end=0.03", "schedule_v.steps=9",
+                "dataset.style_scale=2", "dataset.flicker_sigma=0.4")
 
 
 def _record_videos_sha256(dataset):
@@ -113,7 +116,7 @@ class TestGen:
 
     def test_styled_videos_are_world_samples_plus_the_style(self, styled_dataset):
         """Item ``i`` of a styled dataset is a spatial-world sample of mode
-        ``i % world.modes`` from the item's seed, plus the style offset that
+        ``i % MODES`` from the item's seed, plus the style offset that
         only ``gen`` adds, bit for bit."""
         manifest = evsio.read_json(styled_dataset / bench.DATASET_MANIFEST)
         cfg = manifest["config"]
@@ -123,7 +126,7 @@ class TestGen:
         assert len(videos) == 3
         for i, video in enumerate(videos):
             rng = np.random.default_rng(bench.item_seed(cfg["seed"], i))
-            want = sample_world(world, i % cfg["world"]["modes"], rng) + style
+            want = sample_world(world, i % MODES, rng) + style
             np.testing.assert_array_equal(video, want)
 
 
@@ -363,7 +366,7 @@ class TestRun:
     def test_config_type_mismatch_is_config_error(self, small_dataset, tmp_path):
         for assignments in (
             ["seed.x=1"], ["pipeline=5"], ["seed=1", "seed.x=1"], ['seed="a"'], ["seed=true"],
-            ["world=null"], ["pipeline.injection.layers=2"], ["pipeline.t_I=20.5"],
+            ["dataset=null"], ["pipeline.injection.layers=2"], ["pipeline.t_I=20.5"],
         ):
             sets = [arg for a in assignments for arg in ("--set", a)]
             code = run_cli("run", "t2i", "--dataset", small_dataset, "--out", tmp_path, *sets)
@@ -417,8 +420,9 @@ class TestRun:
         assert run_cli("run", "t2i", "--dataset", dataset, "--out", tmp_path / "o", *extra) == 3
 
     def test_weights_for_another_config_are_config_error(self, small_dataset, tmp_path, capsys):
-        for field, value, key in (
-            ("total_steps", 12, "schedule_v.steps"), ("n_modes", 2, "world.modes"), ("dim", 8, "dim"),
+        for field, value, want in (
+            ("total_steps", 12, "temporal schedule steps=8"), ("n_modes", 2, "world modes=4"),
+            ("dim", 8, "config dim=64"),
         ):
             weights = tmp_path / f"{field}.evsnet"
             evsio.write_net(weights, ToyAttentionDenoiser(**{field: value}))
@@ -427,7 +431,7 @@ class TestRun:
                 "--set", f"net.weights={weights}",
             )
             assert code == 3, field
-            assert f"config {key}=" in capsys.readouterr().err
+            assert f"net {field}={value} but {want}" in capsys.readouterr().err
 
     def test_injection_layer_outside_net_is_config_error(self, small_dataset, tmp_path):
         code = run_cli(
@@ -583,7 +587,7 @@ class TestFrontier:
         code = run_cli("frontier", "--dataset", styled_dataset, "--out", tmp_path / "o",
                        "--set", f"net.weights={weights}")
         assert code == 3
-        assert "config schedule_v.steps=8" in capsys.readouterr().err
+        assert "net total_steps=12 but temporal schedule steps=8" in capsys.readouterr().err
 
 
 class TestReportAndTrain:
@@ -789,6 +793,8 @@ class TestReportAndTrain:
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
+    # world.seed and world.modes are no config keys since the worlds became
+    # code; the two cases are now refused as unknown keys.
     @pytest.mark.parametrize("setting", [
         "seed=-1", "world.seed=-1", "train.seed=-1",
         "world.modes=0", "dim=0", "train.batch_size=0", "train.steps=-1",
@@ -853,6 +859,9 @@ def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsy
         ["--set", "pipeline.block_mode=sdedit", "--set", "pipeline.injection=null"],
         ["--set", "pipeline.injection.layers=[]"],
     )),
+    # The worlds, the schedules, the flicker and the style scale are code, so
+    # each of their old keys is unknown.
+    *((["gen", "--set", setting], 3) for setting in DELETED_KEYS),
     # The metric constants are code in evs.metrics, so a metrics key is unknown.
     *((["run", "t2i", "--dataset", "SMALL", "--set", setting], 3) for setting in (
         "metrics.tau=0", "metrics.tau=-1", "metrics.iq_scale=0", "metrics.psnr_peak=0",
@@ -870,6 +879,8 @@ def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsy
     "sweep-layers", "frontier-t_V",
     "frontier-2-blocks", "frontier-6-blocks",
     "gamma-sdedit", "gamma-null", "gamma-no-layers",
+    "deleted-world", "deleted-schedule_i", "deleted-schedule_v", "deleted-style_scale",
+    "deleted-flicker_sigma",
     "metrics-tau-0", "metrics-tau-neg", "metrics-iq_scale", "metrics-psnr_peak",
     "metrics-range-order", "metrics-range-pair",
     *(f"{name}-{pipeline}" for name in ("frames8", "dim32") for pipeline in bench.PIPELINES),
@@ -887,6 +898,24 @@ def test_failed_check_leaves_no_out_directory(
         evsio.write_net(places[f"NET{blocks}"], ToyAttentionDenoiser(blocks=blocks))
     out = tmp_path / "out"
     assert run_cli(*(_placed(a, places) for a in argv), "--out", out) == code
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["set", "config"])
+@pytest.mark.parametrize("setting", DELETED_KEYS, ids=[s.split("=")[0] for s in DELETED_KEYS])
+def test_deleted_config_key_is_unknown(tmp_path, capsys, route, setting):
+    """Each config key that became code is refused as unknown, given through
+    ``--set`` or ``--config``, before ``--out`` exists."""
+    key, value = setting.split("=")
+    if route == "set":
+        args = ["--set", setting]
+    else:
+        section, name = key.split(".")
+        (tmp_path / "config.json").write_text(json.dumps({section: {name: json.loads(value)}}))
+        args = ["--config", tmp_path / "config.json"]
+    out = tmp_path / "out"
+    assert run_cli("gen", *args, "--out", out) == 3
+    assert "config error: unknown config key" in capsys.readouterr().err
     assert not out.exists()
 
 

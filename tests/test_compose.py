@@ -31,6 +31,7 @@ from evs.sfi import (
     SHALLOW_LAYERS,
     FeatureCache,
     InjectionConfig,
+    denoise_with_injection,
     injection_keys,
 )
 
@@ -356,6 +357,23 @@ class TestIteratedBaseline:
         enc_nfe = enc.nfe_t2i + enc.nfe_t2v
         assert base_nfe == 48 and enc_nfe == 26
         assert base_nfe / enc_nfe == pytest.approx(48 / 26)
+
+
+@pytest.mark.parametrize("call", ["injection_keys", "denoise_with_injection", "iterated"])
+def test_non_integer_count_is_refused_before_any_evaluation(lab, sfi_bundle, call):
+    """An ``n_v`` or a round count of 2.5 is a ``ParameterError``, not a
+    ``TypeError`` from ``range``, and no denoiser runs."""
+    z0, c = degraded(lab, 0)
+    injection = InjectionConfig(layers=DEEP_LAYERS, gamma=0.8)
+    with pytest.raises(ParameterError, match="2.5"):
+        if call == "injection_keys":
+            injection_keys(4, 2.5, injection)
+        elif call == "denoise_with_injection":
+            denoise_with_injection(z0, 4, 2.5, sfi_bundle.temporal, c, lab.sched_v,
+                                   FeatureCache(), injection)
+        else:
+            run_iterated_baseline(z0, replace(P, rounds=2.5), sfi_bundle, c, rng_for(30))
+    assert sfi_bundle.spatial.num_evals == sfi_bundle.temporal.num_evals == 0
 
 
 class TestPlannedCost:

@@ -134,7 +134,7 @@ class TestImagingQuality:
     @pytest.mark.parametrize("mode_id", [-1, 4])
     def test_mode_outside_the_world_is_refused(self, lab, mode_id):
         # -1 must not index the last mode; 4 is one past the default world's modes.
-        with pytest.raises(ParameterError, match=f"mode_id {mode_id} outside 0..3"):
+        with pytest.raises(ParameterError, match=rf"mode_id {mode_id} is not an integer in \[0, 3\]"):
             imaging_quality(np.zeros((2, 64)), lab.spatial_world, mode_id, IQ_OFFSET, IQ_SCALE)
 
 

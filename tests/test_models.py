@@ -6,7 +6,7 @@ import pytest
 
 from evs import models
 from evs.errors import ParameterError, ShapeError, TrainingError
-from evs.metrics import IQ_OFFSET, IQ_SCALE, TAU, imaging_quality, motion_smoothness
+from evs.metrics import IQ_OFFSET, IQ_SCALE, TAU, imaging_quality, motion_smoothness, score_video
 from evs.models import (
     AnalyticDenoiser,
     SpatialWorld,
@@ -388,7 +388,8 @@ def test_refused_call_is_no_evaluation(lab, kind):
         model, c = AnalyticDenoiser(lab.spatial_world, lab.sched_i), 2
     else:
         model, c = AnalyticDenoiser(lab.temporal_world, lab.sched_v), 1
-        for mode in (-1, 4):
+    if kind in ("net", "mode"):
+        for mode in (-1, 4, 7):
             with pytest.raises(ParameterError):
                 model.evaluate(np.zeros((16, 64)), 2, mode)
     with pytest.raises(ShapeError):
@@ -398,6 +399,29 @@ def test_refused_call_is_no_evaluation(lab, kind):
     assert model.num_evals == 0
     model.evaluate(np.zeros((16, 64)), 2, c)
     assert model.num_evals == 1
+
+
+@pytest.mark.parametrize("c", [1.5, np.float64(2.9), True, "1"], ids=["float", "float64", "bool", "str"])
+def test_non_integer_condition_is_refused(lab, c):
+    """A condition is a mode index, an int or a NumPy integer; anything else, a
+    bool too, is refused rather than truncated to another mode, and no
+    evaluation runs."""
+    z = np.zeros((16, 64))
+    net = ToyAttentionDenoiser(seed=7)
+    denoisers = (AnalyticDenoiser(lab.spatial_world, lab.sched_i),
+                 AnalyticDenoiser(lab.temporal_world, lab.sched_v), net)
+    for model in denoisers:
+        with pytest.raises(ParameterError):
+            model.evaluate(z, 3, c)
+        assert model.num_evals == 0
+    with pytest.raises(ParameterError):
+        net.forward(z, 3, c)
+    for world in (lab.spatial_world, lab.temporal_world):
+        with pytest.raises(ParameterError):
+            sample_world(world, c, 0)
+    with pytest.raises(ParameterError):
+        score_video(z, z, lab.spatial_world, c)
+    assert net.num_evals == 0
 
 
 class TestTraining:
