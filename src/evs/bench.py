@@ -32,7 +32,9 @@ from .config import Lab, build_lab, resolve_config
 from .errors import ConfigError, ParameterError, ShapeError, UsageError
 from .metrics import METRICS, PSNR_PEAK, TAU, motion_smoothness, psnr, score_video
 from .models import (
+    DIM,
     FLICKER_SIGMA,
+    FRAMES,
     MODES,
     TEMPORAL_SCHEDULE,
     ToyAttentionDenoiser,
@@ -115,7 +117,7 @@ def style_vector(cfg: dict) -> np.ndarray:
     """Fixed off-support offset, of norm ``STYLE_SCALE``, that ``gen`` adds to
     every frame of a styled dataset."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0x5EED]))
-    v = rng.standard_normal(cfg["dim"])
+    v = rng.standard_normal(DIM)
     return v / np.linalg.norm(v) * STYLE_SCALE
 
 
@@ -150,11 +152,11 @@ def cmd_gen(cfg: dict, out_dir) -> Path:
     )
 
 
-def load_dataset(dataset_dir, cfg: dict | None = None) -> tuple[dict, list[np.ndarray]]:
+def load_dataset(dataset_dir) -> tuple[dict, list[np.ndarray]]:
     """The dataset manifest and its videos, a video's item index being its
     position in the file.  The file must match the manifest's
-    ``latents_sha256`` and hold one or more videos; with ``cfg``, the videos
-    must have the config's ``(frames, dim)`` shape."""
+    ``latents_sha256`` and hold one or more videos of the models' shape
+    ``(FRAMES, DIM)``."""
     dataset_dir = Path(dataset_dir)
     manifest = evsio.read_manifest(dataset_dir / DATASET_MANIFEST, "dataset")
     path = dataset_dir / DATASET_LATENTS
@@ -163,10 +165,9 @@ def load_dataset(dataset_dir, cfg: dict | None = None) -> tuple[dict, list[np.nd
     videos = evsio.read_latents(path)
     if not videos:
         raise ConfigError(f"{path} holds no video; a dataset holds one or more")
-    if cfg is not None and videos[0].shape != (cfg["frames"], cfg["dim"]):
+    if videos[0].shape != (FRAMES, DIM):
         raise ShapeError(
-            f"{path} holds videos of shape {videos[0].shape}; the config's "
-            f"(frames, dim) is {(cfg['frames'], cfg['dim'])}"
+            f"{path} holds videos of shape {videos[0].shape}; the models take {(FRAMES, DIM)}"
         )
     return manifest, videos
 
@@ -177,21 +178,21 @@ def load_dataset(dataset_dir, cfg: dict | None = None) -> tuple[dict, list[np.nd
 
 
 def load_or_init_net(cfg: dict) -> tuple[ToyAttentionDenoiser, dict]:
-    """The net at ``net.weights``, refused unless it was made for the config's
-    ``dim``, the temporal schedule and the worlds' modes, and the
-    ``weights_sha256`` record of that file for a manifest; else the net
-    ``evs train`` starts from (``train.seed``) and an empty record."""
-    fixed = {  # net field: (what it must match, value)
-        "dim": ("config dim", cfg["dim"]),
-        "total_steps": ("temporal schedule steps", TEMPORAL_SCHEDULE[0]),
-        "n_modes": ("world modes", MODES),
-    }
+    """The net at ``net.weights``, refused unless it was made for the latent
+    ``DIM``, the 4 blocks that ``ALL_LAYERS`` names, the temporal schedule
+    and the worlds' modes, and the ``weights_sha256`` record of that file
+    for a manifest; else the net ``evs train`` starts from (``train.seed``),
+    which has those values, and an empty record."""
     path = cfg["net"]["weights"]
     if not path:
-        values = {field: value for field, (_, value) in fixed.items()}
-        return ToyAttentionDenoiser(**values, seed=cfg["train"]["seed"]), {}
+        return ToyAttentionDenoiser(seed=cfg["train"]["seed"]), {}
     net = evsio.read_net(path)
-    for field, (key, want) in fixed.items():
+    for field, key, want in (
+        ("dim", "latent dim", DIM),
+        ("blocks", "injection blocks", len(ALL_LAYERS)),
+        ("total_steps", "temporal schedule steps", TEMPORAL_SCHEDULE[0]),
+        ("n_modes", "world modes", MODES),
+    ):
         if getattr(net, field) != want:
             raise ConfigError(f"{path}: net {field}={getattr(net, field)} but {key}={want}")
     return net, {"weights_sha256": evsio.file_sha256(path)}
@@ -239,7 +240,7 @@ def cmd_run(pipeline: str, cfg: dict, dataset_dir, out_dir, recorded=None) -> Pa
             raise ConfigError(f"dataset {dataset_dir} changed since {path} was written")
         if weights.get("weights_sha256") != manifest.get("weights_sha256"):
             raise ConfigError(f"net.weights do not match the weights_sha256 in {path}")
-    _, videos = load_dataset(dataset_dir, cfg)
+    _, videos = load_dataset(dataset_dir)
     out = _out_dir(out_dir)
 
     rows = []
@@ -321,7 +322,7 @@ def cmd_sweep(axis: str, grid, cfg: dict, dataset_dir, out_dir) -> Path:
         raise UsageError(f"unknown sweep axis {axis!r} (choose from {', '.join(SWEEP_AXES)})")
     if not grid:
         raise ParameterError("sweep grid must be nonempty")
-    _, videos = load_dataset(dataset_dir, cfg)
+    _, videos = load_dataset(dataset_dir)
     # No sweep axis changes the block mode, so one lab serves every grid point.
     net, weights = _net_for(cfg, "evs")
     lab = build_lab(cfg, temporal_override=net)
@@ -390,19 +391,14 @@ def cmd_frontier(cfg: dict, dataset_dir, out_dir) -> Path:
     writes; without weights the frontier is refused.  Points are (motion
     smoothness, fidelity-to-input) means.
     """
-    ds_manifest, videos = load_dataset(dataset_dir, cfg)
+    ds_manifest, videos = load_dataset(dataset_dir)
     if ds_manifest.get("style") is None:
         raise ConfigError("frontier requires a styled dataset (gen --set dataset.styled=true)")
     lab = build_lab(cfg)
-    net_file = cfg["net"]["weights"]
-    if not net_file:
+    if not cfg["net"]["weights"]:
         raise ConfigError("frontier needs net.weights: train a net with `evs train` and pass "
                           "--set net.weights=DIR/net.evsnet")
     net, weights = load_or_init_net(cfg)
-    if set(range(net.blocks)) != ALL_LAYERS:
-        raise ConfigError(
-            f"{net_file}: net has {net.blocks} blocks; the frontier's layer sets need {len(ALL_LAYERS)}"
-        )
     out = _out_dir(out_dir)
 
     p = lab.pipeline_config

@@ -7,11 +7,11 @@ and nothing else (no environment variable) changes it.
 A section's keys are the parameters of the object it builds: ``pipeline`` goes
 to ``compose.PipelineConfig`` and ``train`` to ``TrainRecipe``, and both take
 their defaults from those classes, so each default is written once.  What no
-run varies is no config key: the two toy worlds, both noise schedules and the
-input flicker are code in ``evs.models``, the style scale in ``evs.bench`` and
-the metric constants in ``evs.metrics``.  ``build_lab`` builds and checks
-every section, so a command that builds its lab first refuses a bad value
-before it writes anything.
+run varies is no config key: the latent shape, the two toy worlds, both noise
+schedules and the input flicker are code in ``evs.models``, the style scale in
+``evs.bench`` and the metric constants in ``evs.metrics``.  ``build_lab``
+builds and checks every section, so a command that builds its lab first
+refuses a bad value before it writes anything.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ _PIPELINE = PipelineConfig()
 DEFAULT_CONFIG = {
     "version": CONFIG_VERSION,
     "seed": 0,
-    "frames": models.DEFAULT_FRAMES,
-    "dim": models.DEFAULT_DIM,
     "pipeline": {
         **asdict(_PIPELINE),
         # JSON has no sets: the injection layers are a sorted list.
@@ -149,9 +147,7 @@ def build_lab(cfg: dict, temporal_override=None) -> Lab:
     # Every reader of a dataset refuses an empty one, so count starts at 1.
     if cfg["dataset"]["count"] < 1:
         raise ConfigError(f"dataset.count must be at least 1, got {cfg['dataset']['count']}")
-    if cfg["frames"] < 3:  # motion smoothness compares three consecutive frames
-        raise ConfigError(f"frames must be at least 3, got {cfg['frames']}")
-    spatial_world, temporal_world = models.default_worlds(dim=cfg["dim"], frames=cfg["frames"])
+    spatial_world, temporal_world = models.default_worlds()
     sched_i = build_linear_beta(*models.SPATIAL_SCHEDULE)
     sched_v = build_linear_beta(*models.TEMPORAL_SCHEDULE)
     bundle = ModelBundle(

@@ -45,14 +45,21 @@ def _walk(z, steps, eps_at, sched: NoiseSchedule):
     the last takes the folded update (see the module docstring) and the last
     is ``_descend``.  Returns the final latent and the clean-latent
     prediction of the last step.
+
+    Both are checked once, at the end, and a non-finite one is a
+    ``NumericError``.  A non-finite prediction at any step cannot vanish
+    later (``b * eps`` is non-finite for any finite ``b``, ``a > 0``, and
+    ``_descend`` keeps it), and the check also catches a latent that
+    overflows from finite predictions.
     """
     last = len(steps) - 1
     for i, (t, t_next) in enumerate(steps):
         eps = eps_at(z, t)
-        if not np.isfinite(eps).all():
-            raise NumericError(f"denoiser returned non-finite output at t={t}")
         if i == last:
-            return _descend(z, t, t_next, eps, sched)
+            z, pred_clean = _descend(z, t, t_next, eps, sched)
+            if not (np.isfinite(z).all() and np.isfinite(pred_clean).all()):
+                raise NumericError(f"non-finite latent in the walk from t={steps[0][0]} to t={t_next}")
+            return z, pred_clean
         a = sched.sqrt_ab[t_next] / sched.sqrt_ab[t]
         z = z * a
         z += (sched.sqrt_1m_ab[t_next] - a * sched.sqrt_1m_ab[t]) * eps

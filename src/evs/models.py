@@ -31,11 +31,11 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError, TrainingError
 from .schedule import NoiseSchedule, check_integer
-from .sfi import KINDS, blended_attention, softmax_rows
+from .sfi import ALL_LAYERS, KINDS, blended_attention, softmax_rows
 
-# The latent shape is the config's ``frames`` and ``dim``; these are their defaults.
-DEFAULT_FRAMES = 16
-DEFAULT_DIM = 64
+# The latent shape ``(FRAMES, DIM)`` of every video the two models take.
+FRAMES = 16
+DIM = 64
 # The two toy worlds are fixed: their mixture, widths, frame coupling and seed.
 MODES = 4
 SIGMA_SPATIAL = 0.1
@@ -89,7 +89,7 @@ class _Mixture:
 class SpatialWorld(_Mixture):
     """Sharp per-frame mixture; frames are statistically independent."""
 
-    frames: int = DEFAULT_FRAMES
+    frames: int = FRAMES
 
 
 # Not a SpatialWorld subclass: an isinstance check on SpatialWorld must tell
@@ -102,7 +102,7 @@ class TemporalWorld(_Mixture):
     """
 
     rho: float
-    frames: int = DEFAULT_FRAMES
+    frames: int = FRAMES
 
     def __post_init__(self):
         super().__post_init__()
@@ -143,22 +143,18 @@ def blur_means(means: np.ndarray, width: int = BLUR_WIDTH) -> np.ndarray:
     return out / width
 
 
-def default_worlds(dim: int = DEFAULT_DIM, frames: int = DEFAULT_FRAMES) -> tuple[SpatialWorld, TemporalWorld]:
+def default_worlds() -> tuple[SpatialWorld, TemporalWorld]:
     """Build the paired worlds: same modes, blurred and frame-coupled on one side.
 
     Mode means are Rademacher (+/-1) patterns, so the width-``BLUR_WIDTH``
     moving average removes a large share of their high-frequency energy and
     "sharp vs blurry" is structural, not a matter of tuning.
     """
-    if dim < 1:
-        raise ParameterError(f"need dim >= 1, got dim={dim}")
     rng = np.random.default_rng(WORLD_SEED)
-    means = rng.integers(0, 2, size=(MODES, dim)).astype(np.float64) * 2.0 - 1.0
+    means = rng.integers(0, 2, size=(MODES, DIM)).astype(np.float64) * 2.0 - 1.0
     weights = np.full(MODES, 1.0 / MODES)
-    spatial = SpatialWorld(means=means, weights=weights, sigma=SIGMA_SPATIAL, frames=frames)
-    temporal = TemporalWorld(
-        means=blur_means(means), weights=weights, sigma=SIGMA_TEMPORAL, rho=RHO, frames=frames
-    )
+    spatial = SpatialWorld(means=means, weights=weights, sigma=SIGMA_SPATIAL)
+    temporal = TemporalWorld(means=blur_means(means), weights=weights, sigma=SIGMA_TEMPORAL, rho=RHO)
     return spatial, temporal
 
 
@@ -476,9 +472,9 @@ class ToyAttentionDenoiser(Denoiser):
 
     def __init__(
         self,
-        dim: int = DEFAULT_DIM,
-        embed: int = DEFAULT_DIM,
-        blocks: int = 4,
+        dim: int = DIM,
+        embed: int = DIM,
+        blocks: int = len(ALL_LAYERS),
         total_steps: int = TEMPORAL_SCHEDULE[0],
         n_modes: int = MODES,
         seed: int = 0,
@@ -538,8 +534,7 @@ class ToyAttentionDenoiser(Denoiser):
         z_t = np.asarray(z_t, dtype=np.float64)
         if z_t.ndim != 2 or z_t.shape[1] != self.dim:
             raise ShapeError(f"latent must be (frames, {self.dim}), got {z_t.shape}")
-        if not (isinstance(t, (int, np.integer)) and 0 <= t <= self.total_steps):
-            raise ParameterError(f"timestep {t!r} is not an integer in 0..{self.total_steps}")
+        t = check_integer("timestep", t, 0, self.total_steps)
         if injection is not None and capture is not None:
             raise ParameterError("a forward either captures or injects features, not both")
         cond_idx = self._cond_rows[self._cond_index(c)]

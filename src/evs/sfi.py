@@ -122,6 +122,7 @@ def invert_with_capture(z0, t_target, model, c, sched, keep=None):
 
 def injection_keys(t_v: int, n_v: int, cfg: InjectionConfig) -> frozenset:
     """The ``(t, layer, kind)`` keys that ``denoise_with_injection`` reads."""
+    t_v = check_integer("t_v", t_v, 1)
     n_v = check_integer("n_v", n_v, 1, t_v)
     kinds = (("f",) if cfg.inject_f else ()) + ("Q", "K", "V")
     return frozenset(

@@ -34,7 +34,7 @@ def _dir_bytes(path, suffix):
 NET4 = ["--set", "net.weights=NET4"]
 # One setting of each config section or key that became code.
 DELETED_KEYS = ("world.rho=0.9", "schedule_i.beta_end=0.03", "schedule_v.steps=9",
-                "dataset.style_scale=2", "dataset.flicker_sigma=0.4")
+                "dataset.style_scale=2", "dataset.flicker_sigma=0.4", "frames=8", "dim=32")
 
 
 def _record_videos_sha256(dataset):
@@ -422,12 +422,13 @@ class TestRun:
     def test_weights_for_another_config_are_config_error(self, small_dataset, tmp_path, capsys):
         for field, value, want in (
             ("total_steps", 12, "temporal schedule steps=8"), ("n_modes", 2, "world modes=4"),
-            ("dim", 8, "config dim=64"),
+            ("dim", 8, "latent dim=64"), ("blocks", 2, "injection blocks=4"),
+            ("blocks", 6, "injection blocks=4"),
         ):
-            weights = tmp_path / f"{field}.evsnet"
+            weights = tmp_path / f"{field}{value}.evsnet"
             evsio.write_net(weights, ToyAttentionDenoiser(**{field: value}))
             code = run_cli(
-                "run", "evs", "--dataset", small_dataset, "--out", tmp_path / field,
+                "run", "evs", "--dataset", small_dataset, "--out", tmp_path / f"{field}{value}",
                 "--set", f"net.weights={weights}",
             )
             assert code == 3, field
@@ -794,7 +795,8 @@ class TestReportAndTrain:
         assert "RuntimeWarning" not in proc.stderr
 
     # world.seed and world.modes are no config keys since the worlds became
-    # code; the two cases are now refused as unknown keys.
+    # code, and dim none since the latent shape did; the three cases are now
+    # refused as unknown keys.
     @pytest.mark.parametrize("setting", [
         "seed=-1", "world.seed=-1", "train.seed=-1",
         "world.modes=0", "dim=0", "train.batch_size=0", "train.steps=-1",
@@ -806,20 +808,20 @@ class TestReportAndTrain:
 
 @pytest.fixture(scope="module")
 def off_shape_datasets(tmp_path_factory):
-    """One-item datasets made under another (frames, dim) than the default config's."""
+    """One-item datasets whose videos are not the models' (16, 64): a plain or
+    styled ``evs gen`` dataset with its video cut to ``(frames, dim)``."""
     root = tmp_path_factory.mktemp("off_shape")
+    for styled in ("false", "true"):
+        assert run_cli("gen", "--out", root / f"styled-{styled}", "--set", "dataset.count=1",
+                       "--set", f"dataset.styled={styled}") == 0
     places = {}
-    for name, sets in (("FRAMES8", ["frames=8"]), ("DIM32", ["dim=32"]),
-                       ("STYLED_FRAMES8", ["frames=8", "dataset.styled=true"])):
+    for name, styled, frames, dim in (("FRAMES8", "false", 8, 64), ("DIM32", "false", 16, 32),
+                                      ("STYLED_FRAMES8", "true", 8, 64), ("FRAMES2", "false", 2, 64)):
         places[name] = root / name
-        sets = [arg for s in ("dataset.count=1", *sets) for arg in ("--set", s)]
-        assert run_cli("gen", "--out", places[name], *sets) == 0
-    # gen refuses frames=2, so this one is FRAMES8 cut to its first two frames.
-    places["FRAMES2"] = root / "FRAMES2"
-    shutil.copytree(places["FRAMES8"], places["FRAMES2"])
-    videos = places["FRAMES2"] / bench.DATASET_LATENTS
-    evsio.write_latents(videos, [video[:2] for video in evsio.read_latents(videos)])
-    _record_videos_sha256(places["FRAMES2"])
+        shutil.copytree(root / f"styled-{styled}", places[name])
+        videos = places[name] / bench.DATASET_LATENTS
+        evsio.write_latents(videos, [video[:frames, :dim] for video in evsio.read_latents(videos)])
+        _record_videos_sha256(places[name])
     return places
 
 
@@ -830,6 +832,19 @@ def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsy
     assert "(8, 64)" in err and "(16, 64)" in err
 
 
+@pytest.mark.parametrize("dataset", ["FRAMES8", "DIM32"])
+def test_benchmark_setup_refuses_an_off_shape_dataset(off_shape_datasets, dataset):
+    """The benchmark's ``setup`` child loads a dataset as every command does,
+    so it refuses videos that are not the models' shape."""
+    child = Path(__file__).resolve().parents[1] / "benchmark" / "child.py"
+    proc = subprocess.run(
+        [sys.executable, str(child), "setup", str(off_shape_datasets[dataset]), "0"],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "ShapeError" in proc.stderr and "(16, 64)" in proc.stderr
+
+
 @pytest.mark.parametrize("argv, code", [
     (["train", "--set", "train.lr=0"], 3),
     (["run", "t2i", "--dataset", "SMALL", "--set", "pipeline.t_T2V=40"], 3),
@@ -838,6 +853,8 @@ def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsy
     (["run", "t2i", "--dataset", "SMALL", "--set", "train.lr=0"], 3),
     (["gen", "--set", "pipeline.t_T2V=40"], 3),
     (["gen", "--set", "dataset.flicker_sigma=-1"], 3),
+    # frames is no config key since the latent shape became code, so the three
+    # frames2 cases are refused as an unknown key.
     (["gen", "--set", "frames=2"], 3),
     (["run", "t2i", "--dataset", "FRAMES2", "--set", "frames=2"], 3),
     (["sweep", "t_T2V", "--grid", "5,10", "--dataset", "FRAMES2", "--set", "frames=2"], 3),
@@ -852,6 +869,7 @@ def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsy
     (["sweep", "t_V", "--grid", "2,4", "--dataset", "SMALL",
       "--set", "pipeline.injection.layers=[7]"], 3),
     (["frontier", "--dataset", "STYLED", "--set", "pipeline.t_V=99", *NET4], 3),
+    # load_or_init_net refuses a net whose block count is not the 4 of ALL_LAYERS.
     (["frontier", "--dataset", "STYLED", "--set", "net.weights=NET2"], 3),
     (["frontier", "--dataset", "STYLED", "--set", "net.weights=NET6"], 3),
     *((["sweep", "gamma", "--grid", "0.0,1.0", "--dataset", "SMALL", *sets], 3) for sets in (
@@ -859,15 +877,15 @@ def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsy
         ["--set", "pipeline.block_mode=sdedit", "--set", "pipeline.injection=null"],
         ["--set", "pipeline.injection.layers=[]"],
     )),
-    # The worlds, the schedules, the flicker and the style scale are code, so
-    # each of their old keys is unknown.
+    # The latent shape, the worlds, the schedules, the flicker and the style
+    # scale are code, so each of their old keys is unknown.
     *((["gen", "--set", setting], 3) for setting in DELETED_KEYS),
     # The metric constants are code in evs.metrics, so a metrics key is unknown.
     *((["run", "t2i", "--dataset", "SMALL", "--set", setting], 3) for setting in (
         "metrics.tau=0", "metrics.tau=-1", "metrics.iq_scale=0", "metrics.psnr_peak=0",
         "metrics.ranges.ms=[1,0]", "metrics.ranges.ms=[0.5]",
     )),
-    # Videos whose (frames, dim) is not the config's, which some pipelines never read.
+    # Videos whose (frames, dim) is not the models', which some pipelines never read.
     *((["run", pipeline, "--dataset", dataset], 3)
       for dataset in ("FRAMES8", "DIM32") for pipeline in bench.PIPELINES),
     (["sweep", "t_T2V", "--grid", "5,10", "--dataset", "FRAMES8"], 3),
@@ -880,7 +898,7 @@ def test_video_shape_error_names_both_shapes(off_shape_datasets, tmp_path, capsy
     "frontier-2-blocks", "frontier-6-blocks",
     "gamma-sdedit", "gamma-null", "gamma-no-layers",
     "deleted-world", "deleted-schedule_i", "deleted-schedule_v", "deleted-style_scale",
-    "deleted-flicker_sigma",
+    "deleted-flicker_sigma", "deleted-frames", "deleted-dim",
     "metrics-tau-0", "metrics-tau-neg", "metrics-iq_scale", "metrics-psnr_peak",
     "metrics-range-order", "metrics-range-pair",
     *(f"{name}-{pipeline}" for name in ("frames8", "dim32") for pipeline in bench.PIPELINES),
@@ -893,7 +911,7 @@ def test_failed_check_leaves_no_out_directory(
     before it creates ``--out``, also a section the command does not read."""
     places = {"SMALL": small_dataset, "STYLED": styled_dataset, "MISSING": tmp_path / "missing",
               **off_shape_datasets}
-    for blocks in (2, 4, 6):  # the frontier's layers are 0..3, so only NET4 fits it
+    for blocks in (2, 4, 6):  # the net's layers are ALL_LAYERS, 0..3, so only NET4 loads
         places[f"NET{blocks}"] = tmp_path / f"net{blocks}.evsnet"
         evsio.write_net(places[f"NET{blocks}"], ToyAttentionDenoiser(blocks=blocks))
     out = tmp_path / "out"
@@ -910,8 +928,10 @@ def test_deleted_config_key_is_unknown(tmp_path, capsys, route, setting):
     if route == "set":
         args = ["--set", setting]
     else:
-        section, name = key.split(".")
-        (tmp_path / "config.json").write_text(json.dumps({section: {name: json.loads(value)}}))
+        config = json.loads(value)
+        for part in reversed(key.split(".")):
+            config = {part: config}
+        (tmp_path / "config.json").write_text(json.dumps(config))
         args = ["--config", tmp_path / "config.json"]
     out = tmp_path / "out"
     assert run_cli("gen", *args, "--out", out) == 3

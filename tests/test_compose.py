@@ -359,15 +359,19 @@ class TestIteratedBaseline:
         assert base_nfe / enc_nfe == pytest.approx(48 / 26)
 
 
-@pytest.mark.parametrize("call", ["injection_keys", "denoise_with_injection", "iterated"])
+@pytest.mark.parametrize("call", [
+    "injection_keys", "injection_keys-t_v", "denoise_with_injection", "iterated",
+])
 def test_non_integer_count_is_refused_before_any_evaluation(lab, sfi_bundle, call):
-    """An ``n_v`` or a round count of 2.5 is a ``ParameterError``, not a
-    ``TypeError`` from ``range``, and no denoiser runs."""
+    """An ``n_v``, a ``t_v`` or a round count of 2.5 is a ``ParameterError``,
+    not a ``TypeError`` from ``range``, and no denoiser runs."""
     z0, c = degraded(lab, 0)
     injection = InjectionConfig(layers=DEEP_LAYERS, gamma=0.8)
     with pytest.raises(ParameterError, match="2.5"):
         if call == "injection_keys":
             injection_keys(4, 2.5, injection)
+        elif call == "injection_keys-t_v":
+            injection_keys(2.5, 1, injection)
         elif call == "denoise_with_injection":
             denoise_with_injection(z0, 4, 2.5, sfi_bundle.temporal, c, lab.sched_v,
                                    FeatureCache(), injection)

@@ -12,6 +12,7 @@ from evs.models import (
     sample_world,
 )
 from evs.schedule import NoiseSchedule, build_linear_beta, forward_noise
+from evs.sfi import ALL_LAYERS, InjectionConfig, denoise_with_injection, invert_with_capture
 
 
 class ConstantDenoiser(Denoiser):
@@ -346,3 +347,40 @@ class TestFoldedWalk:
                 want, want_pred = _descend(z_last, t, steps[-1][1], eps, sched)
                 assert np.array_equal(got, want)
                 assert got_pred is None or np.array_equal(got_pred, want_pred)
+
+
+class NanAtNet(ToyAttentionDenoiser):
+    """The net, except that its prediction at level ``bad`` is NaN."""
+
+    bad = None
+
+    def forward(self, z_t, t, c, **taps):
+        eps = super().forward(z_t, t, c, **taps)
+        return np.full_like(eps, np.nan) if t == self.bad else eps
+
+
+class TestFiniteCheck:
+    """A walk checks its returned latent and clean prediction once, at its end."""
+
+    @pytest.mark.parametrize("walk", ["down", "invert-capture", "inject"])
+    def test_nan_at_a_middle_step_is_numeric_error(self, lab, walk):
+        net = NanAtNet(seed=3)
+        z0 = np.random.default_rng(5).standard_normal((16, 64))
+        z6, cache = invert_with_capture(z0, 6, net, 1, lab.sched_v)
+        net.bad = 3
+        with pytest.raises(NumericError, match=r"walk from t=\d to t=\d"):
+            if walk == "down":
+                ddim_sample(z6, 6, 0, net, 1, lab.sched_v)
+            elif walk == "invert-capture":
+                invert_with_capture(z0, 6, net, 1, lab.sched_v)
+            else:
+                denoise_with_injection(z6, 6, 6, net, 1, lab.sched_v, cache,
+                                       InjectionConfig(layers=ALL_LAYERS))
+        assert net.num_evals == 6 + 6  # the refused walk ran to its end
+
+    def test_overflow_from_finite_predictions_is_numeric_error(self, lab):
+        # Every step scales the latent by sqrt(ab_next)/sqrt(ab_t) > 1, so a
+        # latent near the float64 maximum overflows though each prediction is 0.
+        z = np.full((2, 3), 0.9 * np.finfo(np.float64).max)
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            ddim_sample(z, 50, 0, ConstantDenoiser(0.0), None, lab.sched_i)

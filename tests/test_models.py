@@ -357,11 +357,13 @@ class TestToyAttentionDenoiser:
         assert len(recorded) == 0
         assert net.num_evals == 1  # the capture; the refused call is no evaluation
 
-    @pytest.mark.parametrize("t", [-1, 9, 2.5])
+    # A bool is no level, as check_timestep rules for every denoiser: True never runs level 1.
+    @pytest.mark.parametrize("t", [-1, 9, 2.5, True])
     def test_rejects_timestep_outside_schedule(self, t):
         net = ToyAttentionDenoiser(seed=5, total_steps=8)
         with pytest.raises(ParameterError, match="0..8"):
             net.forward(np.zeros((4, 64)), t, None)
+        assert net.num_evals == 0
 
     def test_accepts_both_schedule_ends(self):
         net = ToyAttentionDenoiser(seed=5, total_steps=8)
