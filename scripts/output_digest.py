@@ -6,8 +6,10 @@ The set: `gen` plain and styled (`--set dataset.styled=true`); all six
 pipelines; `evs` with the sdedit block; `evs` at the corner
 `t_T2V = t_I = 20`; `iterated` at three rounds, whose odd round count adds a
 trailing spatial stage; `rerun` of the `evs` run; `sweep t_T2V`; `train` at
-20 steps; `frontier` and `sweep gamma` with those weights (`--set
-net.weights=...`); and `report` over the six pipeline runs.  Wall-clock
+20 steps; `run evs`, `frontier` and `sweep gamma` with those weights
+(`--set net.weights=...`), and `rerun` of that `run evs`, which reads the
+weights again and checks their recorded sha256; and `report` over the six
+pipeline runs.  Wall-clock
 values are dropped before hashing (the `wall_time` CSV column and JSON key),
 the output directory is written as `OUT` wherever a manifest records a path,
 and an SVG is hashed without its `<metadata>` element, which holds the
@@ -55,6 +57,8 @@ def commands(out: Path, count: int, seed: int) -> list[list]:
         ["rerun", out / "run_evs" / "run_manifest.json", "--out", out / "rerun_evs"],
         ["sweep", "t_T2V", "--grid", "5,10,15,20", "--dataset", ds, "--out", out / "sweep", *common],
         ["train", "--out", out / "train", "--set", "train.steps=20", *common],
+        ["run", "evs", "--dataset", ds, "--out", out / "run_evs_weights", *weights, *common],
+        ["rerun", out / "run_evs_weights" / "run_manifest.json", "--out", out / "rerun_evs_weights"],
         ["frontier", "--dataset", styled, "--out", out / "frontier", *weights, *common],
         ["sweep", "gamma", "--grid", "0.0,0.5,1.0", "--dataset", ds, "--out", out / "sweep_gamma",
          *weights, *common],

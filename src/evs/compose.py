@@ -8,7 +8,9 @@ from a ``PipelineConfig``; one loop, ``_refine_stages``, runs a plan and
 once, so a result carries only its output and counted NFE.  The six entry
 points share one signature ``(z0, p, models, c, rng)`` and are each one call
 into the loop; they stay separate functions because the benchmark's tracer
-wraps them by name.
+wraps them by name.  A ``PipelineConfig`` is checked once, when it is built,
+against the fixed schedules and the net's fixed blocks, so every one that
+exists is valid and no entry point checks it again.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ import numpy as np
 
 from .diffusion import sdedit_refine
 from .errors import CapabilityError, InjectionError, ParameterError
-from .models import Denoiser
+from .models import SPATIAL_SCHEDULE, TEMPORAL_SCHEDULE, Denoiser
 from .schedule import NoiseSchedule, check_integer
 from .sfi import (
+    ALL_LAYERS,
     DEEP_LAYERS,
     InjectionConfig,
     denoise_with_injection,
@@ -53,7 +56,9 @@ class PipelineConfig:
     schedules, ``t_T2V`` the spatial timestep at which the temporal block is
     inserted, ``n_V`` how many temporal reverse steps the block runs, and
     ``rounds`` the iterated baseline's round count.  ``injection`` may be
-    given as the section's JSON object.
+    given as the section's JSON object.  Building one, ``dataclasses.replace``
+    included, checks every key against the two schedules and, with the
+    injection block, the injection against the net's blocks ``ALL_LAYERS``.
     """
 
     t_I: int = 20
@@ -69,24 +74,20 @@ class PipelineConfig:
     def __post_init__(self):
         if isinstance(self.injection, dict):
             object.__setattr__(self, "injection", InjectionConfig(**self.injection))
-
-    def validate(self, models: ModelBundle):
-        """Check every key; with a tapped temporal model, also the block's injection."""
-        sched_i, sched_v = models.spatial_schedule, models.temporal_schedule
-        if not 1 <= self.t_T2V <= self.t_I <= sched_i.total_steps:
+        if not 1 <= self.t_T2V <= self.t_I <= SPATIAL_SCHEDULE[0]:
             raise ParameterError(
-                f"need 1 <= t_T2V <= t_I <= {sched_i.total_steps}, "
+                f"need 1 <= t_T2V <= t_I <= {SPATIAL_SCHEDULE[0]}, "
                 f"got t_T2V={self.t_T2V}, t_I={self.t_I}"
             )
-        if not 1 <= self.n_V <= self.t_V <= sched_v.total_steps:
+        if not 1 <= self.n_V <= self.t_V <= TEMPORAL_SCHEDULE[0]:
             raise ParameterError(
-                f"need 1 <= n_V <= t_V <= {sched_v.total_steps}, "
+                f"need 1 <= n_V <= t_V <= {TEMPORAL_SCHEDULE[0]}, "
                 f"got n_V={self.n_V}, t_V={self.t_V}"
             )
         if self.block_mode not in (BLOCK_SDEDIT, BLOCK_INVERSION_SFI):
             raise ParameterError(f"unknown block_mode {self.block_mode!r}")
         check_integer("rounds", self.rounds, 1)
-        if self.block_mode != BLOCK_INVERSION_SFI or not models.temporal.has_taps:
+        if self.block_mode != BLOCK_INVERSION_SFI:
             return
         if self.injection is None:
             raise ParameterError("block_mode inversion+sfi requires an injection config")
@@ -94,10 +95,10 @@ class PipelineConfig:
             # Such a block would inject nothing and ignore gamma.
             raise ParameterError("block_mode inversion+sfi requires an injection that reads a "
                                  "feature: one or more layers")
-        unknown = sorted(set(self.injection.layers) - set(range(models.temporal.blocks)))
+        unknown = sorted(self.injection.layers - ALL_LAYERS)
         if unknown:
             raise InjectionError(
-                f"injection layers {unknown} outside the net's blocks 0..{models.temporal.blocks - 1}"
+                f"injection layers {unknown} outside the net's blocks 0..{len(ALL_LAYERS) - 1}"
             )
 
 
@@ -159,7 +160,6 @@ def _iterated_plan(p: PipelineConfig) -> list[tuple[str, int, int]]:
     trailing spatial stage so the sequence always ends frame-refined.  It
     costs rounds*(t_I+t_V), plus t_I when rounds is odd (see ``stage_nfe``).
     """
-    check_integer("rounds", p.rounds, 1)
     iv = [("t2i", p.t_I, 0), ("t2v", p.t_V, 0)]
     return [stage for r in range(p.rounds) for stage in (iv[::-1] if r % 2 else iv)] + iv[:p.rounds % 2]
 
@@ -210,9 +210,8 @@ def run_evs(z0, p: PipelineConfig, models: ModelBundle, c: int | None,
             rng: np.random.Generator) -> PipelineResult:
     """The encapsulated pipeline: spatial steps from ``t_I`` down to ``t_T2V``,
     one temporal block of ``n_V`` steps from ``t_V``, then the spatial walk
-    from ``t_T2V``; every key is checked first.
+    from ``t_T2V``.
     """
-    p.validate(models)
     return _refine_stages(z0, PLANS["evs"](p), models, c, rng, p.injection)
 
 

@@ -141,8 +141,7 @@ class Lab:
 def build_lab(cfg: dict, temporal_override=None) -> Lab:
     """Build and check every section of a resolved config; a bad value raises.
 
-    ``temporal_override`` swaps in a different temporal denoiser (the tapped
-    net), against which the pipeline section is checked.
+    ``temporal_override`` swaps in a different temporal denoiser (the tapped net).
     """
     # Every reader of a dataset refuses an empty one, so count starts at 1.
     if cfg["dataset"]["count"] < 1:
@@ -157,5 +156,4 @@ def build_lab(cfg: dict, temporal_override=None) -> Lab:
         temporal_schedule=sched_v,
     )
     pipeline = PipelineConfig(**cfg["pipeline"])
-    pipeline.validate(bundle)
     return Lab(spatial_world, temporal_world, bundle, pipeline, TrainRecipe(**cfg["train"]))

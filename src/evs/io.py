@@ -14,7 +14,8 @@ followed by little-endian float64 payload.  Field meaning per magic:
 * ``EVSNET`` — attention-denoiser weights: a=dim, b=embed, count=payload
   length; payload is [blocks, total_steps, n_modes, seed] ++ parameters in
   the model's declared order.  The four leading values must be whole, the
-  first three positive, and must imply the payload length.
+  first three positive; dim, embed and the first three must be the net's
+  fixed shape, which implies the payload length.
 
 SVG plots are written by hand (fixed float formatting, no library metadata)
 so outputs are byte-reproducible; each embeds the manifest hash.
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .metrics import METRICS
-from .models import ToyAttentionDenoiser, net_param_count
+from .models import NET_PARAM_COUNT, ToyAttentionDenoiser
 
 MAGIC_LATENT = b"EVSLAT"
 MAGIC_NET = b"EVSNET"
@@ -118,6 +119,9 @@ def write_net(path, model: ToyAttentionDenoiser) -> None:
 
 
 def read_net(path) -> ToyAttentionDenoiser:
+    """The net in an EVSNET file, refused unless it has the net's fixed shape:
+    the header's ``dim`` and ``embed`` and the payload's ``blocks``,
+    ``total_steps`` and ``n_modes`` are checked before the payload's length."""
     with open(path, "rb") as fh:
         dim, embed, count, _ = _read_header(fh, path, MAGIC_NET)
         data = np.frombuffer(fh.read(), dtype="<f8")
@@ -131,20 +135,24 @@ def read_net(path) -> ToyAttentionDenoiser:
             "must be whole numbers, the first three positive and the seed non-negative"
         )
     blocks, total_steps, n_modes, seed = (int(x) for x in head)
-    expected = 4 + net_param_count(dim, embed, blocks, n_modes)
-    if data.size != expected:
-        raise ConfigError(f"{path}: net payload has {data.size} values, header implies {expected}")
-    model = ToyAttentionDenoiser(
-        dim=dim, embed=embed, blocks=blocks, total_steps=total_steps,
-        n_modes=n_modes, seed=seed,
-    )
+    for field, value, key in (
+        ("dim", dim, "latent dim"), ("embed", embed, "embed"), ("blocks", blocks, "injection blocks"),
+        ("total_steps", total_steps, "temporal schedule steps"), ("n_modes", n_modes, "world modes"),
+    ):
+        want = getattr(ToyAttentionDenoiser, field)
+        if value != want:
+            raise ConfigError(f"{path}: net {field}={value} but {key}={want}")
+    if data.size != 4 + NET_PARAM_COUNT:
+        raise ConfigError(f"{path}: net payload has {data.size} values, header implies "
+                          f"{4 + NET_PARAM_COUNT}")
+    net = ToyAttentionDenoiser(seed)
     offset = 4
-    for name in model.param_names():
-        shape = model.params[name].shape
+    for name in net.param_names():
+        shape = net.params[name].shape
         size = int(np.prod(shape))
-        model.params[name] = data[offset : offset + size].reshape(shape).copy()
+        net.params[name] = data[offset : offset + size].reshape(shape).copy()
         offset += size
-    return model
+    return net
 
 
 # ---------------------------------------------------------------------------

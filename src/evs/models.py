@@ -372,13 +372,11 @@ class AnalyticDenoiser(Denoiser):
 
 _TIME_FREQS = np.arange(1, 9, dtype=np.float64)  # 8 sin + 8 cos features
 _BLOCK_PARAMS = ("w_f", "b_f", "w_q", "w_k", "w_v", "w_o", "b_o")
-
-
-def net_param_count(dim: int, embed: int, blocks: int, n_modes: int) -> int:
-    """Parameter values of a ``ToyAttentionDenoiser`` of this shape, without building it."""
-    per_block = sum(embed if kind.startswith("b_") else embed * embed for kind in _BLOCK_PARAMS)
-    # w_in, w_out (dim x embed each), w_time, cond_emb, b_in; b_out; the blocks.
-    return (2 * dim + 2 * len(_TIME_FREQS) + n_modes + 2) * embed + dim + blocks * per_block
+# The parameter values of a ``ToyAttentionDenoiser``: w_in, w_out (DIM x DIM
+# each), w_time, cond_emb, b_in; b_out; and each block's weights and biases.
+NET_PARAM_COUNT = (2 * DIM + 2 * len(_TIME_FREQS) + MODES + 2) * DIM + DIM + len(ALL_LAYERS) * sum(
+    DIM if kind.startswith("b_") else DIM * DIM for kind in _BLOCK_PARAMS
+)
 
 
 def _time_features(t: int, total_steps: int) -> np.ndarray:
@@ -469,33 +467,30 @@ class ToyAttentionDenoiser(Denoiser):
     """
 
     has_taps = True
+    # The shape is fixed: the latent dim (also the embedding width), the
+    # blocks that ``ALL_LAYERS`` names, the temporal schedule and the worlds' modes.
+    dim = embed = DIM
+    blocks = len(ALL_LAYERS)
+    total_steps = TEMPORAL_SCHEDULE[0]
+    n_modes = MODES
+    # Row t holds the time features of level t; row i + 1 of ``_cond_rows``
+    # is the condition index of mode i as a one-video stack.
+    time_features = _time_feature_table(total_steps)
+    _cond_rows = np.arange(n_modes + 1)[:, None]
 
-    def __init__(
-        self,
-        dim: int = DIM,
-        embed: int = DIM,
-        blocks: int = len(ALL_LAYERS),
-        total_steps: int = TEMPORAL_SCHEDULE[0],
-        n_modes: int = MODES,
-        seed: int = 0,
-    ):
+    def __init__(self, seed: int = 0):
         super().__init__()
-        self.dim = dim
-        self.embed = embed
-        self.blocks = blocks
-        self.total_steps = total_steps
-        self.n_modes = n_modes
         self.seed = seed
         rng = np.random.default_rng(seed)
-        tdim = 2 * len(_TIME_FREQS)
+        dim, embed = self.dim, self.embed
 
         def w(shape):
             return rng.standard_normal(shape) / np.sqrt(shape[0])
 
         p = {
             "w_in": w((dim, embed)),
-            "w_time": w((tdim, embed)),
-            "cond_emb": rng.standard_normal((n_modes + 1, embed)) * 0.1,
+            "w_time": w((2 * len(_TIME_FREQS), embed)),
+            "cond_emb": rng.standard_normal((self.n_modes + 1, embed)) * 0.1,
             "b_in": np.zeros(embed),
             "w_out": w((embed, dim)),
             "b_out": np.zeros(dim),
@@ -503,14 +498,6 @@ class ToyAttentionDenoiser(Denoiser):
         for name in self.param_names()[4:-2]:  # the block parameters, drawn in this order
             p[name] = np.zeros(embed) if name.startswith("b_") else w((embed, embed))
         self.params = p
-        # Row i + 1 is the condition index of mode i as a one-video stack.
-        self._cond_rows = np.arange(n_modes + 1)[:, None]
-
-    @cached_property
-    def time_features(self) -> np.ndarray:
-        """Row t holds the time features of level t (built at first use, so a
-        read net with a corrupt ``total_steps`` costs nothing until refused)."""
-        return _time_feature_table(self.total_steps)
 
     # -- parameter plumbing (serialization keeps this order) --
 
@@ -664,17 +651,15 @@ def train_toy_denoiser(
     The 256-video held-out set is drawn after the last step, so no step holds
     it, and scored in one pass over both nets: the trained net scores
     ``final_loss``, and an untrained net of the same seed, whose weights are
-    the ones training started from, scores ``initial_loss``.
+    the ones training started from, scores ``initial_loss``.  The net's
+    shape is fixed, so a world or schedule of another shape is refused.
     """
-    def untrained():
-        return ToyAttentionDenoiser(
-            dim=world.dim,
-            total_steps=sched.total_steps,
-            n_modes=world.modes,
-            seed=recipe.seed,
+    if (world.dim, world.modes, sched.total_steps) != (DIM, MODES, TEMPORAL_SCHEDULE[0]):
+        raise ParameterError(
+            f"the net takes dim {DIM}, {MODES} modes and {TEMPORAL_SCHEDULE[0]} levels, "
+            f"got {world.dim}, {world.modes} and {sched.total_steps}"
         )
-
-    model = untrained()
+    model = ToyAttentionDenoiser(recipe.seed)
     data_rng = np.random.default_rng(np.random.SeedSequence([recipe.seed, 1]))
     tfeat_table = model.time_features
 
@@ -714,7 +699,7 @@ def train_toy_denoiser(
 
     held_rng = np.random.default_rng(np.random.SeedSequence([recipe.seed, 2]))
     z_t, tfeat, cond_idx, eps = _draw_training_batch(world, sched, held_rng, 256, tfeat_table)
-    start = untrained() if recipe.steps else model
+    start = ToyAttentionDenoiser(recipe.seed) if recipe.steps else model
     # One pass scores both nets a stack at a time.  A stack's squared
     # residuals overwrite its own z_t and eps slots, which nothing reads
     # again, so one mean of each array keeps the bits of a one-stack loss.

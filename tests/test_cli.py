@@ -54,6 +54,23 @@ def _empty_videos(dataset):
     _record_videos_sha256(dataset)
 
 
+# Where a weights file records each shape value: (byte offset, dtype), in
+# the header (dim, embed) or at the head of the payload.
+_NET_FIELDS = {"dim": (8, "<u4"), "embed": (12, "<u4"), "blocks": (24, "<f8"),
+               "total_steps": (32, "<f8"), "n_modes": (40, "<f8")}
+
+
+def _off_shape_net(path, field, value):
+    """Write the default net to ``path`` with its ``field`` patched to ``value``,
+    as a net of another shape would record it."""
+    evsio.write_net(path, ToyAttentionDenoiser())
+    raw = bytearray(path.read_bytes())
+    offset, dtype = _NET_FIELDS[field]
+    patch = np.array(value, dtype=dtype).tobytes()
+    raw[offset : offset + len(patch)] = patch
+    path.write_bytes(bytes(raw))
+
+
 def _placed(arg, places):
     """``arg`` with a place name, alone or as the value of a ``--set``, replaced by its path."""
     key, eq, value = arg.rpartition("=")
@@ -372,20 +389,17 @@ class TestRun:
             code = run_cli("run", "t2i", "--dataset", small_dataset, "--out", tmp_path, *sets)
             assert code == 3, assignments
 
-    def test_injection_null_only_matters_to_evs(self, small_dataset, tmp_path, capsys):
-        for pipeline in ("t2i", "t2v", "iv", "vi", "iterated"):
-            assert run_cli(
-                "run", pipeline, "--dataset", small_dataset, "--out", tmp_path / pipeline,
+    def test_injection_null_is_refused_by_every_pipeline(self, small_dataset, tmp_path, capsys):
+        # The default block reads the injection, so every pipeline checks it.
+        for pipeline in bench.PIPELINES:
+            out = tmp_path / pipeline
+            code = run_cli(
+                "run", pipeline, "--dataset", small_dataset, "--out", out,
                 "--set", "pipeline.injection=null",
-            ) == 0, pipeline
-        out = tmp_path / "evs"
-        code = run_cli(
-            "run", "evs", "--dataset", small_dataset, "--out", out,
-            "--set", "pipeline.injection=null",
-        )
-        assert code == 3
-        assert "requires an injection config" in capsys.readouterr().err
-        assert not out.exists()
+            )
+            assert code == 3, pipeline
+            assert "requires an injection config" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_truncated_item_is_config_error(self, tmp_path, capsys):
         dataset = tmp_path / "ds"
@@ -395,6 +409,23 @@ class TestRun:
         _record_videos_sha256(dataset)
         assert run_cli("run", "t2i", "--dataset", dataset, "--out", tmp_path / "o") == 3
         assert "is not whole float64 values" in capsys.readouterr().err
+
+    def test_non_finite_item_is_config_error(self, tmp_path, capsys):
+        # Only a hand-written file with its sha256 recorded holds inf or nan.
+        dataset = tmp_path / "ds"
+        assert run_cli("gen", "--out", dataset, "--set", "dataset.count=4") == 0
+        videos = dataset / bench.DATASET_LATENTS
+        items = evsio.read_latents(videos)
+        items[2][5, 7], items[3][0, 0] = np.inf, np.nan
+        evsio.write_latents(videos, items)
+        _record_videos_sha256(dataset)
+        capsys.readouterr()
+        for pipeline in ("t2i", "t2v", "evs"):
+            out = tmp_path / pipeline
+            assert run_cli("run", pipeline, "--dataset", dataset, "--out", out) == 3, pipeline
+            assert capsys.readouterr().err == (
+                f"config error: {videos}: item 2 holds a value that is not finite\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "spoil", ["empty_manifest", "non_utf8_manifest", "list_config", "run_manifest_as_dataset",
@@ -422,11 +453,11 @@ class TestRun:
     def test_weights_for_another_config_are_config_error(self, small_dataset, tmp_path, capsys):
         for field, value, want in (
             ("total_steps", 12, "temporal schedule steps=8"), ("n_modes", 2, "world modes=4"),
-            ("dim", 8, "latent dim=64"), ("blocks", 2, "injection blocks=4"),
-            ("blocks", 6, "injection blocks=4"),
+            ("dim", 8, "latent dim=64"), ("embed", 32, "embed=64"),
+            ("blocks", 2, "injection blocks=4"), ("blocks", 6, "injection blocks=4"),
         ):
             weights = tmp_path / f"{field}{value}.evsnet"
-            evsio.write_net(weights, ToyAttentionDenoiser(**{field: value}))
+            _off_shape_net(weights, field, value)
             code = run_cli(
                 "run", "evs", "--dataset", small_dataset, "--out", tmp_path / f"{field}{value}",
                 "--set", f"net.weights={weights}",
@@ -584,7 +615,7 @@ class TestFrontier:
 
     def test_weights_for_another_schedule_are_config_error(self, styled_dataset, tmp_path, capsys):
         weights = tmp_path / "net.evsnet"
-        evsio.write_net(weights, ToyAttentionDenoiser(total_steps=12))
+        _off_shape_net(weights, "total_steps", 12)
         code = run_cli("frontier", "--dataset", styled_dataset, "--out", tmp_path / "o",
                        "--set", f"net.weights={weights}")
         assert code == 3
@@ -863,13 +894,20 @@ def test_benchmark_setup_refuses_an_off_shape_dataset(off_shape_datasets, datase
     (["run", "evs", "--dataset", "SMALL", "--set", "pipeline.injection.layers=[7]"], 3),
     # An injection that reads no feature is refused like pipeline.injection=null.
     (["run", "evs", "--dataset", "SMALL", "--set", "pipeline.injection.layers=[]"], 3),
+    # The default block's injection is checked by every command, also one that
+    # never runs the block.
+    *((argv, 3) for layers in ("[7]", "[]") for argv in (
+        ["gen", "--set", f"pipeline.injection.layers={layers}"],
+        ["train", "--set", "train.steps=2", "--set", f"pipeline.injection.layers={layers}"],
+        ["run", "t2v", "--dataset", "SMALL", "--set", f"pipeline.injection.layers={layers}"],
+    )),
     # inject_kv is no config key: every injected layer reads the recorded Q/K/V.
     (["run", "evs", "--dataset", "SMALL", "--set", "pipeline.injection.inject_f=true",
       "--set", "pipeline.injection.inject_kv=false"], 3),
     (["sweep", "t_V", "--grid", "2,4", "--dataset", "SMALL",
       "--set", "pipeline.injection.layers=[7]"], 3),
     (["frontier", "--dataset", "STYLED", "--set", "pipeline.t_V=99", *NET4], 3),
-    # load_or_init_net refuses a net whose block count is not the 4 of ALL_LAYERS.
+    # read_net refuses a net whose block count is not the 4 of ALL_LAYERS.
     (["frontier", "--dataset", "STYLED", "--set", "net.weights=NET2"], 3),
     (["frontier", "--dataset", "STYLED", "--set", "net.weights=NET6"], 3),
     *((["sweep", "gamma", "--grid", "0.0,1.0", "--dataset", "SMALL", *sets], 3) for sets in (
@@ -893,7 +931,9 @@ def test_benchmark_setup_refuses_an_off_shape_dataset(off_shape_datasets, datase
 ], ids=[
     "train-lr", "run-t_T2V", "frontier-plain", "run-missing-dataset", "run-train-lr",
     "gen-t_T2V", "gen-flicker", "gen-frames2", "run-frames2", "sweep-frames2", "run-empty-weights",
-    "train-t_T2V", "run-evs-layers", "run-evs-no-layers", "run-evs-inject_kv",
+    "train-t_T2V", "run-evs-layers", "run-evs-no-layers",
+    *(f"{command}-{name}" for name in ("layers", "no-layers") for command in ("gen", "train", "run-t2v")),
+    "run-evs-inject_kv",
     "sweep-layers", "frontier-t_V",
     "frontier-2-blocks", "frontier-6-blocks",
     "gamma-sdedit", "gamma-null", "gamma-no-layers",
@@ -913,7 +953,7 @@ def test_failed_check_leaves_no_out_directory(
               **off_shape_datasets}
     for blocks in (2, 4, 6):  # the net's layers are ALL_LAYERS, 0..3, so only NET4 loads
         places[f"NET{blocks}"] = tmp_path / f"net{blocks}.evsnet"
-        evsio.write_net(places[f"NET{blocks}"], ToyAttentionDenoiser(blocks=blocks))
+        _off_shape_net(places[f"NET{blocks}"], "blocks", blocks)
     out = tmp_path / "out"
     assert run_cli(*(_placed(a, places) for a in argv), "--out", out) == code
     assert not out.exists()
@@ -977,7 +1017,7 @@ class TestOutputDigest:
             )
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.splitlines())
-        assert len(digests[0]) == 66
+        assert len(digests[0]) == 74
         assert digests[0] == digests[1]
         assert not [line for line in digests[0] for out in outs if str(out) in line]
 
@@ -1067,7 +1107,7 @@ class TestScripts:
 
     def test_run_frontier_with_given_weights(self, tmp_path):
         weights = tmp_path / "net.evsnet"
-        evsio.write_net(weights, ToyAttentionDenoiser(blocks=4))
+        evsio.write_net(weights, ToyAttentionDenoiser())
         self._run("run_frontier.py", "--out", tmp_path / "f", "--count", "2", "--net", weights)
         rows = evsio.read_metric_csv(tmp_path / "f" / "frontier" / "frontier.csv")
         # sdedit at t = 0..8 and the 11 injection operating points; no net is trained.

@@ -228,8 +228,8 @@ class TestEncapsulatedPipeline:
         with pytest.raises(CapabilityError):
             run_evs(z0, PipelineConfig(), bundle, c, rng_for(EVS_KEY, 0))
 
-    def test_config_invariants(self, lab, bundle):
-        z0, c = degraded(lab, 4)
+    def test_config_invariants(self):
+        # Building a config checks it, dataclasses.replace included.
         for bad in (
             dict(t_T2V=0),
             dict(t_T2V=25),
@@ -241,7 +241,9 @@ class TestEncapsulatedPipeline:
             dict(rounds=0),
         ):
             with pytest.raises(ParameterError):
-                run_evs(z0, PipelineConfig(**{**SDEDIT_CFG, **bad}), bundle, c, rng_for(EVS_KEY, 0))
+                PipelineConfig(**{**SDEDIT_CFG, **bad})
+        with pytest.raises(ParameterError, match="n_V=2, t_V=1"):
+            replace(PipelineConfig(), t_V=1)
 
     def test_single_temporal_stage(self):
         plan = PLANS["evs"](PipelineConfig(**SDEDIT_CFG))

@@ -30,7 +30,7 @@ class TestBinaryFormats:
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "weights.evsnet"
-        evsio.write_net(path, ToyAttentionDenoiser(blocks=1, dim=4, embed=4))
+        evsio.write_net(path, ToyAttentionDenoiser())
         with pytest.raises(ConfigError, match="bad magic"):
             evsio.read_latents(path)
 
@@ -74,7 +74,7 @@ class TestBinaryFormats:
 
     def test_truncated_net_rejected(self, tmp_path):
         path = tmp_path / "weights.evsnet"
-        evsio.write_net(path, ToyAttentionDenoiser(blocks=1, dim=4, embed=4))
+        evsio.write_net(path, ToyAttentionDenoiser())
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(ConfigError):
             evsio.read_net(path)
@@ -86,7 +86,7 @@ class TestBinaryFormats:
     def test_net_header_values_rejected(self, tmp_path, field, value):
         # The payload starts with [blocks, total_steps, n_modes, seed].
         path = tmp_path / "weights.evsnet"
-        evsio.write_net(path, ToyAttentionDenoiser(blocks=1, dim=4, embed=4))
+        evsio.write_net(path, ToyAttentionDenoiser())
         raw = bytearray(path.read_bytes())
         raw[24 + 8 * field : 32 + 8 * field] = np.float64(value).tobytes()
         path.write_bytes(bytes(raw))
@@ -134,7 +134,7 @@ def _write_dataset_manifest(path):
 _READERS = {
     "evslat": (evsio.read_latents, lambda p: evsio.write_latents(p, [np.ones((3, 4))] * 2)),
     "evsnet": (evsio.read_net,
-               lambda p: evsio.write_net(p, ToyAttentionDenoiser(dim=4, embed=4, blocks=1))),
+               lambda p: evsio.write_net(p, ToyAttentionDenoiser())),
     "manifest": (lambda p: evsio.read_manifest(p, "dataset"), _write_dataset_manifest),
 }
 

@@ -360,13 +360,13 @@ class TestToyAttentionDenoiser:
     # A bool is no level, as check_timestep rules for every denoiser: True never runs level 1.
     @pytest.mark.parametrize("t", [-1, 9, 2.5, True])
     def test_rejects_timestep_outside_schedule(self, t):
-        net = ToyAttentionDenoiser(seed=5, total_steps=8)
+        net = ToyAttentionDenoiser(seed=5)
         with pytest.raises(ParameterError, match="0..8"):
             net.forward(np.zeros((4, 64)), t, None)
         assert net.num_evals == 0
 
     def test_accepts_both_schedule_ends(self):
-        net = ToyAttentionDenoiser(seed=5, total_steps=8)
+        net = ToyAttentionDenoiser(seed=5)
         for t in (0, 8, np.int64(4)):
             assert np.all(np.isfinite(net.forward(np.ones((4, 64)), t, None)))
 
@@ -430,9 +430,7 @@ class TestTraining:
     def test_zero_steps_returns_initial_model(self, lab):
         recipe = TrainRecipe(steps=0, seed=9)
         model = train_toy_denoiser(lab.temporal_world, lab.sched_v, recipe)
-        fresh = ToyAttentionDenoiser(
-            dim=64, total_steps=lab.sched_v.total_steps, n_modes=4, seed=9
-        )
+        fresh = ToyAttentionDenoiser(seed=9)
         for name in fresh.param_names():
             np.testing.assert_array_equal(model.params[name], fresh.params[name])
         assert model.train_report["initial_loss"] == model.train_report["final_loss"]
@@ -441,6 +439,13 @@ class TestTraining:
         recipe = TrainRecipe(steps=250, lr=3e-3, batch_size=16, seed=0)
         model = train_toy_denoiser(lab.temporal_world, lab.sched_v, recipe)
         assert model.train_report["final_loss"] < 0.5 * model.train_report["initial_loss"]
+
+    @pytest.mark.parametrize("steps", [6, 12])
+    def test_schedule_of_another_length_is_refused(self, lab, steps):
+        # The net's time features cover the temporal schedule's 8 levels only.
+        sched = build_linear_beta(steps, 1e-4, 0.1)
+        with pytest.raises(ParameterError, match="8 levels, got 64, 4 and"):
+            train_toy_denoiser(lab.temporal_world, sched, TrainRecipe(steps=1, batch_size=4))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self, lab):
@@ -461,7 +466,7 @@ class TestTraining:
     @pytest.mark.parametrize("steps", [0, 3])
     def test_stacked_held_out_loss_matches_one_stack_bit_for_bit(self, lab, steps):
         model = train_toy_denoiser(lab.temporal_world, lab.sched_v, TrainRecipe(steps=steps, seed=4))
-        fresh = ToyAttentionDenoiser(dim=64, total_steps=lab.sched_v.total_steps, n_modes=4, seed=4)
+        fresh = ToyAttentionDenoiser(seed=4)
         report = model.train_report
         assert report["initial_loss"] == self._one_stack_held_out_loss(lab, fresh, 4)
         assert report["final_loss"] == self._one_stack_held_out_loss(lab, model, 4)
